@@ -192,7 +192,7 @@ exportArtifacts(std::size_t target_tasks,
                          stem.c_str());
             return false;
         }
-        so::sim::streamChromeTrace(out, g, sched, prof);
+        so::sim::streamChromeTrace(out, g, sched, &prof);
         if (!out.flush()) {
             std::fprintf(stderr, "short write on %s.trace.json\n",
                          stem.c_str());

@@ -458,7 +458,7 @@ namespace {
 
 /** Shared body of the buffering and streaming host-trace exports. */
 void
-writeChromeTraceDoc(JsonWriter &json, const CollectedTrace &trace)
+writeHostTraceDoc(JsonWriter &json, const CollectedTrace &trace)
 {
     json.beginObject();
     json.key("traceEvents").beginArray();
@@ -539,7 +539,7 @@ std::string
 toChromeTrace(const CollectedTrace &trace)
 {
     JsonWriter json;
-    writeChromeTraceDoc(json, trace);
+    writeHostTraceDoc(json, trace);
     return json.str();
 }
 
@@ -547,7 +547,7 @@ void
 streamChromeTrace(std::ostream &os, const CollectedTrace &trace)
 {
     JsonWriter json(os);
-    writeChromeTraceDoc(json, trace);
+    writeHostTraceDoc(json, trace);
 }
 
 std::string

@@ -1609,7 +1609,8 @@ const char kExplorerJs[] = R"SOJS(
               ' dropped (ring overflow)' : '')));
       stackedBar(sec, parts, wall, phaseColor);
       phaseLegend(sec, parts);
-      dataTable(sec, 'wall time by category',
+      dataTable(sec, 'inclusive wall time by category (nested spans ' +
+          'overlap, so shares can sum past 100%)',
           ['category', 'spans', 'total', 'share of wall'],
           parts.map(function (p) {
             return [p[0], fmtNum(cats[p[0]].count || 0), fmtS(p[1]),

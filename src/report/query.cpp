@@ -180,7 +180,11 @@ resourceName(const JsonValue &task,
         const auto idx = static_cast<std::size_t>(v->number());
         if (idx < names.size())
             return names[idx];
-        return "#" + std::to_string(idx);
+        // Prepended in place: GCC 12 flags `"#" + std::to_string(idx)`
+        // here with a false-positive -Wrestrict.
+        std::string tag = std::to_string(idx);
+        tag.insert(tag.begin(), '#');
+        return tag;
     }
     return "(unknown)";
 }

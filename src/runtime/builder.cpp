@@ -183,31 +183,10 @@ IterBuilder::onCpuBg(std::string_view label, double seconds,
 }
 
 sim::TaskId
-IterBuilder::onH2d(std::string_view label, double seconds,
-                   sim::DepView deps, std::int32_t priority)
-{
-    return graph_.addTask(h2d_, seconds, label, deps, priority);
-}
-
-sim::TaskId
-IterBuilder::onD2h(std::string_view label, double seconds,
-                   sim::DepView deps, std::int32_t priority)
-{
-    return graph_.addTask(d2h_, seconds, label, deps, priority);
-}
-
-sim::TaskId
 IterBuilder::onNic(std::string_view label, double seconds,
                    sim::DepView deps, std::int32_t priority)
 {
     return graph_.addTask(nic_, seconds, label, deps, priority);
-}
-
-sim::TaskId
-IterBuilder::onNvme(std::string_view label, double seconds,
-                    sim::DepView deps, std::int32_t priority)
-{
-    return graph_.addTask(nvme_, seconds, label, deps, priority);
 }
 
 sim::TaskId
@@ -427,11 +406,10 @@ IterBuilder::finishWindow(const model::IterationFlops &flops,
         // per-task data streams out as shards via writeBundleShards
         // when a caller asks for files (docs/OBSERVABILITY.md).
         if (!prof.summarized)
-            res.bundle_json = sim::bundleToJson(
-                sim::makeInspectionBundle(graph_, schedule, prof, "",
-                                          &energy));
+            res.bundle_json =
+                sim::bundleToJson(graph_, schedule, prof, "", &energy);
         if (setup_.capture_trace)
-            res.trace_json = sim::toChromeTrace(graph_, schedule, prof);
+            res.trace_json = sim::toChromeTrace(graph_, schedule, &prof);
     } else {
         fillEnergy(res, schedule, nullptr);
         if (setup_.capture_trace)

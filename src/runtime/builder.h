@@ -148,22 +148,15 @@ class IterBuilder
     sim::TaskId onCpuBg(std::string_view label, double seconds,
                         sim::DepView deps = {},
                         std::int32_t priority = 0);
-    sim::TaskId onH2d(std::string_view label, double seconds,
-                      sim::DepView deps = {}, std::int32_t priority = 0);
-    sim::TaskId onD2h(std::string_view label, double seconds,
-                      sim::DepView deps = {}, std::int32_t priority = 0);
     sim::TaskId onNic(std::string_view label, double seconds,
                       sim::DepView deps = {}, std::int32_t priority = 0);
-    sim::TaskId onNvme(std::string_view label, double seconds,
-                       sim::DepView deps = {}, std::int32_t priority = 0);
 
     /**
      * Schedule a transfer of @p bytes (taking @p seconds, typically
      * from transferTime or chunkedTransferTime) on the primary
      * @p from -> @p to path's channel, and account the bytes to that
-     * path for the per-tier traffic report. This is the canonical way
-     * to emit inter-tier moves; onH2d/onD2h/onNvme are raw channel
-     * access without traffic accounting.
+     * path for the per-tier traffic report. This is the way to emit
+     * inter-tier moves.
      */
     sim::TaskId onTransfer(std::string_view from, std::string_view to,
                            std::string_view label, double seconds,

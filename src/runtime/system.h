@@ -320,7 +320,8 @@ struct IterationResult
      * Inspection-bundle JSON (sim::bundleToJson): per-task spans plus
      * the dependency edge list, the input of the HTML Schedule
      * Explorer (report/html.h). Filled alongside profile_json when the
-     * setup's capture_profile flag was set.
+     * setup's capture_profile flag was set and the profile kept Full
+     * detail (a Summary profile has no per-task arrays to flatten).
      */
     std::string bundle_json;
 

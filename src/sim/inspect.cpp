@@ -1,8 +1,8 @@
 #include "sim/inspect.h"
 
-#include <algorithm>
 #include <fstream>
 #include <memory>
+#include <vector>
 
 #include "common/json.h"
 #include "common/logging.h"
@@ -14,340 +14,11 @@ namespace so::sim {
 
 namespace {
 
-IdleCause
-idleCauseFromName(const std::string &name, bool *ok)
-{
-    *ok = true;
-    if (name == "dependency-wait")
-        return IdleCause::DependencyWait;
-    if (name == "resource-contention")
-        return IdleCause::ResourceContention;
-    if (name == "tail")
-        return IdleCause::Tail;
-    *ok = false;
-    return IdleCause::Tail;
-}
-
-double
-numberOr(const JsonValue &obj, const std::string &key, double fallback)
-{
-    const JsonValue *member = obj.find(key);
-    return member && member->isNumber() ? member->number() : fallback;
-}
-
-std::string
-textOr(const JsonValue &obj, const std::string &key,
-       const std::string &fallback)
-{
-    const JsonValue *member = obj.find(key);
-    return member && member->isString() ? member->text() : fallback;
-}
-
-bool
-boolOr(const JsonValue &obj, const std::string &key, bool fallback)
-{
-    const JsonValue *member = obj.find(key);
-    return member && member->isBool() ? member->boolean() : fallback;
-}
-
-bool
-fail(std::string *error, const std::string &message)
-{
-    if (error)
-        *error = message;
-    return false;
-}
-
-} // namespace
-
-InspectionBundle
-makeInspectionBundle(const TaskGraph &graph, const Schedule &schedule,
-                     const ScheduleProfile &profile, std::string label,
-                     const EnergyProfile *energy)
-{
-    const std::size_t n = graph.taskCount();
-    SO_ASSERT(schedule.start.size() == n && profile.slack.size() == n,
-              "bundle inputs do not describe the same graph");
-
-    InspectionBundle bundle;
-    bundle.label = std::move(label);
-    bundle.makespan = profile.makespan;
-
-    bundle.resources.reserve(graph.resourceCount());
-    for (ResourceId r = 0; r < graph.resourceCount(); ++r) {
-        ResourceSummary summary;
-        summary.name = graph.resource(r).name;
-        summary.slots = graph.resource(r).slots;
-        summary.busy = profile.resources[r].busy;
-        summary.idle_dependency = profile.resources[r].idle_dependency;
-        summary.idle_contention = profile.resources[r].idle_contention;
-        summary.idle_tail = profile.resources[r].idle_tail;
-        if (energy != nullptr && energy->valid) {
-            summary.busy_w = energy->resources[r].busy_w;
-            summary.idle_w = energy->resources[r].idle_w;
-        }
-        summary.gaps = profile.resources[r].gaps;
-        bundle.resources.push_back(std::move(summary));
-    }
-
-    bundle.tasks.resize(n);
-    for (TaskId id = 0; id < n; ++id) {
-        TaskSpan &span = bundle.tasks[id];
-        span.task = id;
-        span.label = std::string(graph.label(id));
-        span.phase = phaseKey(graph.label(id));
-        span.resource = graph.taskResource(id);
-        span.start = schedule.start[id];
-        span.end = schedule.finish[id];
-        span.slack = profile.slack[id];
-        if (energy != nullptr && energy->valid) {
-            // Per-byte tolls amortize over the span so the timeline
-            // integrates back to the task's joules.
-            const double dur = span.duration();
-            span.power_w =
-                dur > 0.0 ? energy->task_j[id] / dur
-                          : energy->resources[span.resource].busy_w;
-        }
-    }
-    // Slot lanes live in the timelines, not the per-task arrays.
-    for (ResourceId r = 0; r < graph.resourceCount(); ++r)
-        for (const Interval &iv : schedule.timelines[r].intervals())
-            bundle.tasks[iv.task].slot = iv.slot;
-
-    for (const CriticalStep &step : profile.critical_path) {
-        bundle.critical_path.push_back(step.task);
-        bundle.tasks[step.task].critical = true;
-    }
-
-    bundle.edges.reserve(graph.edgeCount());
-    for (TaskId id = 0; id < n; ++id)
-        for (TaskId dep : graph.deps(id))
-            bundle.edges.emplace_back(dep, id);
-
-    if (energy != nullptr && energy->valid) {
-        bundle.total_j = energy->total_j;
-        bundle.avg_w = energy->avg_w;
-    }
-    return bundle;
-}
-
-std::string
-bundleToJson(const InspectionBundle &bundle)
-{
-    so::trace::Span span(so::trace::Category::Serialize,
-                         "bundle-json");
-    JsonWriter json;
-    json.beginObject();
-    json.field("schema_version", kSchemaVersion);
-    json.field("kind", "inspection_bundle");
-    json.field("label", bundle.label);
-    json.field("makespan_s", bundle.makespan);
-    json.field("total_j", bundle.total_j);
-    json.field("avg_w", bundle.avg_w);
-
-    json.key("resources").beginArray();
-    for (const ResourceSummary &res : bundle.resources) {
-        json.beginObject();
-        json.field("resource", res.name);
-        json.field("slots", res.slots);
-        json.field("busy_s", res.busy);
-        json.field("idle_dependency_s", res.idle_dependency);
-        json.field("idle_contention_s", res.idle_contention);
-        json.field("idle_tail_s", res.idle_tail);
-        json.field("busy_w", res.busy_w);
-        json.field("idle_w", res.idle_w);
-        json.key("gaps").beginArray();
-        for (const IdleGap &gap : res.gaps) {
-            json.beginObject();
-            json.field("begin_s", gap.begin);
-            json.field("end_s", gap.end);
-            json.field("cause", idleCauseName(gap.cause));
-            if (gap.next_task != kInvalidTask)
-                json.field("next", gap.next_task);
-            json.endObject();
-        }
-        json.endArray();
-        json.endObject();
-    }
-    json.endArray();
-
-    json.key("tasks").beginArray();
-    for (const TaskSpan &span : bundle.tasks) {
-        json.beginObject();
-        json.field("id", span.task);
-        json.field("label", span.label);
-        json.field("phase", span.phase);
-        json.field("resource", span.resource);
-        json.field("slot", span.slot);
-        json.field("start_s", span.start);
-        json.field("end_s", span.end);
-        json.field("slack_s", span.slack);
-        json.field("critical", span.critical);
-        json.field("power_w", span.power_w);
-        json.endObject();
-    }
-    json.endArray();
-
-    json.key("edges").beginArray();
-    for (const auto &[before, after] : bundle.edges) {
-        json.beginArray();
-        json.value(before);
-        json.value(after);
-        json.endArray();
-    }
-    json.endArray();
-
-    json.key("critical_path").beginArray();
-    for (TaskId id : bundle.critical_path)
-        json.value(id);
-    json.endArray();
-
-    json.endObject();
-    return json.str();
-}
-
-bool
-bundleFromJson(const JsonValue &doc, InspectionBundle &out,
-               std::string *error)
-{
-    if (!doc.isObject())
-        return fail(error, "bundle document is not a JSON object");
-    if (textOr(doc, "kind", "") != "inspection_bundle")
-        return fail(error,
-                    "document is not an inspection bundle "
-                    "(missing kind:\"inspection_bundle\")");
-
-    InspectionBundle bundle;
-    bundle.label = textOr(doc, "label", "");
-    bundle.makespan = numberOr(doc, "makespan_s", 0.0);
-    bundle.total_j = numberOr(doc, "total_j", 0.0);
-    bundle.avg_w = numberOr(doc, "avg_w", 0.0);
-
-    const JsonValue *tasks = doc.find("tasks");
-    if (!tasks || !tasks->isArray())
-        return fail(error, "bundle has no tasks array");
-    bundle.tasks.reserve(tasks->items().size());
-    for (const JsonValue &item : tasks->items()) {
-        if (!item.isObject())
-            return fail(error, "bundle task is not an object");
-        TaskSpan span;
-        span.task =
-            static_cast<TaskId>(numberOr(item, "id", bundle.tasks.size()));
-        span.label = textOr(item, "label", "");
-        span.phase = textOr(item, "phase", "");
-        span.resource =
-            static_cast<ResourceId>(numberOr(item, "resource", 0.0));
-        span.slot =
-            static_cast<std::uint32_t>(numberOr(item, "slot", 0.0));
-        span.start = numberOr(item, "start_s", 0.0);
-        span.end = numberOr(item, "end_s", 0.0);
-        span.slack = numberOr(item, "slack_s", 0.0);
-        span.critical = boolOr(item, "critical", false);
-        span.power_w = numberOr(item, "power_w", 0.0);
-        bundle.tasks.push_back(std::move(span));
-    }
-    const std::size_t n = bundle.tasks.size();
-
-    if (const JsonValue *resources = doc.find("resources")) {
-        if (!resources->isArray())
-            return fail(error, "bundle resources is not an array");
-        for (const JsonValue &item : resources->items()) {
-            if (!item.isObject())
-                return fail(error, "bundle resource is not an object");
-            ResourceSummary summary;
-            summary.name = textOr(item, "resource", "");
-            summary.slots =
-                static_cast<std::uint32_t>(numberOr(item, "slots", 1.0));
-            summary.busy = numberOr(item, "busy_s", 0.0);
-            summary.idle_dependency =
-                numberOr(item, "idle_dependency_s", 0.0);
-            summary.idle_contention =
-                numberOr(item, "idle_contention_s", 0.0);
-            summary.idle_tail = numberOr(item, "idle_tail_s", 0.0);
-            summary.busy_w = numberOr(item, "busy_w", 0.0);
-            summary.idle_w = numberOr(item, "idle_w", 0.0);
-            if (const JsonValue *gaps = item.find("gaps")) {
-                if (!gaps->isArray())
-                    return fail(error, "bundle gaps is not an array");
-                for (const JsonValue &gap_doc : gaps->items()) {
-                    if (!gap_doc.isObject())
-                        return fail(error,
-                                    "bundle gap is not an object");
-                    IdleGap gap;
-                    gap.begin = numberOr(gap_doc, "begin_s", 0.0);
-                    gap.end = numberOr(gap_doc, "end_s", 0.0);
-                    bool cause_ok = false;
-                    gap.cause = idleCauseFromName(
-                        textOr(gap_doc, "cause", "tail"), &cause_ok);
-                    if (!cause_ok)
-                        return fail(error, "bundle gap has unknown "
-                                           "idle cause");
-                    if (const JsonValue *next = gap_doc.find("next")) {
-                        if (!next->isNumber())
-                            return fail(error,
-                                        "bundle gap next is not a "
-                                        "task id");
-                        gap.next_task =
-                            static_cast<TaskId>(next->number());
-                    }
-                    summary.gaps.push_back(gap);
-                }
-            }
-            bundle.resources.push_back(std::move(summary));
-        }
-    }
-
-    if (const JsonValue *edges = doc.find("edges")) {
-        if (!edges->isArray())
-            return fail(error, "bundle edges is not an array");
-        for (const JsonValue &item : edges->items()) {
-            if (!item.isArray() || item.items().size() != 2 ||
-                !item.items()[0].isNumber() ||
-                !item.items()[1].isNumber())
-                return fail(error,
-                            "bundle edge is not a [before, after] pair");
-            const auto before =
-                static_cast<TaskId>(item.items()[0].number());
-            const auto after =
-                static_cast<TaskId>(item.items()[1].number());
-            if (before >= n || after >= n)
-                return fail(error, "bundle edge names an unknown task");
-            bundle.edges.emplace_back(before, after);
-        }
-    }
-
-    if (const JsonValue *path = doc.find("critical_path")) {
-        if (!path->isArray())
-            return fail(error, "bundle critical_path is not an array");
-        for (const JsonValue &item : path->items()) {
-            if (!item.isNumber())
-                return fail(error,
-                            "bundle critical_path entry is not a "
-                            "task id");
-            const auto id = static_cast<TaskId>(item.number());
-            if (id >= n)
-                return fail(error,
-                            "bundle critical_path names an unknown "
-                            "task");
-            bundle.critical_path.push_back(id);
-        }
-    }
-
-    // Spans must cover their own resource ids so a renderer can index
-    // the resource array directly.
-    for (const TaskSpan &span : bundle.tasks)
-        if (!bundle.resources.empty() &&
-            span.resource >= bundle.resources.size())
-            return fail(error, "bundle span names an unknown resource");
-
-    out = std::move(bundle);
-    return true;
-}
-
+/** Shared body of bundleToJson / streamBundleJson. */
 void
-streamBundleJson(std::ostream &os, const TaskGraph &graph,
-                 const Schedule &schedule, const ScheduleProfile &profile,
-                 const std::string &label, const EnergyProfile *energy)
+writeBundleDoc(JsonWriter &json, const TaskGraph &graph,
+               const Schedule &schedule, const ScheduleProfile &profile,
+               const std::string &label, const EnergyProfile *energy)
 {
     so::trace::Span trace_span(so::trace::Category::Serialize,
                                "bundle-json");
@@ -359,8 +30,7 @@ streamBundleJson(std::ostream &os, const TaskGraph &graph,
     const bool has_task_j = metered && energy->task_j.size() == n;
 
     // Slot lanes and critical membership come from O(V) scratch that
-    // is small next to the schedule itself; the point of streaming is
-    // never holding the O(document) string.
+    // is small next to the document itself.
     std::vector<std::uint32_t> slot_of(n, 0);
     for (ResourceId r = 0; r < graph.resourceCount(); ++r)
         for (const Interval &iv : schedule.timelines[r].intervals())
@@ -369,7 +39,6 @@ streamBundleJson(std::ostream &os, const TaskGraph &graph,
     for (const CriticalStep &step : profile.critical_path)
         on_path[step.task] = 1;
 
-    JsonWriter json(os);
     json.beginObject();
     json.field("schema_version", kSchemaVersion);
     json.field("kind", "inspection_bundle");
@@ -452,6 +121,27 @@ streamBundleJson(std::ostream &os, const TaskGraph &graph,
     json.endArray();
 
     json.endObject();
+}
+
+} // namespace
+
+std::string
+bundleToJson(const TaskGraph &graph, const Schedule &schedule,
+             const ScheduleProfile &profile, const std::string &label,
+             const EnergyProfile *energy)
+{
+    JsonWriter json;
+    writeBundleDoc(json, graph, schedule, profile, label, energy);
+    return json.str();
+}
+
+void
+streamBundleJson(std::ostream &os, const TaskGraph &graph,
+                 const Schedule &schedule, const ScheduleProfile &profile,
+                 const std::string &label, const EnergyProfile *energy)
+{
+    JsonWriter json(os);
+    writeBundleDoc(json, graph, schedule, profile, label, energy);
 }
 
 bool

@@ -1,146 +1,55 @@
 /**
  * @file
- * Serializable inspection bundle of one simulated schedule.
+ * Per-task inspection bundle of one simulated schedule.
  *
  * ScheduleProfile (profiler.h) computes everything a human needs to
  * reason about a schedule — start/finish times, slot assignments,
  * slack, critical-path membership, idle-gap causes — but its JSON
- * export (profileToJson) serializes only the aggregates. The
- * InspectionBundle is the missing per-task view: one flattened span per
- * task (start/end/resource/slot/slack/critical flag) plus the full
+ * export (profileToJson) serializes only the aggregates. The inspection
+ * bundle is the missing per-task view: one flattened span per task
+ * (start/end/resource/slot/slack/critical flag) plus the full
  * dependency edge list, enough to redraw the schedule without the
  * TaskGraph that produced it. It is what the HTML explorer
  * (report/html.h, docs/EXPLORER.md) renders as its interactive Gantt,
  * and what `bench::Harness --html` / `--trace-dir` persist per cell as
  * `*.bundle.json`.
  *
- * The bundle round-trips: bundleToJson followed by bundleFromJson
- * reproduces every field (pinned by tests/sim/test_inspect.cpp).
+ * One writer produces the document: bundleToJson buffers it,
+ * streamBundleJson streams the same bytes. writeBundleShards is the
+ * chunked JSON-lines form for schedules too large for one document.
  */
 #ifndef SO_SIM_INSPECT_H
 #define SO_SIM_INSPECT_H
 
-#include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "sim/graph.h"
 #include "sim/profiler.h"
 #include "sim/scheduler.h"
 
-namespace so {
-class JsonValue;
-} // namespace so
-
 namespace so::sim {
 
-/** One task's scheduled span, flattened for export. */
-struct TaskSpan
-{
-    TaskId task = kInvalidTask;
-    std::string label;
-    /** phaseKey(label): the grouping used by phase breakdowns. */
-    std::string phase;
-    ResourceId resource = 0;
-    /** Slot lane the task occupied on its resource. */
-    std::uint32_t slot = 0;
-    double start = 0.0;
-    double end = 0.0;
-    /** Local slack (see ScheduleProfile::slack). */
-    double slack = 0.0;
-    /** Whether the task sits on the critical path. */
-    bool critical = false;
-    /**
-     * Average electrical draw while the task runs (busy watts plus the
-     * per-byte toll amortized over the span); 0 when the bundle was
-     * built without an energy profile. Drives the Explorer's
-     * power-over-time timeline.
-     */
-    double power_w = 0.0;
-
-    double duration() const { return end - start; }
-};
-
-/** Busy/idle summary of one resource carried inside a bundle. */
-struct ResourceSummary
-{
-    std::string name;
-    std::uint32_t slots = 1;
-    double busy = 0.0;
-    double idle_dependency = 0.0;
-    double idle_contention = 0.0;
-    double idle_tail = 0.0;
-    /** Electrical profile (0 when unmetered, see hw/power.h). */
-    double busy_w = 0.0;
-    double idle_w = 0.0;
-    /** Attributed idle gaps, in time order (see profiler.h). */
-    std::vector<IdleGap> gaps;
-};
-
 /**
- * Self-contained, serializable snapshot of one (TaskGraph, Schedule,
- * ScheduleProfile) triple: everything a renderer needs, nothing tied
- * to in-memory object identity.
+ * The bundle of @p schedule of @p graph as one standalone JSON
+ * document, tagged `"kind":"inspection_bundle"` and carrying
+ * `schema_version` so readers (so-report html, the explorer) can
+ * identify it by shape. @p profile must come from profileSchedule()
+ * over the same pair; it supplies slack, critical-path membership and
+ * the idle-gap attribution. A Summary profile has no per-task slack or
+ * critical-path membership, so those fields are 0/false and the
+ * critical_path array is empty. When @p energy (from attributeEnergy
+ * over the same pair) is given, the bundle carries per-resource watts,
+ * per-span draw, and the energy totals the Explorer's power timeline
+ * renders.
  */
-struct InspectionBundle
-{
-    /** Display label (system name, cell tag, file name). */
-    std::string label;
-    double makespan = 0.0;
-    /** Indexed by ResourceId. */
-    std::vector<ResourceSummary> resources;
-    /** Indexed by TaskId. */
-    std::vector<TaskSpan> tasks;
-    /** Dependency edges as (before, after) pairs, in task order. */
-    std::vector<std::pair<TaskId, TaskId>> edges;
-    /** Critical-path task ids, first task first. */
-    std::vector<TaskId> critical_path;
-    /** Total joules over the makespan (0 when unmetered). */
-    double total_j = 0.0;
-    /** Average draw over the makespan, in watts (0 when unmetered). */
-    double avg_w = 0.0;
-};
+std::string bundleToJson(const TaskGraph &graph, const Schedule &schedule,
+                         const ScheduleProfile &profile,
+                         const std::string &label = "",
+                         const EnergyProfile *energy = nullptr);
 
-/**
- * Flatten @p schedule of @p graph into a bundle. @p profile must come
- * from profileSchedule() over the same pair (it supplies slack,
- * critical-path membership, and the idle-gap attribution). When
- * @p energy (from attributeEnergy over the same pair) is given, the
- * bundle carries per-resource watts, per-span draw, and the energy
- * totals the Explorer's power timeline renders.
- */
-InspectionBundle makeInspectionBundle(const TaskGraph &graph,
-                                      const Schedule &schedule,
-                                      const ScheduleProfile &profile,
-                                      std::string label = "",
-                                      const EnergyProfile *energy = nullptr);
-
-/**
- * The bundle as one standalone JSON document, tagged
- * `"kind":"inspection_bundle"` and carrying `schema_version` so
- * readers (so-report html, the explorer) can identify it by shape.
- */
-std::string bundleToJson(const InspectionBundle &bundle);
-
-/**
- * Parse a document produced by bundleToJson back into @p out. Returns
- * false and fills *@p error (when non-null) if @p doc is not an
- * inspection bundle or is structurally broken (a span or edge naming a
- * task id beyond the task array).
- */
-bool bundleFromJson(const JsonValue &doc, InspectionBundle &out,
-                    std::string *error);
-
-/**
- * Stream the bundle document for (@p graph, @p schedule, @p profile)
- * straight to @p os without materializing an InspectionBundle or its
- * JSON string — peak memory stays bounded regardless of schedule size.
- * The output parses back with bundleFromJson. A Summary profile has no
- * per-task slack or critical-path membership, so those fields stream
- * as 0/false and the critical_path array is empty.
- */
+/** bundleToJson streamed to @p os: peak memory stays bounded no
+ *  matter how large the document grows. */
 void streamBundleJson(std::ostream &os, const TaskGraph &graph,
                       const Schedule &schedule,
                       const ScheduleProfile &profile,

@@ -223,8 +223,8 @@ struct ScheduleProfile
     std::vector<std::string> resource_names;
 
     /**
-     * Critical-path seconds grouped by label phase (same grouping as
-     * labelBreakdown), largest first — the "which phase bounds the
+     * Critical-path seconds grouped by label phase (phaseKey in
+     * sim/trace.h), largest first — the "which phase bounds the
      * iteration" answer.
      */
     std::vector<std::pair<std::string, double>> critical_phases;

@@ -1,10 +1,9 @@
 #include "sim/trace.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <map>
 #include <sstream>
+#include <vector>
 
 #include "common/json.h"
 #include "common/logging.h"
@@ -15,74 +14,11 @@ namespace so::sim {
 
 namespace {
 
-/** Process-name metadata plus one complete event per interval. */
+/** Critical-path flow arrows plus per-resource occupancy counters. */
 void
-writeBaseEvents(std::ostream &os, const TaskGraph &graph,
-                const Schedule &schedule)
+writeProfileEvents(std::ostream &os, const TaskGraph &graph,
+                   const Schedule &schedule, const ScheduleProfile &profile)
 {
-    bool first = true;
-    for (ResourceId r = 0; r < graph.resourceCount(); ++r) {
-        if (!first)
-            os << ',';
-        first = false;
-        os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << r
-           << ",\"args\":{\"name\":\""
-           << JsonWriter::escape(graph.resource(r).name) << "\"}}";
-    }
-    for (ResourceId r = 0; r < graph.resourceCount(); ++r) {
-        for (const Interval &iv : schedule.timelines[r].intervals()) {
-            os << ',';
-            // Times in microseconds per the trace-event spec.
-            os << "{\"name\":\""
-               << JsonWriter::escape(graph.label(iv.task))
-               << "\",\"ph\":\"X\",\"pid\":" << r
-               << ",\"tid\":" << iv.slot
-               << ",\"ts\":" << iv.start * 1e6
-               << ",\"dur\":" << (iv.end - iv.start) * 1e6 << "}";
-        }
-    }
-}
-
-} // namespace
-
-std::string
-toChromeTrace(const TaskGraph &graph, const Schedule &schedule)
-{
-    std::ostringstream os;
-    streamChromeTrace(os, graph, schedule);
-    return os.str();
-}
-
-std::string
-toChromeTrace(const TaskGraph &graph, const Schedule &schedule,
-              const ScheduleProfile &profile)
-{
-    std::ostringstream os;
-    streamChromeTrace(os, graph, schedule, profile);
-    return os.str();
-}
-
-void
-streamChromeTrace(std::ostream &os, const TaskGraph &graph,
-                  const Schedule &schedule)
-{
-    so::trace::Span span(so::trace::Category::Serialize,
-                         "chrome-trace");
-    os << "{\"traceEvents\":[";
-    writeBaseEvents(os, graph, schedule);
-    os << "]}";
-}
-
-void
-streamChromeTrace(std::ostream &os, const TaskGraph &graph,
-                  const Schedule &schedule,
-                  const ScheduleProfile &profile)
-{
-    so::trace::Span span(so::trace::Category::Serialize,
-                         "chrome-trace");
-    os << "{\"traceEvents\":[";
-    writeBaseEvents(os, graph, schedule);
-
     // Which slot each task ran on, for flow-event thread ids.
     std::vector<std::uint32_t> slot_of(graph.taskCount(), 0);
     for (ResourceId r = 0; r < graph.resourceCount(); ++r)
@@ -126,24 +62,51 @@ streamChromeTrace(std::ostream &os, const TaskGraph &graph,
                << ",\"args\":{\"busy\":" << busy << "}}";
         }
     }
-
-    os << "]}";
 }
 
-bool
-writeChromeTrace(const TaskGraph &graph, const Schedule &schedule,
-                 const std::string &path)
+} // namespace
+
+std::string
+toChromeTrace(const TaskGraph &graph, const Schedule &schedule,
+              const ScheduleProfile *profile)
 {
-    // Streamed straight to the file: peak memory stays bounded no
-    // matter how many events the schedule produces.
-    std::ofstream out(path, std::ios::binary);
-    if (!out) {
-        warn("cannot open trace file ", path);
-        return false;
+    std::ostringstream os;
+    streamChromeTrace(os, graph, schedule, profile);
+    return os.str();
+}
+
+void
+streamChromeTrace(std::ostream &os, const TaskGraph &graph,
+                  const Schedule &schedule, const ScheduleProfile *profile)
+{
+    so::trace::Span span(so::trace::Category::Serialize,
+                         "chrome-trace");
+    os << "{\"traceEvents\":[";
+    // Process-name metadata plus one complete event per interval.
+    bool first = true;
+    for (ResourceId r = 0; r < graph.resourceCount(); ++r) {
+        if (!first)
+            os << ',';
+        first = false;
+        os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << r
+           << ",\"args\":{\"name\":\""
+           << JsonWriter::escape(graph.resource(r).name) << "\"}}";
     }
-    streamChromeTrace(out, graph, schedule);
-    out.flush();
-    return static_cast<bool>(out);
+    for (ResourceId r = 0; r < graph.resourceCount(); ++r) {
+        for (const Interval &iv : schedule.timelines[r].intervals()) {
+            os << ',';
+            // Times in microseconds per the trace-event spec.
+            os << "{\"name\":\""
+               << JsonWriter::escape(graph.label(iv.task))
+               << "\",\"ph\":\"X\",\"pid\":" << r
+               << ",\"tid\":" << iv.slot
+               << ",\"ts\":" << iv.start * 1e6
+               << ",\"dur\":" << (iv.end - iv.start) * 1e6 << "}";
+        }
+    }
+    if (profile != nullptr)
+        writeProfileEvents(os, graph, schedule, *profile);
+    os << "]}";
 }
 
 std::string
@@ -201,25 +164,6 @@ phaseKey(std::string_view label)
     if (cut == 0)
         return "(unnamed)";
     return std::string(label.substr(0, cut));
-}
-
-std::vector<std::pair<std::string, double>>
-labelBreakdown(const TaskGraph &graph, const Schedule &schedule,
-               ResourceId resource)
-{
-    SO_ASSERT(resource < graph.resourceCount(), "unknown resource");
-    std::map<std::string, double> by_phase;
-    for (const Interval &iv : schedule.timelines[resource].intervals())
-        by_phase[phaseKey(graph.label(iv.task))] += iv.end - iv.start;
-    std::vector<std::pair<std::string, double>> out(by_phase.begin(),
-                                                    by_phase.end());
-    std::sort(out.begin(), out.end(),
-              [](const auto &a, const auto &b) {
-                  if (a.second != b.second)
-                      return a.second > b.second;
-                  return a.first < b.first;
-              });
-    return out;
 }
 
 } // namespace so::sim

@@ -4,8 +4,8 @@
  *
  * Each resource becomes a "process", each slot a "thread", each task a
  * complete event — handy for eyeballing overlap structure of a schedule
- * (the visual analogue of the paper's Figs. 3 and 8). The profile-aware
- * overload additionally draws flow arrows along the critical path and a
+ * (the visual analogue of the paper's Figs. 3 and 8). Given a profile,
+ * the trace also draws flow arrows along the critical path and a
  * per-resource occupancy counter track.
  */
 #ifndef SO_SIM_TRACE_H
@@ -14,8 +14,6 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "sim/graph.h"
 #include "sim/scheduler.h"
@@ -24,36 +22,25 @@ namespace so::sim {
 
 struct ScheduleProfile;
 
-/** Render @p schedule of @p graph as a chrome://tracing JSON document. */
-std::string toChromeTrace(const TaskGraph &graph, const Schedule &schedule);
-
 /**
- * Like the two-argument overload, plus flow events ("s"/"f" pairs)
- * linking consecutive critical-path tasks and one "occupancy" counter
- * track per resource (number of busy slots over time). @p profile must
- * come from profileSchedule() over the same pair.
+ * Render @p schedule of @p graph as a chrome://tracing JSON document.
+ * When @p profile (from profileSchedule() over the same pair) is given,
+ * the trace also carries flow events ("s"/"f" pairs) linking
+ * consecutive critical-path tasks and one "occupancy" counter track per
+ * resource (number of busy slots over time). A Summary profile has no
+ * retained critical path, so its flow arrows are simply absent.
  */
 std::string toChromeTrace(const TaskGraph &graph, const Schedule &schedule,
-                          const ScheduleProfile &profile);
+                          const ScheduleProfile *profile = nullptr);
 
 /**
  * toChromeTrace streamed to @p os: the document goes out event by
  * event, so peak memory stays bounded regardless of schedule size
- * (docs/OBSERVABILITY.md). The profile overload adds the same flow
- * arrows and occupancy counters as its string counterpart; a Summary
- * profile has no retained critical path, so its flow arrows are
- * simply absent.
+ * (docs/OBSERVABILITY.md).
  */
 void streamChromeTrace(std::ostream &os, const TaskGraph &graph,
-                       const Schedule &schedule);
-void streamChromeTrace(std::ostream &os, const TaskGraph &graph,
                        const Schedule &schedule,
-                       const ScheduleProfile &profile);
-
-/** Write the trace JSON to @p path (streamed); returns false on I/O
- *  failure. */
-bool writeChromeTrace(const TaskGraph &graph, const Schedule &schedule,
-                      const std::string &path);
+                       const ScheduleProfile *profile = nullptr);
 
 /**
  * Render a fixed-width ASCII Gantt chart of the schedule, one row per
@@ -71,15 +58,6 @@ std::string toAsciiGantt(const TaskGraph &graph, const Schedule &schedule,
  * "42"); an empty or blank-leading label groups as "(unnamed)".
  */
 std::string phaseKey(std::string_view label);
-
-/**
- * Busy seconds on @p resource grouped by phaseKey() of the task labels,
- * largest first. This is the quantity behind Fig. 3/Fig. 8-style phase
- * breakdowns of an iteration.
- */
-std::vector<std::pair<std::string, double>>
-labelBreakdown(const TaskGraph &graph, const Schedule &schedule,
-               ResourceId resource);
 
 } // namespace so::sim
 

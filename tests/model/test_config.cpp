@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace so::model {
 namespace {
 
@@ -33,6 +35,14 @@ struct PresetSize
     const char *name;
     double billions;
 };
+
+// Print the preset name, so the parameter (and the test name that
+// gtest_discover_tests derives from it) is "1B" rather than a byte dump
+// holding the string literal's address, which changes with every run.
+void PrintTo(const PresetSize &p, std::ostream *os)
+{
+    *os << p.name;
+}
 
 class PresetSizeTest : public ::testing::TestWithParam<PresetSize>
 {

@@ -33,8 +33,7 @@ hostileBundleJson()
     g.addTask(gpu, 0.005, "cast <img src=x onerror=alert(2)>", {b});
     const sim::Schedule s = sim::Scheduler().run(g);
     const sim::ScheduleProfile prof = sim::profileSchedule(g, s);
-    return sim::bundleToJson(
-        sim::makeInspectionBundle(g, s, prof, "hostile <title>"));
+    return sim::bundleToJson(g, s, prof, "hostile <title>");
 }
 
 HtmlReport
@@ -263,8 +262,8 @@ TEST(HtmlReportRender, MeteredBundleShipsThePowerTimelineOffline)
 
     HtmlReport report;
     report.title = "power";
-    report.schedules.push_back(sim::bundleToJson(
-        sim::makeInspectionBundle(g, s, prof, "metered", &energy)));
+    report.schedules.push_back(
+        sim::bundleToJson(g, s, prof, "metered", &energy));
     const std::string html = renderHtmlReport(report);
 
     // The renderer, its styling, and its caption are all inline.

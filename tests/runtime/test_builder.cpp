@@ -140,7 +140,7 @@ TEST(IterBuilder, NvmeTasksOccupyTheirOwnChannel)
     IterBuilder b(setup);
     // NVMe traffic overlaps GPU work (separate resources).
     const auto gpu_task = b.onGpu("work", 1.0);
-    b.onNvme("read", 1.0);
+    b.onTransfer(hw::kTierDdr, hw::kTierNvme, "read", 1.0, 0.0);
     (void)gpu_task;
     const auto res = b.finish(model::IterationFlops{});
     EXPECT_DOUBLE_EQ(res.iter_time, 1.0);

@@ -23,6 +23,7 @@
 #include "hw/presets.h"
 #include "model/config.h"
 #include "runtime/registry.h"
+#include "runtime/result_json.h"
 #include "runtime/sweep.h"
 
 namespace so::runtime {
@@ -301,6 +302,66 @@ TEST(SchedulePin, GoldenFingerprintsHoldAcrossJobs)
             EXPECT_EQ(fingerprint(engine.result(i)),
                       kGolden.at(keys[i]))
                 << keys[i] << " jobs=" << jobs;
+    }
+}
+
+/** "<bytes>:<FNV-1a 64 hex>" of one rendered artifact. */
+std::string
+artifactPin(const std::string &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const char c : bytes) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ULL;
+    }
+    char buf[48];
+    std::snprintf(buf, sizeof(buf), "%zu:%016llx", bytes.size(),
+                  static_cast<unsigned long long>(h));
+    return buf;
+}
+
+TEST(SchedulePin, CapturedArtifactBytesIdentical)
+{
+    // Every rendered artifact of two captured cells, byte for byte:
+    // SuperOffload measures a steady-state window, ZeRO-Offload the
+    // whole makespan. A refactor of the trace, profile, bundle or
+    // result writers must leave these digests untouched.
+    TrainSetup setup;
+    setup.cluster = hw::gh200Single();
+    setup.model = model::modelPreset("1B");
+    setup.global_batch = 8;
+    setup.seq = 1024;
+    setup.capture_trace = true;
+    setup.capture_profile = true;
+
+    struct Pin
+    {
+        const char *system;
+        const char *trace;
+        const char *profile;
+        const char *bundle;
+        const char *result;
+    };
+    // Captured before the bundle and Chrome-trace writers were merged.
+    const Pin kPins[] = {
+        {"superoffload", "170083:4f225b196d24b3e8",
+         "90665:3a09b1e1821a7380", "148254:e9aa2f54cc08ba10",
+         "4497:68b2dac53df0ab51"},
+        {"zero-offload", "18226:811367539db55fb2", "33551:27e59c2c9837e712",
+         "14835:e78c07da2d3a9e92", "4220:1335b047c64a9c34"},
+    };
+    for (const Pin &pin : kPins) {
+        const std::string name = pin.system;
+        const IterationResult res =
+            name == "superoffload"
+                ? core::SuperOffloadSystem{core::SuperOffloadOptions{}}.run(
+                      setup)
+                : makeBaseline(name)->run(setup);
+        ASSERT_TRUE(res.feasible) << name;
+        EXPECT_EQ(artifactPin(res.trace_json), pin.trace) << name;
+        EXPECT_EQ(artifactPin(res.profile_json), pin.profile) << name;
+        EXPECT_EQ(artifactPin(res.bundle_json), pin.bundle) << name;
+        EXPECT_EQ(artifactPin(toJson(res)), pin.result) << name;
     }
 }
 

@@ -1,10 +1,9 @@
 /**
  * @file
- * Inspection-bundle tests: makeInspectionBundle flattens exactly the
- * schedule it was given (every task id, every dependency edge, the
- * profiler's slack/critical/idle data), and the JSON export round-trips
- * through bundleFromJson field for field. Malformed documents are
- * rejected with an error instead of producing a half-filled bundle.
+ * Inspection-bundle tests: the bundleToJson document flattens exactly
+ * the schedule it was given (every task id, every dependency edge, the
+ * profiler's slack/critical/idle data, the energy profile's watts), as
+ * read back through the JSON parser.
  */
 #include "sim/inspect.h"
 
@@ -23,6 +22,10 @@
 
 namespace so::sim {
 namespace {
+
+// The JSON writer prints 12 significant digits; every time here is
+// under a tenth of a second, so a printed time is within 1e-13 of it.
+constexpr double kTol = 1e-12;
 
 /** Two-resource pipeline with a fan-in, enough to exercise slots. */
 TaskGraph
@@ -46,44 +49,71 @@ struct Built
     TaskGraph graph;
     Schedule schedule;
     ScheduleProfile profile;
-    InspectionBundle bundle;
 };
 
 Built
-buildBundle(const std::string &label = "unit")
+buildPipeline()
 {
     Built b;
     b.graph = pipelineGraph();
     b.schedule = Scheduler().run(b.graph);
     b.profile = profileSchedule(b.graph, b.schedule);
-    b.bundle =
-        makeInspectionBundle(b.graph, b.schedule, b.profile, label);
     return b;
 }
 
-TEST(InspectionBundle, FlattensScheduleExactly)
+JsonValue
+parseBundle(const std::string &text)
 {
-    const Built b = buildBundle();
-    EXPECT_EQ(b.bundle.label, "unit");
-    EXPECT_DOUBLE_EQ(b.bundle.makespan, b.schedule.makespan);
-    ASSERT_EQ(b.bundle.tasks.size(), b.graph.taskCount());
-    ASSERT_EQ(b.bundle.resources.size(), b.graph.resourceCount());
+    JsonValue doc;
+    std::string error;
+    EXPECT_TRUE(JsonValue::parse(text, doc, &error)) << error;
+    return doc;
+}
+
+TaskId
+taskId(const JsonValue &value)
+{
+    return static_cast<TaskId>(value.number());
+}
+
+TEST(BundleJson, FlattensScheduleExactly)
+{
+    const Built b = buildPipeline();
+    const JsonValue doc =
+        parseBundle(bundleToJson(b.graph, b.schedule, b.profile, "unit"));
+    EXPECT_EQ(doc.at("kind").text(), "inspection_bundle");
+    EXPECT_DOUBLE_EQ(doc.at("schema_version").number(),
+                     static_cast<double>(kSchemaVersion));
+    EXPECT_EQ(doc.at("label").text(), "unit");
+    EXPECT_NEAR(doc.at("makespan_s").number(), b.schedule.makespan, kTol);
+
+    const auto &tasks = doc.at("tasks").items();
+    const auto &resources = doc.at("resources").items();
+    ASSERT_EQ(tasks.size(), b.graph.taskCount());
+    ASSERT_EQ(resources.size(), b.graph.resourceCount());
 
     for (TaskId id = 0; id < b.graph.taskCount(); ++id) {
-        const TaskSpan &span = b.bundle.tasks[id];
-        EXPECT_EQ(span.task, id);
-        EXPECT_EQ(span.label, b.graph.label(id));
-        EXPECT_EQ(span.phase, phaseKey(b.graph.label(id)));
-        EXPECT_EQ(span.resource, b.graph.taskResource(id));
-        EXPECT_DOUBLE_EQ(span.start, b.schedule.start[id]);
-        EXPECT_DOUBLE_EQ(span.end, b.schedule.finish[id]);
-        EXPECT_DOUBLE_EQ(span.slack, b.profile.slack[id]);
+        const JsonValue &span = tasks[id];
+        EXPECT_EQ(taskId(span.at("id")), id);
+        EXPECT_EQ(span.at("label").text(), b.graph.label(id));
+        EXPECT_EQ(span.at("phase").text(), phaseKey(b.graph.label(id)));
+        EXPECT_EQ(span.at("resource").number(), b.graph.taskResource(id));
+        EXPECT_NEAR(span.at("start_s").number(), b.schedule.start[id],
+                    kTol);
+        EXPECT_NEAR(span.at("end_s").number(), b.schedule.finish[id],
+                    kTol);
+        EXPECT_NEAR(span.at("slack_s").number(), b.profile.slack[id],
+                    kTol);
+        // Slot lanes stay within each resource's declared slot count.
+        EXPECT_LT(span.at("slot").number(),
+                  resources[b.graph.taskResource(id)].at("slots").number());
     }
 
-    // Every dependency edge appears exactly once, as (before, after).
-    std::set<std::pair<TaskId, TaskId>> edges(b.bundle.edges.begin(),
-                                              b.bundle.edges.end());
-    EXPECT_EQ(edges.size(), b.bundle.edges.size());
+    // Every dependency edge appears exactly once, as [before, after].
+    std::set<std::pair<TaskId, TaskId>> edges;
+    for (const JsonValue &edge : doc.at("edges").items())
+        edges.emplace(taskId(edge.items()[0]), taskId(edge.items()[1]));
+    EXPECT_EQ(edges.size(), doc.at("edges").items().size());
     std::size_t expected = 0;
     for (TaskId id = 0; id < b.graph.taskCount(); ++id)
         for (TaskId dep : b.graph.deps(id)) {
@@ -93,91 +123,49 @@ TEST(InspectionBundle, FlattensScheduleExactly)
         }
     EXPECT_EQ(edges.size(), expected);
 
-    // The critical path mirrors the profiler's, and every task on it
-    // carries the critical flag (and zero slack).
-    ASSERT_EQ(b.bundle.critical_path.size(),
-              b.profile.critical_path.size());
-    for (std::size_t i = 0; i < b.bundle.critical_path.size(); ++i) {
-        const TaskId id = b.bundle.critical_path[i];
-        EXPECT_EQ(id, b.profile.critical_path[i].task);
-        EXPECT_TRUE(b.bundle.tasks[id].critical);
+    // The critical path mirrors the profiler's, and exactly the tasks
+    // on it carry the critical flag.
+    const auto &path = doc.at("critical_path").items();
+    ASSERT_EQ(path.size(), b.profile.critical_path.size());
+    std::set<TaskId> on_path;
+    for (std::size_t i = 0; i < path.size(); ++i) {
+        EXPECT_EQ(taskId(path[i]), b.profile.critical_path[i].task);
+        on_path.insert(taskId(path[i]));
     }
-
-    // Slot lanes stay within each resource's declared slot count.
-    for (const TaskSpan &span : b.bundle.tasks)
-        EXPECT_LT(span.slot, b.bundle.resources[span.resource].slots);
+    for (TaskId id = 0; id < b.graph.taskCount(); ++id)
+        EXPECT_EQ(tasks[id].at("critical").boolean(), on_path.count(id) != 0)
+            << id;
 
     // Resource summaries restate the profiler's idle attribution.
     for (ResourceId r = 0; r < b.graph.resourceCount(); ++r) {
-        EXPECT_EQ(b.bundle.resources[r].name, b.graph.resource(r).name);
-        EXPECT_DOUBLE_EQ(b.bundle.resources[r].busy,
-                         b.profile.resources[r].busy);
-        EXPECT_EQ(b.bundle.resources[r].gaps.size(),
-                  b.profile.resources[r].gaps.size());
-    }
-}
-
-TEST(InspectionBundle, JsonRoundTripPreservesEveryField)
-{
-    const Built b = buildBundle("round-trip");
-    const std::string doc = bundleToJson(b.bundle);
-
-    JsonValue parsed;
-    std::string error;
-    ASSERT_TRUE(JsonValue::parse(doc, parsed, &error)) << error;
-    EXPECT_EQ(parsed.at("kind").text(), "inspection_bundle");
-    EXPECT_DOUBLE_EQ(parsed.at("schema_version").number(),
-                     static_cast<double>(kSchemaVersion));
-
-    InspectionBundle back;
-    ASSERT_TRUE(bundleFromJson(parsed, back, &error)) << error;
-
-    // Doubles compare with a tolerance: the JSON writer prints ~15
-    // significant digits, one ulp short of binary round-tripping.
-    constexpr double kUlp = 1e-12;
-    EXPECT_EQ(back.label, b.bundle.label);
-    EXPECT_NEAR(back.makespan, b.bundle.makespan, kUlp);
-    ASSERT_EQ(back.tasks.size(), b.bundle.tasks.size());
-    for (std::size_t i = 0; i < back.tasks.size(); ++i) {
-        const TaskSpan &a = b.bundle.tasks[i];
-        const TaskSpan &c = back.tasks[i];
-        EXPECT_EQ(c.task, a.task);
-        EXPECT_EQ(c.label, a.label);
-        EXPECT_EQ(c.phase, a.phase);
-        EXPECT_EQ(c.resource, a.resource);
-        EXPECT_EQ(c.slot, a.slot);
-        EXPECT_NEAR(c.start, a.start, kUlp);
-        EXPECT_NEAR(c.end, a.end, kUlp);
-        EXPECT_NEAR(c.slack, a.slack, kUlp);
-        EXPECT_EQ(c.critical, a.critical);
-    }
-    EXPECT_EQ(back.edges, b.bundle.edges);
-    EXPECT_EQ(back.critical_path, b.bundle.critical_path);
-    ASSERT_EQ(back.resources.size(), b.bundle.resources.size());
-    for (std::size_t r = 0; r < back.resources.size(); ++r) {
-        const ResourceSummary &a = b.bundle.resources[r];
-        const ResourceSummary &c = back.resources[r];
-        EXPECT_EQ(c.name, a.name);
-        EXPECT_EQ(c.slots, a.slots);
-        EXPECT_NEAR(c.busy, a.busy, kUlp);
-        EXPECT_NEAR(c.idle_dependency, a.idle_dependency, kUlp);
-        EXPECT_NEAR(c.idle_contention, a.idle_contention, kUlp);
-        EXPECT_NEAR(c.idle_tail, a.idle_tail, kUlp);
-        ASSERT_EQ(c.gaps.size(), a.gaps.size());
-        for (std::size_t i = 0; i < c.gaps.size(); ++i) {
-            EXPECT_NEAR(c.gaps[i].begin, a.gaps[i].begin, kUlp);
-            EXPECT_NEAR(c.gaps[i].end, a.gaps[i].end, kUlp);
-            EXPECT_EQ(c.gaps[i].cause, a.gaps[i].cause);
+        const JsonValue &res = resources[r];
+        const ResourceProfile &rp = b.profile.resources[r];
+        EXPECT_EQ(res.at("resource").text(), b.graph.resource(r).name);
+        EXPECT_EQ(res.at("slots").number(), b.graph.resource(r).slots);
+        EXPECT_NEAR(res.at("busy_s").number(), rp.busy, kTol);
+        EXPECT_NEAR(res.at("idle_dependency_s").number(),
+                    rp.idle_dependency, kTol);
+        EXPECT_NEAR(res.at("idle_contention_s").number(),
+                    rp.idle_contention, kTol);
+        EXPECT_NEAR(res.at("idle_tail_s").number(), rp.idle_tail, kTol);
+        const auto &gaps = res.at("gaps").items();
+        ASSERT_EQ(gaps.size(), rp.gaps.size());
+        for (std::size_t i = 0; i < gaps.size(); ++i) {
+            EXPECT_NEAR(gaps[i].at("begin_s").number(), rp.gaps[i].begin,
+                        kTol);
+            EXPECT_NEAR(gaps[i].at("end_s").number(), rp.gaps[i].end,
+                        kTol);
+            EXPECT_EQ(gaps[i].at("cause").text(),
+                      idleCauseName(rp.gaps[i].cause));
         }
     }
 }
 
-TEST(InspectionBundle, MeteredBundleRoundTripsWattFields)
+TEST(BundleJson, MeteredBundleRoundTripsWattFields)
 {
     // With an EnergyProfile attached, the bundle carries per-resource
-    // watts, per-span draw, and the energy totals — and every one of
-    // them survives the JSON round trip.
-    Built b = buildBundle("metered");
+    // watts, per-span draw, and the energy totals.
+    const Built b = buildPipeline();
     EnergyInputs inputs;
     inputs.resources = {{700.0, 75.0, 0.0}, {15.0, 5.0, 1e-11}};
     inputs.task_bytes.assign(b.graph.taskCount(), 0.0);
@@ -186,79 +174,47 @@ TEST(InspectionBundle, MeteredBundleRoundTripsWattFields)
     const EnergyProfile energy =
         attributeEnergy(b.graph, b.schedule, b.profile, inputs);
     ASSERT_TRUE(energy.valid);
-    b.bundle = makeInspectionBundle(b.graph, b.schedule, b.profile,
-                                    "metered", &energy);
-    EXPECT_GT(b.bundle.total_j, 0.0);
-    EXPECT_GT(b.bundle.avg_w, 0.0);
+    const JsonValue doc = parseBundle(
+        bundleToJson(b.graph, b.schedule, b.profile, "metered", &energy));
 
-    JsonValue parsed;
-    std::string error;
-    ASSERT_TRUE(
-        JsonValue::parse(bundleToJson(b.bundle), parsed, &error))
-        << error;
-    InspectionBundle back;
-    ASSERT_TRUE(bundleFromJson(parsed, back, &error)) << error;
-
-    constexpr double kUlp = 1e-12;
-    EXPECT_NEAR(back.total_j, b.bundle.total_j,
-                kUlp * b.bundle.total_j);
-    EXPECT_NEAR(back.avg_w, b.bundle.avg_w, kUlp * b.bundle.avg_w);
-    ASSERT_EQ(back.resources.size(), b.bundle.resources.size());
-    for (std::size_t r = 0; r < back.resources.size(); ++r) {
-        EXPECT_NEAR(back.resources[r].busy_w,
-                    b.bundle.resources[r].busy_w, kUlp);
-        EXPECT_NEAR(back.resources[r].idle_w,
-                    b.bundle.resources[r].idle_w, kUlp);
+    const auto relTol = [](double v) { return 1e-11 * std::max(v, 1.0); };
+    EXPECT_GT(doc.at("total_j").number(), 0.0);
+    EXPECT_NEAR(doc.at("total_j").number(), energy.total_j,
+                relTol(energy.total_j));
+    EXPECT_NEAR(doc.at("avg_w").number(), energy.avg_w,
+                relTol(energy.avg_w));
+    const auto &resources = doc.at("resources").items();
+    ASSERT_EQ(resources.size(), inputs.resources.size());
+    for (std::size_t r = 0; r < resources.size(); ++r) {
+        EXPECT_DOUBLE_EQ(resources[r].at("busy_w").number(),
+                         inputs.resources[r].busy_w);
+        EXPECT_DOUBLE_EQ(resources[r].at("idle_w").number(),
+                         inputs.resources[r].idle_w);
     }
-    // Draws mix busy watts with a per-byte toll (700 + bytes/s × jpb),
-    // so compare relative to the value, not to one second.
-    ASSERT_EQ(back.tasks.size(), b.bundle.tasks.size());
-    for (std::size_t i = 0; i < back.tasks.size(); ++i)
-        EXPECT_NEAR(back.tasks[i].power_w, b.bundle.tasks[i].power_w,
-                    1e-11 * std::max(b.bundle.tasks[i].power_w, 1.0));
-    // GPU spans draw GPU busy watts; the unmetered-bundle path keeps
-    // every watt field at zero.
-    EXPECT_DOUBLE_EQ(b.bundle.tasks[0].power_w, 700.0);
-    const Built plain = buildBundle("plain");
-    EXPECT_DOUBLE_EQ(plain.bundle.total_j, 0.0);
-    EXPECT_DOUBLE_EQ(plain.bundle.resources[0].busy_w, 0.0);
+    // Draws mix busy watts with a per-byte toll (15 + bytes/s × jpb),
+    // amortized over the span so the timeline integrates back to the
+    // task's joules.
+    const auto &tasks = doc.at("tasks").items();
+    ASSERT_EQ(tasks.size(), b.graph.taskCount());
+    for (TaskId id = 0; id < b.graph.taskCount(); ++id) {
+        const double want = energy.task_j[id] / b.graph.duration(id);
+        EXPECT_NEAR(tasks[id].at("power_w").number(), want, relTol(want))
+            << id;
+    }
+    // GPU spans draw GPU busy watts; the unmetered bundle keeps every
+    // watt field at zero.
+    EXPECT_DOUBLE_EQ(tasks[0].at("power_w").number(), 700.0);
+    EXPECT_GT(tasks[4].at("power_w").number(), 15.0);
+    const JsonValue plain =
+        parseBundle(bundleToJson(b.graph, b.schedule, b.profile, "plain"));
+    EXPECT_DOUBLE_EQ(plain.at("total_j").number(), 0.0);
+    EXPECT_DOUBLE_EQ(plain.at("resources").items()[0].at("busy_w").number(),
+                     0.0);
+    EXPECT_DOUBLE_EQ(plain.at("tasks").items()[0].at("power_w").number(),
+                     0.0);
 }
 
-TEST(InspectionBundle, RejectsForeignAndBrokenDocuments)
-{
-    JsonValue doc;
-    std::string error;
-
-    // Not a bundle at all (a profile document shape).
-    ASSERT_TRUE(JsonValue::parse(
-        R"({"makespan_s": 1.0, "critical_path": {}})", doc));
-    InspectionBundle out;
-    EXPECT_FALSE(bundleFromJson(doc, out, &error));
-    EXPECT_FALSE(error.empty());
-
-    // A span pointing at a resource beyond the resource array. Task
-    // spans carry numeric resource ids (`"resource":0,"slot"`); the
-    // resources array uses the same key for names, so anchor on the
-    // adjacent slot field.
-    const Built b = buildBundle();
-    std::string text = bundleToJson(b.bundle);
-    const std::string span_field = "\"resource\":0,\"slot\"";
-    const std::size_t pos = text.find(span_field);
-    ASSERT_NE(pos, std::string::npos);
-    text.replace(pos, span_field.size(), "\"resource\":99,\"slot\"");
-    ASSERT_TRUE(JsonValue::parse(text, doc, &error)) << error;
-    EXPECT_FALSE(bundleFromJson(doc, out, &error));
-
-    // An edge naming a task id beyond the task array.
-    std::string edge_text = bundleToJson(b.bundle);
-    const std::size_t epos = edge_text.find("\"edges\":[[");
-    ASSERT_NE(epos, std::string::npos);
-    edge_text.replace(epos, 10, "\"edges\":[[999,");
-    if (JsonValue::parse(edge_text, doc))
-        EXPECT_FALSE(bundleFromJson(doc, out, &error));
-}
-
-TEST(InspectionBundle, ZeroDurationTasksKeepTheirSpans)
+TEST(BundleJson, ZeroDurationTasksKeepTheirSpans)
 {
     TaskGraph g;
     const ResourceId gpu = g.addResource("GPU");
@@ -266,9 +222,13 @@ TEST(InspectionBundle, ZeroDurationTasksKeepTheirSpans)
     g.addTask(gpu, 0.010, "fwd L0", {a});
     const Schedule s = Scheduler().run(g);
     const ScheduleProfile prof = profileSchedule(g, s);
-    const InspectionBundle bundle = makeInspectionBundle(g, s, prof);
-    ASSERT_EQ(bundle.tasks.size(), 2u);
-    EXPECT_DOUBLE_EQ(bundle.tasks[0].duration(), 0.0);
+    const JsonValue doc = parseBundle(bundleToJson(g, s, prof));
+    const auto &tasks = doc.at("tasks").items();
+    ASSERT_EQ(tasks.size(), 2u);
+    EXPECT_EQ(tasks[0].at("label").text(), "barrier enter");
+    EXPECT_DOUBLE_EQ(tasks[0].at("end_s").number() -
+                         tasks[0].at("start_s").number(),
+                     0.0);
 }
 
 } // namespace

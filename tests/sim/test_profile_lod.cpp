@@ -345,21 +345,12 @@ TEST(ProfileLod, StreamingExportersMatchBufferingOnes)
     EXPECT_EQ(profile_stream.str(), profileToJson(prof, g, s));
 
     std::ostringstream trace_stream;
-    streamChromeTrace(trace_stream, g, s, prof);
-    EXPECT_EQ(trace_stream.str(), toChromeTrace(g, s, prof));
+    streamChromeTrace(trace_stream, g, s, &prof);
+    EXPECT_EQ(trace_stream.str(), toChromeTrace(g, s, &prof));
 
     std::ostringstream bundle_stream;
     streamBundleJson(bundle_stream, g, s, prof, "lod");
-    JsonValue direct, streamed;
-    ASSERT_TRUE(JsonValue::parse(
-        bundleToJson(makeInspectionBundle(g, s, prof, "lod")), direct));
-    ASSERT_TRUE(JsonValue::parse(bundle_stream.str(), streamed));
-    EXPECT_EQ(streamed.at("tasks").items().size(),
-              direct.at("tasks").items().size());
-    EXPECT_EQ(streamed.at("edges").items().size(),
-              direct.at("edges").items().size());
-    EXPECT_DOUBLE_EQ(streamed.at("makespan_s").number(),
-                     direct.at("makespan_s").number());
+    EXPECT_EQ(bundle_stream.str(), bundleToJson(g, s, prof, "lod"));
 }
 
 TEST(ProfileLod, SummaryTraceOmitsFlowArrows)
@@ -367,7 +358,7 @@ TEST(ProfileLod, SummaryTraceOmitsFlowArrows)
     const TaskGraph g = randomGraph(37, 3, 100);
     const Schedule s = Scheduler().run(g);
     const ScheduleProfile sum = profileSchedule(g, s, summaryOptions());
-    const std::string trace = toChromeTrace(g, s, sum);
+    const std::string trace = toChromeTrace(g, s, &sum);
     // Complete events and counters survive; critical-path flow arrows
     // need the elided chain.
     EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);

@@ -306,7 +306,7 @@ TEST(Profiler, ProfileAwareTraceCarriesFlowAndCounters)
     const TaskGraph g = superOffloadLikeGraph();
     const Schedule s = Scheduler().run(g);
     const ScheduleProfile prof = profileSchedule(g, s);
-    const std::string trace = toChromeTrace(g, s, prof);
+    const std::string trace = toChromeTrace(g, s, &prof);
 
     JsonValue doc;
     std::string error;
@@ -329,8 +329,8 @@ TEST(Profiler, ProfileAwareTraceCarriesFlowAndCounters)
     EXPECT_GT(counters, 0u);
     EXPECT_EQ(complete, g.taskCount());
 
-    // The base (2-argument) trace is a strict prefix structurally: the
-    // profile overload only appends events.
+    // The profile-less trace is a strict prefix structurally: a profile
+    // only appends events.
     const std::string base = toChromeTrace(g, s);
     JsonValue base_doc;
     ASSERT_TRUE(JsonValue::parse(base, base_doc, &error)) << error;

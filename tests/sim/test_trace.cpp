@@ -3,9 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "common/json.h"
 #include "sim/graph.h"
@@ -36,19 +33,6 @@ TEST(Trace, ChromeTraceContainsEventsAndMetadata)
     // The embedded quote must be escaped.
     EXPECT_NE(json.find("adam \\\"step\\\""), std::string::npos);
     EXPECT_EQ(json.find("adam \"step\""), std::string::npos);
-}
-
-TEST(Trace, WriteChromeTraceCreatesFile)
-{
-    const TaskGraph g = smallGraph();
-    const Schedule s = Scheduler().run(g);
-    const std::string path = ::testing::TempDir() + "/so_trace.json";
-    ASSERT_TRUE(writeChromeTrace(g, s, path));
-    std::ifstream in(path);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    EXPECT_EQ(buf.str(), toChromeTrace(g, s));
-    std::remove(path.c_str());
 }
 
 TEST(Trace, AsciiGanttHasOneRowPerResource)
@@ -127,52 +111,6 @@ TEST(Trace, PhaseKeyRules)
     EXPECT_EQ(phaseKey("d2h bucket 4"), "d2h");
     EXPECT_EQ(phaseKey("42 things"), "42");
     EXPECT_EQ(phaseKey(" leading space"), "(unnamed)");
-}
-
-TEST(Trace, LabelBreakdownDigitLeadingAndEmptyLabels)
-{
-    TaskGraph g;
-    const ResourceId gpu = g.addResource("GPU");
-    const TaskId a = g.addTask(gpu, 1.0, "128k prefetch");
-    const TaskId b = g.addTask(gpu, 0.5, "128k flush", {a});
-    g.addTask(gpu, 0.25, "", {b});
-    const Schedule s = Scheduler().run(g);
-    const auto breakdown = labelBreakdown(g, s, gpu);
-    ASSERT_EQ(breakdown.size(), 2u);
-    EXPECT_EQ(breakdown[0].first, "128k");
-    EXPECT_DOUBLE_EQ(breakdown[0].second, 1.5);
-    EXPECT_EQ(breakdown[1].first, "(unnamed)");
-    EXPECT_DOUBLE_EQ(breakdown[1].second, 0.25);
-}
-
-TEST(Trace, LabelBreakdownGroupsPhases)
-{
-    TaskGraph g;
-    const ResourceId gpu = g.addResource("GPU");
-    const TaskId a = g.addTask(gpu, 1.0, "fwd L0");
-    const TaskId b = g.addTask(gpu, 1.5, "fwd L1", {a});
-    const TaskId c = g.addTask(gpu, 2.0, "bwd L1", {b});
-    g.addTask(gpu, 0.5, "adam(gpu) b3", {c});
-    const Schedule s = Scheduler().run(g);
-    const auto breakdown = labelBreakdown(g, s, gpu);
-    ASSERT_EQ(breakdown.size(), 3u);
-    // Sorted by time, descending.
-    EXPECT_EQ(breakdown[0].first, "fwd");
-    EXPECT_DOUBLE_EQ(breakdown[0].second, 2.5);
-    EXPECT_EQ(breakdown[1].first, "bwd");
-    EXPECT_DOUBLE_EQ(breakdown[1].second, 2.0);
-    EXPECT_EQ(breakdown[2].first, "adam(gpu)");
-    EXPECT_DOUBLE_EQ(breakdown[2].second, 0.5);
-}
-
-TEST(Trace, LabelBreakdownEmptyResource)
-{
-    TaskGraph g;
-    const ResourceId gpu = g.addResource("GPU");
-    const ResourceId idle = g.addResource("idle");
-    g.addTask(gpu, 1.0, "work");
-    const Schedule s = Scheduler().run(g);
-    EXPECT_TRUE(labelBreakdown(g, s, idle).empty());
 }
 
 TEST(Trace, EmptyScheduleGantt)

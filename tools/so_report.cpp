@@ -566,7 +566,10 @@ cmdSelftrace(const ArgParser &args)
                       return a.second.second > b.second.second;
                   return a.first < b.first;
               });
-    std::printf("wall time by category (largest first):\n");
+    // Inclusive: nested spans (pool > sweep > sim) each count their
+    // full duration, so the shares can sum past 100%.
+    std::printf("inclusive wall time by category (nested spans overlap; "
+                "largest first):\n");
     for (std::size_t i = 0;
          i < sum.categories.size() && i < top_k; ++i) {
         const auto &cat = sum.categories[i];
