@@ -13,6 +13,8 @@ namespace so::core {
 
 using runtime::IterBuilder;
 using runtime::IterationResult;
+using runtime::kSteadyStateIterations;
+using runtime::PassTimes;
 using runtime::SearchCandidate;
 using runtime::TrainSetup;
 
@@ -20,9 +22,6 @@ namespace {
 
 constexpr std::uint32_t kMaxBuckets =
     SuperOffloadSystem::kMaxTransferBuckets;
-
-/** Iterations simulated back-to-back; the middle window is measured. */
-constexpr std::uint32_t kSimIterations = 3;
 
 /** Bucket working buffers resident on the GPU (in + out in flight). */
 constexpr double kStagingBuckets = 4.0;
@@ -74,12 +73,8 @@ SuperOffloadSystem::gpuBaseBytes(const TrainSetup &setup,
     }
     // In/out transfer staging (fp32-wide under SAC).
     state_bytes += kStagingBuckets * 2.0 * kSuperOffloadBucketBytes;
-
-    model::ActivationOptions act_opts;
-    act_opts.checkpointing = cand.checkpointing;
-    const double act = model::activationBytes(setup.model, cand.micro_batch,
-                                              setup.seq, act_opts);
-    return model::gpuResidentBytes(state_bytes + act);
+    return model::gpuResidentBytes(state_bytes +
+                                   activationBytes(setup, cand));
 }
 
 double
@@ -111,8 +106,6 @@ IterationResult
 SuperOffloadSystem::simulate(const TrainSetup &setup,
                              const SearchCandidate &cand) const
 {
-    const std::uint32_t micro_batch = cand.micro_batch;
-    const bool checkpointing = cand.checkpointing;
     const double n_ranks = setup.cluster.totalSuperchips();
     const double shard = setup.model.params() / n_ranks;
     const BucketPlan plan =
@@ -134,15 +127,11 @@ SuperOffloadSystem::simulate(const TrainSetup &setup,
         }
     }
 
-    const model::IterationFlops micro_flops = model::iterationFlops(
-        setup.model, micro_batch, setup.seq, checkpointing);
-    IterBuilder probe(setup);
-    const double bwd_time =
-        probe.gemmTime(micro_flops.bwd_gemm + micro_flops.recompute_gemm,
-                       probe.microTokens(micro_batch)) +
-        probe.attnTime(micro_flops.bwd_attn + micro_flops.recompute_attn);
+    const double bwd_chunk =
+        plan.count ? IterBuilder(setup).passTimes(cand, plan.count).bwd
+                   : 0.0;
     const std::uint32_t analytic = analyticRetainedBuckets(
-        chip, plan, plan.count ? bwd_time / plan.count : 0.0,
+        chip, plan, bwd_chunk,
         opts_.grace_adam ? hw::AdamImpl::GraceAdam : hw::AdamImpl::CpuAdam,
         opts_.sac);
 
@@ -175,29 +164,15 @@ SuperOffloadSystem::simulateWithRetained(const TrainSetup &setup,
                                          const BucketPlan &plan,
                                          std::uint32_t retained) const
 {
-    const std::uint32_t micro_batch = cand.micro_batch;
-    const bool checkpointing = cand.checkpointing;
     const std::uint32_t accum_steps = cand.accum_steps;
 
     IterBuilder builder(setup);
-    const model::ModelConfig &cfg = setup.model;
     const double n_ranks = setup.cluster.totalSuperchips();
     const bool multi = n_ranks > 1;
     const bool flow = placementOf(cand) == WeightPlacement::Flow;
     const std::uint32_t nbuckets = std::max<std::uint32_t>(plan.count, 1);
     const double bp = plan.params_per_bucket; // params per bucket/rank
-
-    const model::IterationFlops micro_flops = model::iterationFlops(
-        cfg, micro_batch, setup.seq, checkpointing);
-    const double tokens = builder.microTokens(micro_batch);
-    const double fwd_chunk =
-        (builder.gemmTime(micro_flops.fwd_gemm, tokens) +
-         builder.attnTime(micro_flops.fwd_attn)) / nbuckets;
-    const double bwd_chunk =
-        (builder.gemmTime(micro_flops.bwd_gemm + micro_flops.recompute_gemm,
-                          tokens) +
-         builder.attnTime(micro_flops.bwd_attn +
-                          micro_flops.recompute_attn)) / nbuckets;
+    const PassTimes chunk = builder.passTimes(cand, nbuckets);
 
     const hw::AdamImpl impl = opts_.grace_adam ? hw::AdamImpl::GraceAdam
                                                : hw::AdamImpl::CpuAdam;
@@ -236,8 +211,7 @@ SuperOffloadSystem::simulateWithRetained(const TrainSetup &setup,
     // "param_ready[c]" for the iteration being built: the task after
     // which bucket c's updated fp16 params are usable on the GPU.
     std::vector<sim::TaskId> ready_prev(nbuckets, sim::kInvalidTask);
-    std::vector<double> iter_start_times; // filled after scheduling
-    std::vector<sim::TaskId> iter_first_task(kSimIterations,
+    std::vector<sim::TaskId> iter_first_task(kSteadyStateIterations,
                                              sim::kInvalidTask);
 
     // Rough upper bound per iteration: each pass touches every bucket
@@ -249,12 +223,12 @@ SuperOffloadSystem::simulateWithRetained(const TrainSetup &setup,
         const auto b = static_cast<std::size_t>(nbuckets);
         const std::size_t per_iter =
             static_cast<std::size_t>(accum_steps) * 2 * 4 * b + 6 * b + 4;
-        builder.reserve(kSimIterations * per_iter,
-                        kSimIterations * per_iter * 3);
+        builder.reserve(kSteadyStateIterations * per_iter,
+                        kSteadyStateIterations * per_iter * 3);
     }
 
     sim::TaskId prev = sim::kInvalidTask;
-    for (std::uint32_t it = 0; it < kSimIterations; ++it) {
+    for (std::uint32_t it = 0; it < kSteadyStateIterations; ++it) {
         std::vector<sim::TaskId> ready(nbuckets, sim::kInvalidTask);
         std::vector<sim::TaskId> arrivals;
         arrivals.reserve(nbuckets);
@@ -289,7 +263,7 @@ SuperOffloadSystem::simulateWithRetained(const TrainSetup &setup,
                         "ag", builder.coll().allGather(2.0 * bp * n_ranks),
                         {}));
                 }
-                prev = builder.onGpu("fwd", fwd_chunk, std::move(deps));
+                prev = builder.onGpu("fwd", chunk.fwd, std::move(deps));
                 if (first_fwd == sim::kInvalidTask)
                     first_fwd = prev;
             }
@@ -310,7 +284,7 @@ SuperOffloadSystem::simulateWithRetained(const TrainSetup &setup,
                         "ag'", builder.coll().allGather(2.0 * bp * n_ranks),
                         {}));
                 }
-                prev = builder.onGpu("bwd", bwd_chunk, std::move(deps));
+                prev = builder.onGpu("bwd", chunk.bwd, std::move(deps));
                 if (!last)
                     continue;
 
@@ -440,23 +414,8 @@ SuperOffloadSystem::simulateWithRetained(const TrainSetup &setup,
         ready_prev = ready;
         iter_first_task[it] = first_fwd;
     }
-
-    // Steady-state window: start of iteration 1's forward to start of
-    // iteration 2's forward.
-    const sim::Schedule sched = builder.schedule();
-    const double win_begin = sched.start[iter_first_task[1]];
-    const double win_end = sched.start[iter_first_task[2]];
-
-    model::IterationFlops total = model::iterationFlops(
-        cfg, static_cast<double>(micro_batch) * accum_steps, setup.seq,
-        checkpointing);
-    if (win_end > win_begin)
-        return builder.finishWindow(total, win_begin, win_end, sched);
-    // Degenerate fallback (should not occur): measure the whole run.
-    IterationResult res = builder.finishWindow(total, 0.0, sched.makespan,
-                                               sched);
-    res.iter_time = sched.makespan / kSimIterations;
-    return res;
+    return builder.finishSteadyState(builder.iterationFlops(cand),
+                                     iter_first_task);
 }
 
 } // namespace so::core

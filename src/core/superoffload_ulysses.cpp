@@ -10,6 +10,8 @@ namespace so::core {
 
 using runtime::IterBuilder;
 using runtime::IterationResult;
+using runtime::kSteadyStateIterations;
+using runtime::PassTimes;
 using runtime::SearchCandidate;
 using runtime::TrainSetup;
 
@@ -17,17 +19,12 @@ double
 SuperOffloadUlyssesSystem::gpuBytes(const TrainSetup &setup,
                     const SearchCandidate &cand) const
 {
-    const std::uint32_t micro_batch = cand.micro_batch;
-    const bool checkpointing = cand.checkpointing;
     // Weight-flow working set (~2 layers in flight, fp16 + fp32-wide
     // staging under SAC) plus sequence-sharded activations.
     const double working = 2.0 * 6.0 * setup.model.paramsPerLayer();
-    model::ActivationOptions act_opts;
-    act_opts.checkpointing = checkpointing;
-    act_opts.sequence_parallel = setup.cluster.totalSuperchips();
-    const double act = model::activationBytes(setup.model, micro_batch,
-                                              setup.seq, act_opts);
-    return model::gpuResidentBytes(working + act);
+    return model::gpuResidentBytes(
+        working +
+        activationBytes(setup, cand, setup.cluster.totalSuperchips()));
 }
 
 double
@@ -43,8 +40,6 @@ IterationResult
 SuperOffloadUlyssesSystem::simulate(const TrainSetup &setup,
                     const SearchCandidate &cand) const
 {
-    const std::uint32_t micro_batch = cand.micro_batch;
-    const bool checkpointing = cand.checkpointing;
     const std::uint32_t accum_steps = cand.accum_steps;
     IterBuilder builder(setup);
     const model::ModelConfig &cfg = setup.model;
@@ -53,22 +48,9 @@ SuperOffloadUlyssesSystem::simulate(const TrainSetup &setup,
     const double n = setup.cluster.totalSuperchips();
     const double layer_params = params / layers;
     const double layer_shard = layer_params / n;
+    const PassTimes layer = builder.passTimes(cand, layers, n);
 
-    const model::IterationFlops micro_flops = model::iterationFlops(
-        cfg, micro_batch, setup.seq, checkpointing);
-    const double tokens = builder.microTokens(micro_batch) / n;
-    const double fwd_layer =
-        (builder.gemmTime(micro_flops.fwd_gemm / n, tokens) +
-         builder.attnTime(micro_flops.fwd_attn / n)) / layers;
-    const double bwd_layer =
-        (builder.gemmTime(
-             (micro_flops.bwd_gemm + micro_flops.recompute_gemm) / n,
-             tokens) +
-         builder.attnTime(
-             (micro_flops.bwd_attn + micro_flops.recompute_attn) / n)) /
-        layers;
-
-    const double a2a_bytes = 2.0 * static_cast<double>(micro_batch) *
+    const double a2a_bytes = 2.0 * static_cast<double>(cand.micro_batch) *
                              setup.seq * cfg.hidden / n;
     const double a2a = n > 1 ? builder.coll().allToAll(a2a_bytes) : 0.0;
 
@@ -78,8 +60,8 @@ SuperOffloadUlyssesSystem::simulate(const TrainSetup &setup,
     const double gather_time =
         n > 1 ? builder.coll().allGather(2.0 * layer_params) : 0.0;
 
-    constexpr std::uint32_t kIters = 3;
-    std::vector<sim::TaskId> first_fwd(kIters, sim::kInvalidTask);
+    std::vector<sim::TaskId> first_fwd(kSteadyStateIterations,
+                                       sim::kInvalidTask);
     std::vector<sim::TaskId> opt_prev(cfg.layers, sim::kInvalidTask);
 
     // Per layer and pass: fetch (+ gather, a2a) + compute; the last
@@ -91,11 +73,12 @@ SuperOffloadUlyssesSystem::simulate(const TrainSetup &setup,
         const std::size_t per_iter =
             static_cast<std::size_t>(accum_steps) * 2 * per_layer * lc +
             6 * lc;
-        builder.reserve(kIters * per_iter, kIters * per_iter * 2);
+        builder.reserve(kSteadyStateIterations * per_iter,
+                        kSteadyStateIterations * per_iter * 2);
     }
 
     sim::TaskId prev = sim::kInvalidTask;
-    for (std::uint32_t it = 0; it < kIters; ++it) {
+    for (std::uint32_t it = 0; it < kSteadyStateIterations; ++it) {
         std::vector<sim::TaskId> opt_done(cfg.layers, sim::kInvalidTask);
         for (std::uint32_t step = 0; step < accum_steps; ++step) {
             for (std::uint32_t l = 0; l < cfg.layers; ++l) {
@@ -114,7 +97,7 @@ SuperOffloadUlyssesSystem::simulate(const TrainSetup &setup,
                 if (prev != sim::kInvalidTask)
                     deps.push_back(prev);
                 prev = builder.onGpu("fwd L" + std::to_string(l),
-                                     fwd_layer, std::move(deps));
+                                     layer.fwd, std::move(deps));
                 if (first_fwd[it] == sim::kInvalidTask)
                     first_fwd[it] = prev;
                 if (n > 1)
@@ -129,7 +112,7 @@ SuperOffloadUlyssesSystem::simulate(const TrainSetup &setup,
                 if (n > 1)
                     ready = builder.onNic("ag'", gather_time, {ready});
                 prev = builder.onGpu("bwd L" + std::to_string(l),
-                                     bwd_layer, {prev, ready});
+                                     layer.bwd, {prev, ready});
                 if (n > 1)
                     prev = builder.onNic("a2a'", 2.0 * a2a, {prev});
                 if (!last)
@@ -168,26 +151,8 @@ SuperOffloadUlyssesSystem::simulate(const TrainSetup &setup,
         }
         opt_prev = opt_done;
     }
-
-    const sim::Schedule sched = builder.schedule();
-    const double win_begin = sched.start[first_fwd[1]];
-    const double win_end = sched.start[first_fwd[2]];
-
-    model::IterationFlops total = model::iterationFlops(
-        cfg, static_cast<double>(micro_batch) * accum_steps, setup.seq,
-        checkpointing);
-    total.fwd_gemm /= n;
-    total.fwd_attn /= n;
-    total.bwd_gemm /= n;
-    total.bwd_attn /= n;
-    total.recompute_gemm /= n;
-    total.recompute_attn /= n;
-    if (win_end > win_begin)
-        return builder.finishWindow(total, win_begin, win_end, sched);
-    IterationResult res =
-        builder.finishWindow(total, 0.0, sched.makespan, sched);
-    res.iter_time = sched.makespan / kIters;
-    return res;
+    return builder.finishSteadyState(builder.iterationFlops(cand, n),
+                                     first_fwd);
 }
 
 } // namespace so::core

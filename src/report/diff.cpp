@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <map>
+#include <system_error>
 
 #include "common/json.h"
 
@@ -170,8 +172,11 @@ selectCell(const JsonValue &cells, const std::string &selector,
             return std::isdigit(static_cast<unsigned char>(c));
         });
     if (numeric) {
-        const std::size_t index = std::stoul(selector);
-        if (index >= items.size()) {
+        // An index too large for size_t is out of range like any other.
+        std::size_t index = 0;
+        const auto parsed = std::from_chars(
+            selector.data(), selector.data() + selector.size(), index);
+        if (parsed.ec != std::errc() || index >= items.size()) {
             if (error)
                 *error = "cell index " + selector + " out of range (" +
                          std::to_string(items.size()) + " cells)";

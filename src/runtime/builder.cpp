@@ -161,6 +161,41 @@ IterBuilder::microTokens(std::uint32_t micro) const
     return static_cast<double>(micro) * setup_.seq;
 }
 
+PassTimes
+IterBuilder::passTimes(const SearchCandidate &cand, double chunks,
+                       double seq_shards) const
+{
+    const model::IterationFlops micro = model::iterationFlops(
+        setup_.model, cand.micro_batch, setup_.seq, cand.checkpointing);
+    const double tokens = microTokens(cand.micro_batch) / seq_shards;
+    PassTimes t;
+    t.fwd = (gemmTime(micro.fwd_gemm / seq_shards, tokens) +
+             attnTime(micro.fwd_attn / seq_shards)) /
+            chunks;
+    t.bwd = (gemmTime((micro.bwd_gemm + micro.recompute_gemm) / seq_shards,
+                      tokens) +
+             attnTime((micro.bwd_attn + micro.recompute_attn) /
+                      seq_shards)) /
+            chunks;
+    return t;
+}
+
+model::IterationFlops
+IterBuilder::iterationFlops(const SearchCandidate &cand, double ranks) const
+{
+    model::IterationFlops flops = model::iterationFlops(
+        setup_.model,
+        static_cast<double>(cand.micro_batch) * cand.accum_steps,
+        setup_.seq, cand.checkpointing);
+    flops.fwd_gemm /= ranks;
+    flops.fwd_attn /= ranks;
+    flops.bwd_gemm /= ranks;
+    flops.bwd_attn /= ranks;
+    flops.recompute_gemm /= ranks;
+    flops.recompute_attn /= ranks;
+    return flops;
+}
+
 sim::TaskId
 IterBuilder::onGpu(std::string_view label, double seconds,
                    sim::DepView deps, std::int32_t priority)
@@ -251,6 +286,25 @@ IterBuilder::finish(const model::IterationFlops &flops) const
 {
     const sim::Schedule sched = schedule();
     return finishWindow(flops, 0.0, sched.makespan, sched);
+}
+
+IterationResult
+IterBuilder::finishSteadyState(
+    const model::IterationFlops &flops,
+    const std::vector<sim::TaskId> &first_tasks) const
+{
+    SO_ASSERT(first_tasks.size() == kSteadyStateIterations,
+              "finishSteadyState: ", first_tasks.size(),
+              " first tasks for ", kSteadyStateIterations, " iterations");
+    const sim::Schedule sched = schedule();
+    const double win_begin = sched.start[first_tasks[1]];
+    const double win_end = sched.start[first_tasks[2]];
+    if (win_end > win_begin)
+        return finishWindow(flops, win_begin, win_end, sched);
+    // Degenerate fallback (should not occur): measure the whole run.
+    IterationResult res = finishWindow(flops, 0.0, sched.makespan, sched);
+    res.iter_time = sched.makespan / kSteadyStateIterations;
+    return res;
 }
 
 sim::EnergyProfile

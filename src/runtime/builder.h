@@ -5,9 +5,12 @@
  * IterBuilder standardizes the resources every training system schedules
  * onto — the Hopper GPU stream, the Grace CPU (plus a background slot
  * for STV validation), the two C2C directions, and the collective
- * fabric — and converts work descriptions (FLOPs, bytes, parameter
- * counts) into task durations using the hardware model. Strategies then
- * express only their schedule structure.
+ * fabric — and owns the cost model they share: a search candidate's
+ * pass times and iteration FLOPs, task durations for work descriptions
+ * (bytes, parameter counts) from the hardware model, and the measured
+ * window of the finished schedule. Strategies then express only their
+ * schedule structure (plus any cost of their own, such as Megatron's
+ * tensor-parallel GEMM penalty).
  */
 #ifndef SO_RUNTIME_BUILDER_H
 #define SO_RUNTIME_BUILDER_H
@@ -26,6 +29,13 @@
 #include "sim/scheduler.h"
 
 namespace so::runtime {
+
+/** Seconds of one work chunk's forward and backward pass. */
+struct PassTimes
+{
+    double fwd = 0.0;
+    double bwd = 0.0;
+};
 
 /** Standard resources + duration models for one simulated rank. */
 class IterBuilder
@@ -135,6 +145,28 @@ class IterBuilder
     double microTokens(std::uint32_t micro) const;
     /// @}
 
+    /// @name Per-candidate cost model
+    /// @{
+    /**
+     * Forward and backward time of one of @p chunks equal slices
+     * (layers, buckets, pipeline stages) of @p cand's micro-batch; the
+     * backward includes the checkpointing recompute. With
+     * @p seq_shards > 1 every sequence is split across that many ranks
+     * (Ulysses, §4.7): a rank runs 1/seq_shards of the FLOPs over
+     * 1/seq_shards of the tokens.
+     */
+    PassTimes passTimes(const SearchCandidate &cand, double chunks,
+                        double seq_shards = 1.0) const;
+
+    /**
+     * FLOPs of @p cand's whole iteration (all accumulation steps), as
+     * the per-rank share when @p ranks split the work (the MP, PP or SP
+     * degree).
+     */
+    model::IterationFlops iterationFlops(const SearchCandidate &cand,
+                                         double ranks = 1.0) const;
+    /// @}
+
     /// @name Task helpers (thin wrappers over TaskGraph::addTask)
     ///
     /// Labels and dependency lists are borrowed views: literals and
@@ -202,6 +234,16 @@ class IterBuilder
                                  double win_begin, double win_end,
                                  const sim::Schedule &schedule) const;
 
+    /**
+     * Schedule kSteadyStateIterations back-to-back iterations and
+     * measure the steady state: from the start of the second
+     * iteration's first task to the start of the third's.
+     * @p first_tasks holds each iteration's first task.
+     */
+    IterationResult
+    finishSteadyState(const model::IterationFlops &flops,
+                      const std::vector<sim::TaskId> &first_tasks) const;
+
     /** Schedule the current graph (for systems needing raw access). */
     sim::Schedule schedule() const;
 
@@ -246,6 +288,12 @@ inline constexpr double kGemmEffTokens = 1024.0;
 
 /** Transfer bucket size chosen by SuperOffload (§4.3): 64 MB. */
 inline constexpr double kBucketBytes = 64.0 * 1024.0 * 1024.0;
+
+/**
+ * Iterations simulated back to back by systems that overlap consecutive
+ * iterations (STV, §4.4); finishSteadyState measures the middle one.
+ */
+inline constexpr std::uint32_t kSteadyStateIterations = 3;
 
 } // namespace so::runtime
 

@@ -10,15 +10,9 @@ double
 DdpSystem::gpuBytes(const TrainSetup &setup,
                     const SearchCandidate &cand) const
 {
-    const std::uint32_t micro_batch = cand.micro_batch;
-    const bool checkpointing = cand.checkpointing;
-    const double params = setup.model.params();
-    const auto states = model::StateSizes::forParams(params);
-    model::ActivationOptions act_opts;
-    act_opts.checkpointing = checkpointing;
-    const double act = model::activationBytes(setup.model, micro_batch,
-                                              setup.seq, act_opts);
-    return model::gpuResidentBytes(states.totalBytes() + act);
+    const auto states = model::StateSizes::forParams(setup.model.params());
+    return model::gpuResidentBytes(states.totalBytes() +
+                                   activationBytes(setup, cand));
 }
 
 double
@@ -31,30 +25,12 @@ IterationResult
 DdpSystem::simulate(const TrainSetup &setup,
                     const SearchCandidate &cand) const
 {
-    const std::uint32_t micro_batch = cand.micro_batch;
-    const bool checkpointing = cand.checkpointing;
     const std::uint32_t accum_steps = cand.accum_steps;
     IterBuilder builder(setup);
     const model::ModelConfig &cfg = setup.model;
     const double layers = cfg.layers;
     const double params = cfg.params();
-
-    // Per-micro-step FLOPs (one micro-batch through the model).
-    const model::IterationFlops micro_flops = model::iterationFlops(
-        cfg, micro_batch, setup.seq, checkpointing);
-    const double tokens = builder.microTokens(micro_batch);
-
-    const double fwd_layer =
-        (builder.gemmTime(micro_flops.fwd_gemm, tokens) +
-         builder.attnTime(micro_flops.fwd_attn)) /
-        layers;
-    // Backward includes the recompute when checkpointing.
-    const double bwd_layer =
-        (builder.gemmTime(micro_flops.bwd_gemm + micro_flops.recompute_gemm,
-                          tokens) +
-         builder.attnTime(micro_flops.bwd_attn +
-                          micro_flops.recompute_attn)) /
-        layers;
+    const PassTimes layer = builder.passTimes(cand, layers);
 
     // accum_steps passes of fwd+bwd per layer, the bucketed all-reduces
     // on the last pass, and the optimizer step; roughly one dep edge per
@@ -74,7 +50,7 @@ DdpSystem::simulate(const TrainSetup &setup,
             std::vector<sim::TaskId> deps;
             if (prev != sim::kInvalidTask)
                 deps.push_back(prev);
-            prev = builder.onGpu("fwd L" + std::to_string(l), fwd_layer,
+            prev = builder.onGpu("fwd L" + std::to_string(l), layer.fwd,
                                  std::move(deps));
         }
         // Backward, reverse layer order; on the last accumulation step
@@ -82,7 +58,7 @@ DdpSystem::simulate(const TrainSetup &setup,
         // (DDP's bucketed overlap).
         const bool last = step + 1 == accum_steps;
         for (std::uint32_t l = cfg.layers; l-- > 0;) {
-            prev = builder.onGpu("bwd L" + std::to_string(l), bwd_layer,
+            prev = builder.onGpu("bwd L" + std::to_string(l), layer.bwd,
                                  {prev});
             if (last && builder.coll().ranks > 1) {
                 const double grad_bytes = 2.0 * params / layers;
@@ -98,11 +74,7 @@ DdpSystem::simulate(const TrainSetup &setup,
     step_deps.push_back(prev);
     builder.onGpu("adam (gpu)", builder.gpuAdamTime(params),
                   std::move(step_deps));
-
-    model::IterationFlops total = model::iterationFlops(
-        cfg, static_cast<double>(micro_batch) * accum_steps, setup.seq,
-        checkpointing);
-    return builder.finish(total);
+    return builder.finish(builder.iterationFlops(cand));
 }
 
 } // namespace so::runtime

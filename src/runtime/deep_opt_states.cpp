@@ -14,18 +14,12 @@ double
 DeepOptStatesSystem::gpuBytes(const TrainSetup &setup,
                     const SearchCandidate &cand) const
 {
-    const std::uint32_t micro_batch = cand.micro_batch;
-    const bool checkpointing = cand.checkpointing;
     const double n = setup.cluster.totalSuperchips();
     const double params = setup.model.params();
     // fp16 params + fp16 grads resident (ZeRO-2 style) plus streaming
     // buffers for a few optimizer-state buckets in flight.
     const double states = 4.0 * params + params / n + 2.0e9;
-    model::ActivationOptions act_opts;
-    act_opts.checkpointing = checkpointing;
-    const double act = model::activationBytes(setup.model, micro_batch,
-                                              setup.seq, act_opts);
-    return model::gpuResidentBytes(states + act);
+    return model::gpuResidentBytes(states + activationBytes(setup, cand));
 }
 
 double
@@ -40,30 +34,16 @@ IterationResult
 DeepOptStatesSystem::simulate(const TrainSetup &setup,
                     const SearchCandidate &cand) const
 {
-    const std::uint32_t micro_batch = cand.micro_batch;
-    const bool checkpointing = cand.checkpointing;
     const std::uint32_t accum_steps = cand.accum_steps;
     IterBuilder builder(setup);
-    const model::ModelConfig &cfg = setup.model;
-    const double params = cfg.params();
+    const double params = setup.model.params();
     const double n = setup.cluster.totalSuperchips();
 
     const auto buckets = static_cast<std::uint32_t>(std::clamp(
         std::ceil(2.0 * params / kBucketBytes), 1.0, 128.0));
     const double bucket_params = params / buckets;
     const double shard = bucket_params / n;
-
-    const model::IterationFlops micro_flops = model::iterationFlops(
-        cfg, micro_batch, setup.seq, checkpointing);
-    const double tokens = builder.microTokens(micro_batch);
-    const double fwd_chunk =
-        (builder.gemmTime(micro_flops.fwd_gemm, tokens) +
-         builder.attnTime(micro_flops.fwd_attn)) / buckets;
-    const double bwd_chunk =
-        (builder.gemmTime(micro_flops.bwd_gemm + micro_flops.recompute_gemm,
-                          tokens) +
-         builder.attnTime(micro_flops.bwd_attn +
-                          micro_flops.recompute_attn)) / buckets;
+    const PassTimes chunk = builder.passTimes(cand, buckets);
 
     // Optimizer-state stream: fetch (12 B/param) before the update,
     // write back (12 B/param) after it; the fetches prefetch against
@@ -89,11 +69,11 @@ DeepOptStatesSystem::simulate(const TrainSetup &setup,
             std::vector<sim::TaskId> deps;
             if (prev != sim::kInvalidTask)
                 deps.push_back(prev);
-            prev = builder.onGpu("fwd", fwd_chunk, std::move(deps));
+            prev = builder.onGpu("fwd", chunk.fwd, std::move(deps));
         }
         const bool last = step + 1 == accum_steps;
         for (std::uint32_t c = 0; c < buckets; ++c) {
-            prev = builder.onGpu("bwd", bwd_chunk, {prev});
+            prev = builder.onGpu("bwd", chunk.bwd, {prev});
             if (!last)
                 continue;
             sim::TaskId grads = prev;
@@ -125,11 +105,7 @@ DeepOptStatesSystem::simulate(const TrainSetup &setup,
                       builder.coll().allGather(2.0 * params),
                       std::move(deps));
     }
-
-    model::IterationFlops total = model::iterationFlops(
-        cfg, static_cast<double>(micro_batch) * accum_steps, setup.seq,
-        checkpointing);
-    return builder.finish(total);
+    return builder.finish(builder.iterationFlops(cand));
 }
 
 } // namespace so::runtime

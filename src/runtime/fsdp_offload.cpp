@@ -12,15 +12,9 @@ double
 FsdpOffloadSystem::gpuBytes(const TrainSetup &setup,
                     const SearchCandidate &cand) const
 {
-    const std::uint32_t micro_batch = cand.micro_batch;
-    const bool checkpointing = cand.checkpointing;
     // Working set of the currently-gathered layer (plus one in flight).
     const double working = 2.0 * 2.0 * setup.model.paramsPerLayer();
-    model::ActivationOptions act_opts;
-    act_opts.checkpointing = checkpointing;
-    const double act = model::activationBytes(setup.model, micro_batch,
-                                              setup.seq, act_opts);
-    return model::gpuResidentBytes(working + act);
+    return model::gpuResidentBytes(working + activationBytes(setup, cand));
 }
 
 double
@@ -35,8 +29,6 @@ IterationResult
 FsdpOffloadSystem::simulate(const TrainSetup &setup,
                     const SearchCandidate &cand) const
 {
-    const std::uint32_t micro_batch = cand.micro_batch;
-    const bool checkpointing = cand.checkpointing;
     const std::uint32_t accum_steps = cand.accum_steps;
     IterBuilder builder(setup);
     const model::ModelConfig &cfg = setup.model;
@@ -44,18 +36,7 @@ FsdpOffloadSystem::simulate(const TrainSetup &setup,
     const double params = cfg.params();
     const double n = setup.cluster.totalSuperchips();
     const double layer_params = params / layers;
-
-    const model::IterationFlops micro_flops = model::iterationFlops(
-        cfg, micro_batch, setup.seq, checkpointing);
-    const double tokens = builder.microTokens(micro_batch);
-    const double fwd_layer =
-        (builder.gemmTime(micro_flops.fwd_gemm, tokens) +
-         builder.attnTime(micro_flops.fwd_attn)) / layers;
-    const double bwd_layer =
-        (builder.gemmTime(micro_flops.bwd_gemm + micro_flops.recompute_gemm,
-                          tokens) +
-         builder.attnTime(micro_flops.bwd_attn +
-                          micro_flops.recompute_attn)) / layers;
+    const PassTimes layer = builder.passTimes(cand, layers);
 
     // FSDP CPU offload copies each shard in synchronously before the
     // layer runs: the H2D depends on the *previous GPU task*, so it
@@ -89,7 +70,7 @@ FsdpOffloadSystem::simulate(const TrainSetup &setup,
                 fetch_time, shard_bytes, std::move(fetch_deps));
             if (n > 1)
                 ready = builder.onNic("ag", gather_time, {ready});
-            prev = builder.onGpu("fwd L" + std::to_string(l), fwd_layer,
+            prev = builder.onGpu("fwd L" + std::to_string(l), layer.fwd,
                                  {ready});
         }
         const bool last = step + 1 == accum_steps;
@@ -99,7 +80,7 @@ FsdpOffloadSystem::simulate(const TrainSetup &setup,
                 fetch_time, shard_bytes, {prev});
             if (n > 1)
                 ready = builder.onNic("ag'", gather_time, {ready});
-            prev = builder.onGpu("bwd L" + std::to_string(l), bwd_layer,
+            prev = builder.onGpu("bwd L" + std::to_string(l), layer.bwd,
                                  {ready});
             if (!last)
                 continue;
@@ -130,11 +111,7 @@ FsdpOffloadSystem::simulate(const TrainSetup &setup,
         "adam (torch.optim, per-tensor loop)",
         builder.cpuAdamTime(params / n, hw::AdamImpl::PyTorchLoop),
         {norm});
-
-    model::IterationFlops total = model::iterationFlops(
-        cfg, static_cast<double>(micro_batch) * accum_steps, setup.seq,
-        checkpointing);
-    return builder.finish(total);
+    return builder.finish(builder.iterationFlops(cand));
 }
 
 } // namespace so::runtime

@@ -84,11 +84,8 @@ GraphPlacementSystem::gpuBytes(const TrainSetup &setup,
     // above this (same retained-capacity pattern as SuperOffload's
     // retained buckets), so the fit check stays placement-independent.
     const double working = 3.0 * 2.0 * setup.model.paramsPerLayer();
-    model::ActivationOptions act_opts;
-    act_opts.checkpointing = cand.checkpointing;
-    const double act = model::activationBytes(
-        setup.model, cand.micro_batch, setup.seq, act_opts);
-    return model::gpuResidentBytes(working + kStagingBytes + act);
+    return model::gpuResidentBytes(working + kStagingBytes +
+                                   activationBytes(setup, cand));
 }
 
 double
@@ -116,12 +113,9 @@ IterationResult
 GraphPlacementSystem::simulate(const TrainSetup &setup,
                                const SearchCandidate &cand) const
 {
-    const std::uint32_t micro_batch = cand.micro_batch;
-    const bool checkpointing = cand.checkpointing;
     const std::uint32_t accum_steps = cand.accum_steps;
     IterBuilder builder(setup);
     const model::ModelConfig &cfg = setup.model;
-    const double layers = cfg.layers;
     const auto layer_count = static_cast<std::uint32_t>(cfg.layers);
     const double n = setup.cluster.totalSuperchips();
     const bool multi = n > 1;
@@ -130,18 +124,7 @@ GraphPlacementSystem::simulate(const TrainSetup &setup,
 
     const Placement place = placement(setup, cand);
     const std::uint32_t first_nvme = layer_count - place.nvme_layers;
-
-    const model::IterationFlops micro_flops = model::iterationFlops(
-        cfg, micro_batch, setup.seq, checkpointing);
-    const double tokens = builder.microTokens(micro_batch);
-    const double fwd_layer =
-        (builder.gemmTime(micro_flops.fwd_gemm, tokens) +
-         builder.attnTime(micro_flops.fwd_attn)) / layers;
-    const double bwd_layer =
-        (builder.gemmTime(micro_flops.bwd_gemm + micro_flops.recompute_gemm,
-                          tokens) +
-         builder.attnTime(micro_flops.bwd_attn +
-                          micro_flops.recompute_attn)) / layers;
+    const PassTimes layer = builder.passTimes(cand, cfg.layers);
 
     const double weight_bytes = hw::kFp16BytesPerParam * share;
     const double fetch_time = builder.h2dTime(weight_bytes);
@@ -200,7 +183,7 @@ GraphPlacementSystem::simulate(const TrainSetup &setup,
                 deps.push_back(ready);
             if (prev != sim::kInvalidTask)
                 deps.push_back(prev);
-            prev = builder.onGpu("fwd L" + std::to_string(l), fwd_layer,
+            prev = builder.onGpu("fwd L" + std::to_string(l), layer.fwd,
                                  std::move(deps));
         }
         const bool last = step + 1 == accum_steps;
@@ -213,7 +196,7 @@ GraphPlacementSystem::simulate(const TrainSetup &setup,
                 deps.push_back(ready);
             if (prev != sim::kInvalidTask)
                 deps.push_back(prev);
-            prev = builder.onGpu("bwd L" + std::to_string(l), bwd_layer,
+            prev = builder.onGpu("bwd L" + std::to_string(l), layer.bwd,
                                  std::move(deps));
             if (!last)
                 continue;
@@ -273,10 +256,7 @@ GraphPlacementSystem::simulate(const TrainSetup &setup,
         }
     }
 
-    model::IterationFlops total = model::iterationFlops(
-        cfg, static_cast<double>(micro_batch) * accum_steps, setup.seq,
-        checkpointing);
-    IterationResult res = builder.finish(total);
+    IterationResult res = builder.finish(builder.iterationFlops(cand));
     res.notes = "hbm_layers=" + std::to_string(place.hbm_layers) +
                 ", nvme_layers=" + std::to_string(place.nvme_layers);
     res.setExtra("hbm_layers", place.hbm_layers);

@@ -49,11 +49,8 @@ MegatronSystem::gpuBytes(const TrainSetup &setup,
     const std::uint32_t mp_deg = degreeOf(cand);
     const double mp = mp_deg;
     const auto states = model::StateSizes::forParams(setup.model.params());
-    model::ActivationOptions act_opts;
-    act_opts.checkpointing = cand.checkpointing;
-    const double act = model::activationBytes(setup.model, cand.micro_batch,
-                                              setup.seq, act_opts) *
-                       activationShare(mp_deg);
+    const double act =
+        activationBytes(setup, cand) * activationShare(mp_deg);
     return model::gpuResidentBytes(states.totalBytes() / mp + act);
 }
 
@@ -167,17 +164,7 @@ MegatronSystem::simulate(const TrainSetup &setup,
     builder.onGpu("adam (gpu)", builder.gpuAdamTime(cfg.params() / mp),
                   std::move(step_deps));
 
-    model::IterationFlops total = model::iterationFlops(
-        cfg, static_cast<double>(micro_batch) * accum_steps, setup.seq,
-        checkpointing);
-    // Per-GPU share of the work under MP.
-    total.fwd_gemm /= mp;
-    total.fwd_attn /= mp;
-    total.bwd_gemm /= mp;
-    total.bwd_attn /= mp;
-    total.recompute_gemm /= mp;
-    total.recompute_attn /= mp;
-    IterationResult res = builder.finish(total);
+    IterationResult res = builder.finish(builder.iterationFlops(cand, mp));
     res.setExtra("mp", mp);
     return res;
 }

@@ -59,11 +59,7 @@ MultiPathOffloadSystem::gpuBytes(const TrainSetup &setup,
     // Weight-flow: only streamed bucket buffers live on the GPU.
     const double staging =
         kStagingBuckets * 2.0 * kBucketBytes;
-    model::ActivationOptions act_opts;
-    act_opts.checkpointing = cand.checkpointing;
-    const double act = model::activationBytes(
-        setup.model, cand.micro_batch, setup.seq, act_opts);
-    return model::gpuResidentBytes(staging + act);
+    return model::gpuResidentBytes(staging + activationBytes(setup, cand));
 }
 
 double
@@ -92,12 +88,9 @@ IterationResult
 MultiPathOffloadSystem::simulate(const TrainSetup &setup,
                                  const SearchCandidate &cand) const
 {
-    const std::uint32_t micro_batch = cand.micro_batch;
-    const bool checkpointing = cand.checkpointing;
     const std::uint32_t accum_steps = cand.accum_steps;
     IterBuilder builder(setup, hierarchyOptions());
-    const model::ModelConfig &cfg = setup.model;
-    const double params = cfg.params();
+    const double params = setup.model.params();
     const double n = setup.cluster.totalSuperchips();
     const bool multi = n > 1;
     const double frac = nvmeFraction(cand);
@@ -145,18 +138,7 @@ MultiPathOffloadSystem::simulate(const TrainSetup &setup,
         hw::kOptimStateBytesPerParam * staged_params;
     const double opt_gds_bytes = hw::kOptimStateBytesPerParam * gds_params;
 
-    const model::IterationFlops micro_flops = model::iterationFlops(
-        cfg, micro_batch, setup.seq, checkpointing);
-    const double tokens = builder.microTokens(micro_batch);
-    const double fwd_chunk =
-        (builder.gemmTime(micro_flops.fwd_gemm, tokens) +
-         builder.attnTime(micro_flops.fwd_attn)) / buckets;
-    const double bwd_chunk =
-        (builder.gemmTime(micro_flops.bwd_gemm + micro_flops.recompute_gemm,
-                          tokens) +
-         builder.attnTime(micro_flops.bwd_attn +
-                          micro_flops.recompute_attn)) / buckets;
-
+    const PassTimes chunk = builder.passTimes(cand, buckets);
     const double weight_bytes = hw::kFp16BytesPerParam * shard;
     const double fetch_time = builder.h2dTime(weight_bytes);
     const double gather_time =
@@ -192,7 +174,7 @@ MultiPathOffloadSystem::simulate(const TrainSetup &setup,
             std::vector<sim::TaskId> deps{ready};
             if (prev != sim::kInvalidTask)
                 deps.push_back(prev);
-            prev = builder.onGpu("fwd", fwd_chunk, std::move(deps));
+            prev = builder.onGpu("fwd", chunk.fwd, std::move(deps));
         }
         const bool last = step + 1 == accum_steps;
         for (std::uint32_t c = 0; c < buckets; ++c) {
@@ -201,7 +183,7 @@ MultiPathOffloadSystem::simulate(const TrainSetup &setup,
                 fetch_time, weight_bytes, {});
             if (multi)
                 ready = builder.onNic("ag'", gather_time, {ready});
-            prev = builder.onGpu("bwd", bwd_chunk, {prev, ready});
+            prev = builder.onGpu("bwd", chunk.bwd, {prev, ready});
             if (!last)
                 continue;
 
@@ -288,10 +270,7 @@ MultiPathOffloadSystem::simulate(const TrainSetup &setup,
         }
     }
 
-    model::IterationFlops total = model::iterationFlops(
-        cfg, static_cast<double>(micro_batch) * accum_steps, setup.seq,
-        checkpointing);
-    IterationResult res = builder.finish(total);
+    IterationResult res = builder.finish(builder.iterationFlops(cand));
     res.notes = "nvme_frac=" + std::to_string(frac) +
                 (gds_read != nullptr ? ", gds=on" : ", gds=off");
     res.setExtra("nvme_fraction", frac);

@@ -40,14 +40,11 @@ PipelineSystem::gpuBytes(const TrainSetup &setup,
 {
     const double p = stagesOf(cand);
     const auto states = model::StateSizes::forParams(setup.model.params());
-    model::ActivationOptions act_opts;
-    act_opts.checkpointing = cand.checkpointing;
     // 1F1B keeps up to P micro-batches of this stage's activations in
     // flight: P x (act of 1/P of the layers) ~= one micro-batch of the
     // whole model's activations.
-    const double act = model::activationBytes(setup.model, cand.micro_batch,
-                                              setup.seq, act_opts);
-    return model::gpuResidentBytes(states.totalBytes() / p + act);
+    return model::gpuResidentBytes(states.totalBytes() / p +
+                                   activationBytes(setup, cand));
 }
 
 double
@@ -60,36 +57,22 @@ IterationResult
 PipelineSystem::simulate(const TrainSetup &setup,
                          const SearchCandidate &cand) const
 {
-    const std::uint32_t micro_batch = cand.micro_batch;
-    const bool checkpointing = cand.checkpointing;
-    const std::uint32_t accum_steps = cand.accum_steps;
-
     IterBuilder builder(setup);
     const model::ModelConfig &cfg = setup.model;
     const std::uint32_t p = stagesOf(cand);
     const std::uint32_t gpus = setup.cluster.totalSuperchips();
     const std::uint32_t dp = std::max<std::uint32_t>(1, gpus / p);
     // Micro-batches per iteration (1F1B's M): the accumulation steps.
-    const std::uint32_t m = accum_steps;
-
-    const model::IterationFlops micro_flops = model::iterationFlops(
-        cfg, micro_batch, setup.seq, checkpointing);
-    const double tokens = builder.microTokens(micro_batch);
+    const std::uint32_t m = cand.accum_steps;
 
     // Per-stage, per-micro-batch compute.
-    const double fwd_stage =
-        (builder.gemmTime(micro_flops.fwd_gemm, tokens) +
-         builder.attnTime(micro_flops.fwd_attn)) / p;
-    const double bwd_stage =
-        (builder.gemmTime(micro_flops.bwd_gemm + micro_flops.recompute_gemm,
-                          tokens) +
-         builder.attnTime(micro_flops.bwd_attn +
-                          micro_flops.recompute_attn)) / p;
+    const PassTimes stage = builder.passTimes(cand, p);
 
     // Inter-stage activation transfer per micro-batch boundary (fp16
     // hidden states, forward + gradient on the way back).
     const double boundary_bytes =
-        2.0 * tokens * static_cast<double>(cfg.hidden);
+        2.0 * builder.microTokens(cand.micro_batch) *
+        static_cast<double>(cfg.hidden);
     const double p2p =
         p > 1 ? boundary_bytes / setup.cluster.collectiveBandwidthPerGpu() +
                     setup.cluster.collectiveLatency()
@@ -104,19 +87,19 @@ PipelineSystem::simulate(const TrainSetup &setup,
                     2 * static_cast<std::size_t>(m) + 6);
 
     sim::TaskId prev = sim::kInvalidTask;
-    const double fill = (p - 1) * (fwd_stage + p2p);
+    const double fill = (p - 1) * (stage.fwd + p2p);
     if (fill > 0.0)
         prev = builder.onGpu("pipeline-fill", fill, {});
     for (std::uint32_t i = 0; i < m; ++i) {
         std::vector<sim::TaskId> deps;
         if (prev != sim::kInvalidTask)
             deps.push_back(prev);
-        prev = builder.onGpu("fwd u" + std::to_string(i), fwd_stage,
+        prev = builder.onGpu("fwd u" + std::to_string(i), stage.fwd,
                              std::move(deps));
-        prev = builder.onGpu("bwd u" + std::to_string(i), bwd_stage,
+        prev = builder.onGpu("bwd u" + std::to_string(i), stage.bwd,
                              {prev});
     }
-    const double drain = (p - 1) * (bwd_stage + p2p);
+    const double drain = (p - 1) * (stage.bwd + p2p);
     if (drain > 0.0)
         prev = builder.onGpu("pipeline-drain", drain, {prev});
 
@@ -132,17 +115,7 @@ PipelineSystem::simulate(const TrainSetup &setup,
     builder.onGpu("adam (gpu, 1/P)", builder.gpuAdamTime(cfg.params() / p),
                   std::move(step_deps));
 
-    model::IterationFlops total = model::iterationFlops(
-        cfg, static_cast<double>(micro_batch) * accum_steps, setup.seq,
-        checkpointing);
-    // Per-GPU share of the compute under PP.
-    total.fwd_gemm /= p;
-    total.fwd_attn /= p;
-    total.bwd_gemm /= p;
-    total.bwd_attn /= p;
-    total.recompute_gemm /= p;
-    total.recompute_attn /= p;
-    IterationResult res = builder.finish(total);
+    IterationResult res = builder.finish(builder.iterationFlops(cand, p));
     res.setExtra("stages", static_cast<double>(p));
     return res;
 }

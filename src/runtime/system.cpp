@@ -66,6 +66,18 @@ TrainingSystem::gpuCapacity(const TrainSetup &setup)
     return setup.cluster.node.superchip.gpu.mem_bytes;
 }
 
+double
+TrainingSystem::activationBytes(const TrainSetup &setup,
+                                const SearchCandidate &cand,
+                                std::uint32_t sequence_parallel)
+{
+    model::ActivationOptions opts;
+    opts.checkpointing = cand.checkpointing;
+    opts.sequence_parallel = sequence_parallel;
+    return model::activationBytes(setup.model, cand.micro_batch, setup.seq,
+                                  opts);
+}
+
 std::vector<std::uint32_t>
 TrainingSystem::searchVariants(const TrainSetup &) const
 {

@@ -452,6 +452,16 @@ class TrainingSystem
     static double gpuCapacity(const TrainSetup &setup);
 
     /**
+     * Activation bytes one rank holds for @p cand's micro-batch, the
+     * term every gpuBytes adds to its resident states;
+     * @p sequence_parallel splits each sequence across that many ranks
+     * (Ulysses, §4.7).
+     */
+    static double activationBytes(const TrainSetup &setup,
+                                  const SearchCandidate &cand,
+                                  std::uint32_t sequence_parallel = 1);
+
+    /**
      * Hierarchy construction options for this system. The default is
      * the canonical staged hierarchy; multi-path systems enable the
      * extra routes here so fit checks, the builder, and the fingerprint

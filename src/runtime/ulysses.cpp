@@ -20,8 +20,6 @@ double
 UlyssesSystem::gpuBytes(const TrainSetup &setup,
                     const SearchCandidate &cand) const
 {
-    const std::uint32_t micro_batch = cand.micro_batch;
-    const bool checkpointing = cand.checkpointing;
     const double n = setup.cluster.totalSuperchips();
     const double params = setup.model.params();
     // Stage 2: fp16 params + grads replicated, optimizer sharded.
@@ -34,12 +32,9 @@ UlyssesSystem::gpuBytes(const TrainSetup &setup,
                   2.0 * 2.0 * setup.model.paramsPerLayer()
             : 2.0 * hw::kFp16BytesPerParam * params +
                   hw::kOptimStateBytesPerParam * params / n;
-    model::ActivationOptions act_opts;
-    act_opts.checkpointing = checkpointing;
-    act_opts.sequence_parallel = setup.cluster.totalSuperchips();
-    const double act = model::activationBytes(setup.model, micro_batch,
-                                              setup.seq, act_opts);
-    return model::gpuResidentBytes(states + act);
+    return model::gpuResidentBytes(
+        states +
+        activationBytes(setup, cand, setup.cluster.totalSuperchips()));
 }
 
 double
@@ -52,8 +47,6 @@ IterationResult
 UlyssesSystem::simulate(const TrainSetup &setup,
                     const SearchCandidate &cand) const
 {
-    const std::uint32_t micro_batch = cand.micro_batch;
-    const bool checkpointing = cand.checkpointing;
     const std::uint32_t accum_steps = cand.accum_steps;
     IterBuilder builder(setup);
     const model::ModelConfig &cfg = setup.model;
@@ -61,26 +54,12 @@ UlyssesSystem::simulate(const TrainSetup &setup,
     const double params = cfg.params();
     const double n = setup.cluster.totalSuperchips();
 
-    // Per-rank FLOPs: the model processes micro_batch full sequences,
-    // each rank handling 1/N of the work.
-    const model::IterationFlops micro_flops = model::iterationFlops(
-        cfg, micro_batch, setup.seq, checkpointing);
-    // Effective tokens per GEMM call on one rank: s/N of each sequence.
-    const double tokens = builder.microTokens(micro_batch) / n;
-    const double fwd_layer =
-        (builder.gemmTime(micro_flops.fwd_gemm / n, tokens) +
-         builder.attnTime(micro_flops.fwd_attn / n)) / layers;
-    const double bwd_layer =
-        (builder.gemmTime(
-             (micro_flops.bwd_gemm + micro_flops.recompute_gemm) / n,
-             tokens) +
-         builder.attnTime(
-             (micro_flops.bwd_attn + micro_flops.recompute_attn) / n)) /
-        layers;
+    // Each rank runs s/N of every sequence of the micro-batch.
+    const PassTimes layer = builder.passTimes(cand, layers, n);
 
     // All-to-all around attention: each rank exchanges its activation
     // shard (fp16), twice forward and twice backward per layer.
-    const double a2a_bytes = 2.0 * static_cast<double>(micro_batch) *
+    const double a2a_bytes = 2.0 * static_cast<double>(cand.micro_batch) *
                              setup.seq * cfg.hidden / n;
     const double a2a = n > 1 ? builder.coll().allToAll(a2a_bytes) : 0.0;
 
@@ -115,7 +94,7 @@ UlyssesSystem::simulate(const TrainSetup &setup,
                 deps.push_back(prev);
             if (gather_time > 0.0)
                 deps.push_back(builder.onNic("ag", gather_time, {}));
-            prev = builder.onGpu("fwd L" + std::to_string(l), fwd_layer,
+            prev = builder.onGpu("fwd L" + std::to_string(l), layer.fwd,
                                  std::move(deps));
             if (n > 1)
                 prev = builder.onNic("a2a", 2.0 * a2a, {prev});
@@ -125,7 +104,7 @@ UlyssesSystem::simulate(const TrainSetup &setup,
             std::vector<sim::TaskId> deps{prev};
             if (gather_time > 0.0)
                 deps.push_back(builder.onNic("ag'", gather_time, {}));
-            prev = builder.onGpu("bwd L" + std::to_string(l), bwd_layer,
+            prev = builder.onGpu("bwd L" + std::to_string(l), layer.bwd,
                                  std::move(deps));
             if (n > 1)
                 prev = builder.onNic("a2a'", 2.0 * a2a, {prev});
@@ -153,16 +132,7 @@ UlyssesSystem::simulate(const TrainSetup &setup,
     }
 
     // Report the per-rank share so TFLOPS/MFU are per GPU.
-    model::IterationFlops total = model::iterationFlops(
-        cfg, static_cast<double>(micro_batch) * accum_steps, setup.seq,
-        checkpointing);
-    total.fwd_gemm /= n;
-    total.fwd_attn /= n;
-    total.bwd_gemm /= n;
-    total.bwd_attn /= n;
-    total.recompute_gemm /= n;
-    total.recompute_attn /= n;
-    return builder.finish(total);
+    return builder.finish(builder.iterationFlops(cand, n));
 }
 
 } // namespace so::runtime

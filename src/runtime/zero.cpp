@@ -8,36 +8,19 @@
 
 namespace so::runtime {
 
-namespace {
-
-double
-activations(const TrainSetup &setup, std::uint32_t micro_batch,
-            bool checkpointing)
-{
-    model::ActivationOptions act_opts;
-    act_opts.checkpointing = checkpointing;
-    return model::activationBytes(setup.model, micro_batch, setup.seq,
-                                  act_opts);
-}
-
-} // namespace
-
 // ---------------------------------------------------------------- ZeRO-2
 
 double
 Zero2System::gpuBytes(const TrainSetup &setup,
                     const SearchCandidate &cand) const
 {
-    const std::uint32_t micro_batch = cand.micro_batch;
-    const bool checkpointing = cand.checkpointing;
     const double n = setup.cluster.totalSuperchips();
     const double params = setup.model.params();
     // Full fp16 params + full fp16 grad buffer (reduced in place), plus
     // this rank's 12P/N optimizer shard.
     const double states = 2.0 * hw::kFp16BytesPerParam * params +
                           hw::kOptimStateBytesPerParam * params / n;
-    return model::gpuResidentBytes(
-        states + activations(setup, micro_batch, checkpointing));
+    return model::gpuResidentBytes(states + activationBytes(setup, cand));
 }
 
 double
@@ -50,26 +33,13 @@ IterationResult
 Zero2System::simulate(const TrainSetup &setup,
                     const SearchCandidate &cand) const
 {
-    const std::uint32_t micro_batch = cand.micro_batch;
-    const bool checkpointing = cand.checkpointing;
     const std::uint32_t accum_steps = cand.accum_steps;
     IterBuilder builder(setup);
     const model::ModelConfig &cfg = setup.model;
     const double layers = cfg.layers;
     const double params = cfg.params();
     const double n = setup.cluster.totalSuperchips();
-
-    const model::IterationFlops micro_flops = model::iterationFlops(
-        cfg, micro_batch, setup.seq, checkpointing);
-    const double tokens = builder.microTokens(micro_batch);
-    const double fwd_layer =
-        (builder.gemmTime(micro_flops.fwd_gemm, tokens) +
-         builder.attnTime(micro_flops.fwd_attn)) / layers;
-    const double bwd_layer =
-        (builder.gemmTime(micro_flops.bwd_gemm + micro_flops.recompute_gemm,
-                          tokens) +
-         builder.attnTime(micro_flops.bwd_attn +
-                          micro_flops.recompute_attn)) / layers;
+    const PassTimes layer = builder.passTimes(cand, layers);
 
     // accum_steps fwd+bwd passes per layer, last-pass reduce-scatters,
     // optimizer, optional all-gather.
@@ -86,12 +56,12 @@ Zero2System::simulate(const TrainSetup &setup,
             std::vector<sim::TaskId> deps;
             if (prev != sim::kInvalidTask)
                 deps.push_back(prev);
-            prev = builder.onGpu("fwd L" + std::to_string(l), fwd_layer,
+            prev = builder.onGpu("fwd L" + std::to_string(l), layer.fwd,
                                  std::move(deps));
         }
         const bool last = step + 1 == accum_steps;
         for (std::uint32_t l = cfg.layers; l-- > 0;) {
-            prev = builder.onGpu("bwd L" + std::to_string(l), bwd_layer,
+            prev = builder.onGpu("bwd L" + std::to_string(l), layer.bwd,
                                  {prev});
             if (last && n > 1) {
                 // Bucketed reduce-scatter overlapped with backward.
@@ -114,11 +84,7 @@ Zero2System::simulate(const TrainSetup &setup,
         builder.onNic("allgather params",
                       builder.coll().allGather(2.0 * params), {opt});
     }
-
-    model::IterationFlops total = model::iterationFlops(
-        cfg, static_cast<double>(micro_batch) * accum_steps, setup.seq,
-        checkpointing);
-    return builder.finish(total);
+    return builder.finish(builder.iterationFlops(cand));
 }
 
 // ---------------------------------------------------------------- ZeRO-3
@@ -127,8 +93,6 @@ double
 Zero3System::gpuBytes(const TrainSetup &setup,
                     const SearchCandidate &cand) const
 {
-    const std::uint32_t micro_batch = cand.micro_batch;
-    const bool checkpointing = cand.checkpointing;
     const double n = setup.cluster.totalSuperchips();
     const double params = setup.model.params();
     // Fully sharded 16P/N, plus all-gather/reduce-scatter communication
@@ -139,7 +103,7 @@ Zero3System::gpuBytes(const TrainSetup &setup,
     return model::gpuResidentBytes(
         (hw::kModelStateBytesPerParam + hw::kFp16BytesPerParam) * params /
             n +
-        working + activations(setup, micro_batch, checkpointing));
+        working + activationBytes(setup, cand));
 }
 
 double
@@ -152,26 +116,13 @@ IterationResult
 Zero3System::simulate(const TrainSetup &setup,
                     const SearchCandidate &cand) const
 {
-    const std::uint32_t micro_batch = cand.micro_batch;
-    const bool checkpointing = cand.checkpointing;
     const std::uint32_t accum_steps = cand.accum_steps;
     IterBuilder builder(setup);
     const model::ModelConfig &cfg = setup.model;
     const double layers = cfg.layers;
     const double params = cfg.params();
     const double n = setup.cluster.totalSuperchips();
-
-    const model::IterationFlops micro_flops = model::iterationFlops(
-        cfg, micro_batch, setup.seq, checkpointing);
-    const double tokens = builder.microTokens(micro_batch);
-    const double fwd_layer =
-        (builder.gemmTime(micro_flops.fwd_gemm, tokens) +
-         builder.attnTime(micro_flops.fwd_attn)) / layers;
-    const double bwd_layer =
-        (builder.gemmTime(micro_flops.bwd_gemm + micro_flops.recompute_gemm,
-                          tokens) +
-         builder.attnTime(micro_flops.bwd_attn +
-                          micro_flops.recompute_attn)) / layers;
+    const PassTimes layer = builder.passTimes(cand, layers);
 
     const double layer_param_bytes = 2.0 * params / layers;
     const double gather_time =
@@ -204,7 +155,7 @@ Zero3System::simulate(const TrainSetup &setup,
                 deps.push_back(prev);
             if (gathered != sim::kInvalidTask)
                 deps.push_back(gathered);
-            prev = builder.onGpu("fwd L" + std::to_string(l), fwd_layer,
+            prev = builder.onGpu("fwd L" + std::to_string(l), layer.fwd,
                                  std::move(deps));
         }
         const bool last = step + 1 == accum_steps;
@@ -217,7 +168,7 @@ Zero3System::simulate(const TrainSetup &setup,
             std::vector<sim::TaskId> deps{prev};
             if (gathered != sim::kInvalidTask)
                 deps.push_back(gathered);
-            prev = builder.onGpu("bwd L" + std::to_string(l), bwd_layer,
+            prev = builder.onGpu("bwd L" + std::to_string(l), layer.bwd,
                                  std::move(deps));
             if (last && n > 1) {
                 const double grad_bytes = 2.0 * params / layers;
@@ -235,11 +186,7 @@ Zero3System::simulate(const TrainSetup &setup,
     step_deps.push_back(prev);
     builder.onGpu("adam (gpu, 1/N)", builder.gpuAdamTime(params / n),
                   std::move(step_deps));
-
-    model::IterationFlops total = model::iterationFlops(
-        cfg, static_cast<double>(micro_batch) * accum_steps, setup.seq,
-        checkpointing);
-    return builder.finish(total);
+    return builder.finish(builder.iterationFlops(cand));
 }
 
 } // namespace so::runtime

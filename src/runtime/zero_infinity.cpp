@@ -12,17 +12,12 @@ double
 ZeroInfinitySystem::gpuBytes(const TrainSetup &setup,
                     const SearchCandidate &cand) const
 {
-    const std::uint32_t micro_batch = cand.micro_batch;
-    const bool checkpointing = cand.checkpointing;
     // Weight-flow: only a ~2-layer working set of fp16 params plus the
     // live gradient layer and fixed staging buffers reside on the GPU.
     const double working = 3.0 * 2.0 * setup.model.paramsPerLayer();
     const double staging = 4.0e9;
-    model::ActivationOptions act_opts;
-    act_opts.checkpointing = checkpointing;
-    const double act = model::activationBytes(setup.model, micro_batch,
-                                              setup.seq, act_opts);
-    return model::gpuResidentBytes(working + staging + act);
+    return model::gpuResidentBytes(working + staging +
+                                   activationBytes(setup, cand));
 }
 
 double
@@ -55,8 +50,6 @@ IterationResult
 ZeroInfinitySystem::simulate(const TrainSetup &setup,
                     const SearchCandidate &cand) const
 {
-    const std::uint32_t micro_batch = cand.micro_batch;
-    const bool checkpointing = cand.checkpointing;
     const std::uint32_t accum_steps = cand.accum_steps;
     IterBuilder builder(setup);
     const model::ModelConfig &cfg = setup.model;
@@ -64,18 +57,7 @@ ZeroInfinitySystem::simulate(const TrainSetup &setup,
     const double params = cfg.params();
     const double n = setup.cluster.totalSuperchips();
     const double layer_params = params / layers;
-
-    const model::IterationFlops micro_flops = model::iterationFlops(
-        cfg, micro_batch, setup.seq, checkpointing);
-    const double tokens = builder.microTokens(micro_batch);
-    const double fwd_layer =
-        (builder.gemmTime(micro_flops.fwd_gemm, tokens) +
-         builder.attnTime(micro_flops.fwd_attn)) / layers;
-    const double bwd_layer =
-        (builder.gemmTime(micro_flops.bwd_gemm + micro_flops.recompute_gemm,
-                          tokens) +
-         builder.attnTime(micro_flops.bwd_attn +
-                          micro_flops.recompute_attn)) / layers;
+    const PassTimes layer = builder.passTimes(cand, layers);
 
     // Each rank fetches its 1/N shard and all-gathers across ranks;
     // the host transfer goes through the small staging granule, which
@@ -115,7 +97,7 @@ ZeroInfinitySystem::simulate(const TrainSetup &setup,
             std::vector<sim::TaskId> deps{ready};
             if (prev != sim::kInvalidTask)
                 deps.push_back(prev);
-            prev = builder.onGpu("fwd L" + std::to_string(l), fwd_layer,
+            prev = builder.onGpu("fwd L" + std::to_string(l), layer.fwd,
                                  std::move(deps));
         }
         const bool last = step + 1 == accum_steps;
@@ -126,7 +108,7 @@ ZeroInfinitySystem::simulate(const TrainSetup &setup,
             sim::TaskId ready = fetch;
             if (n > 1)
                 ready = builder.onNic("ag'", gather_time, {fetch});
-            prev = builder.onGpu("bwd L" + std::to_string(l), bwd_layer,
+            prev = builder.onGpu("bwd L" + std::to_string(l), layer.bwd,
                                  {prev, ready});
             if (!last)
                 continue;
@@ -185,11 +167,7 @@ ZeroInfinitySystem::simulate(const TrainSetup &setup,
             "cast p", builder.cpuCastTime(layer_params / n), {opt});
     }
     (void)last_opt;
-
-    model::IterationFlops total = model::iterationFlops(
-        cfg, static_cast<double>(micro_batch) * accum_steps, setup.seq,
-        checkpointing);
-    return builder.finish(total);
+    return builder.finish(builder.iterationFlops(cand));
 }
 
 } // namespace so::runtime

@@ -14,19 +14,13 @@ double
 ZeroOffloadSystem::gpuBytes(const TrainSetup &setup,
                     const SearchCandidate &cand) const
 {
-    const std::uint32_t micro_batch = cand.micro_batch;
-    const bool checkpointing = cand.checkpointing;
     const double n = setup.cluster.totalSuperchips();
     const double params = setup.model.params();
     // Full fp16 parameters + full fp16 gradient buffer (DeepSpeed's
     // contiguous-gradients layout) + this rank's pinned transfer
     // staging (~P/N bytes of bucket buffers).
     const double states = 2.0 * params + 2.0 * params + params / n;
-    model::ActivationOptions act_opts;
-    act_opts.checkpointing = checkpointing;
-    const double act = model::activationBytes(setup.model, micro_batch,
-                                              setup.seq, act_opts);
-    return model::gpuResidentBytes(states + act);
+    return model::gpuResidentBytes(states + activationBytes(setup, cand));
 }
 
 double
@@ -43,12 +37,9 @@ IterationResult
 ZeroOffloadSystem::simulate(const TrainSetup &setup,
                     const SearchCandidate &cand) const
 {
-    const std::uint32_t micro_batch = cand.micro_batch;
-    const bool checkpointing = cand.checkpointing;
     const std::uint32_t accum_steps = cand.accum_steps;
     IterBuilder builder(setup);
-    const model::ModelConfig &cfg = setup.model;
-    const double params = cfg.params();
+    const double params = setup.model.params();
     const double n = setup.cluster.totalSuperchips();
 
     // Partition the gradient stream into transfer buckets.
@@ -56,18 +47,7 @@ ZeroOffloadSystem::simulate(const TrainSetup &setup,
         std::ceil(2.0 * params / kOffloadBucketBytes), 1.0, 200.0));
     const double bucket_params = params / buckets;
     const double shard_params = bucket_params / n; // per-rank per bucket
-
-    const model::IterationFlops micro_flops = model::iterationFlops(
-        cfg, micro_batch, setup.seq, checkpointing);
-    const double tokens = builder.microTokens(micro_batch);
-    const double fwd_chunk =
-        (builder.gemmTime(micro_flops.fwd_gemm, tokens) +
-         builder.attnTime(micro_flops.fwd_attn)) / buckets;
-    const double bwd_chunk =
-        (builder.gemmTime(micro_flops.bwd_gemm + micro_flops.recompute_gemm,
-                          tokens) +
-         builder.attnTime(micro_flops.bwd_attn +
-                          micro_flops.recompute_attn)) / buckets;
+    const PassTimes chunk = builder.passTimes(cand, buckets);
 
     // Per accumulation step: fwd+bwd per bucket; last step adds up to
     // three offload tasks per bucket (rs/d2h/cast); then the norm check,
@@ -88,11 +68,11 @@ ZeroOffloadSystem::simulate(const TrainSetup &setup,
             std::vector<sim::TaskId> deps;
             if (prev != sim::kInvalidTask)
                 deps.push_back(prev);
-            prev = builder.onGpu("fwd", fwd_chunk, std::move(deps));
+            prev = builder.onGpu("fwd", chunk.fwd, std::move(deps));
         }
         const bool last = step + 1 == accum_steps;
         for (std::uint32_t c = 0; c < buckets; ++c) {
-            prev = builder.onGpu("bwd", bwd_chunk, {prev});
+            prev = builder.onGpu("bwd", chunk.bwd, {prev});
             if (!last)
                 continue;
             // Gradient bucket leaves the GPU as soon as it is produced:
@@ -159,11 +139,7 @@ ZeroOffloadSystem::simulate(const TrainSetup &setup,
         builder.onNic("allgather params",
                       builder.coll().allGather(2.0 * params), returns);
     }
-
-    model::IterationFlops total = model::iterationFlops(
-        cfg, static_cast<double>(micro_batch) * accum_steps, setup.seq,
-        checkpointing);
-    return builder.finish(total);
+    return builder.finish(builder.iterationFlops(cand));
 }
 
 } // namespace so::runtime

@@ -451,6 +451,12 @@ TEST(ProfileDiff, ViewFromJsonRejectsUnusableDocuments)
         "{\"feasible\": true, \"iter_time_s\": 1.0}", doc));
     EXPECT_FALSE(viewFromJson(doc, view, &error));
     EXPECT_NE(error.find("profile"), std::string::npos);
+
+    // A cell index beyond size_t is out of range, not an exception.
+    ASSERT_TRUE(JsonValue::parse("{\"cells\": [{\"system\": \"a\"}]}", doc));
+    EXPECT_FALSE(
+        viewFromJson(doc, view, &error, "99999999999999999999"));
+    EXPECT_NE(error.find("out of range"), std::string::npos) << error;
 }
 
 TEST(ProfileDiff, TopContributorsTruncates)

@@ -3,9 +3,9 @@
  * Trace query engine tests (report/query.h): streaming aggregation
  * over bundle shards and Chrome traces with phase/resource/window
  * filters and top-N ranking, plus the `so-report` CLI contract — the
- * query subcommand answers over real artifacts and an unknown
- * subcommand exits with the distinct usage status listing the valid
- * ones.
+ * query subcommand answers over real artifacts, an unknown subcommand
+ * exits with the distinct usage status listing the valid ones, and
+ * check rejects an unusable --tol value with exit 1.
  */
 #include "report/query.h"
 
@@ -297,6 +297,23 @@ TEST(Query, CliQueryAnswersOverShards)
     // Bad rank key: usage failure, not a crash.
     EXPECT_NE(runReport("query " + shardFixture() + " --rank sideways",
                         output), 0);
+}
+
+TEST(Query, CliCheckRejectsUnusableTolerance)
+{
+    const std::string record = writeFile("check_record.json", "{}");
+    std::string output;
+    // Non-numeric and non-finite (overflowing) tolerances: a message
+    // and exit 1, like a missing '=', instead of an uncaught exception.
+    for (const char *tol : {"v_per_s=abc", "v_per_s=1e999"}) {
+        EXPECT_EQ(runReport("check " + record + " --baseline " + record +
+                                " --tol " + tol,
+                            output),
+                  1)
+            << tol << ": " << output;
+        EXPECT_NE(output.find("finite number"), std::string::npos)
+            << output;
+    }
 }
 
 #endif // SO_REPORT_BIN

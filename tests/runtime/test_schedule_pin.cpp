@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
+#include "core/superoffload_ulysses.h"
 #include "hw/presets.h"
 #include "model/config.h"
 #include "runtime/registry.h"
@@ -302,6 +303,56 @@ TEST(SchedulePin, GoldenFingerprintsHoldAcrossJobs)
             EXPECT_EQ(fingerprint(engine.result(i)),
                       kGolden.at(keys[i]))
                 << keys[i] << " jobs=" << jobs;
+    }
+}
+
+TEST(SchedulePin, OwnPathCellsBitIdentical)
+{
+    // One feasible cell for each system the seed table cannot reach on
+    // its own path: SuperOffload-Ulysses (not registered) across chips,
+    // HyperOffload with NVMe-spilled layers, and the multipath system
+    // with NVMe-resident optimizer states. The named extra must be
+    // nonzero, proving the cell takes that path. Captured before the
+    // per-candidate cost model moved into IterBuilder.
+    struct Pin
+    {
+        const char *system;
+        Cell cell;
+        const char *extra;
+        const char *golden;
+    };
+    const Pin kPins[] = {
+        {"superoffload-ulysses",
+         {"gh8-13B-64k", hw::gh200ClusterOf(8), "13B", 1, 64 * 1024},
+         nullptr,
+         "feas=1|iter=0x1.6c108647e0b15p+2|mb=1|acc=1|ckpt=0|"
+         "gpu=0x1.c49ead39e0146p-1|cpu=0x1.c2e201fdf4c5cp-6|"
+         "link=0x1.062166cdc25e2p-9"},
+        {"hyperoffload", {"gh1-80B", hw::gh200Single(), "80B", 4, 1024},
+         "nvme_layers",
+         "feas=1|iter=0x1.6e8229d2e621dp+8|mb=4|acc=1|ckpt=1|"
+         "gpu=0x1.0d0e65b6da2dbp-5|cpu=0x1.9b3c3b2b77424p-6|"
+         "link=0x1.e93a249b8614p-10"},
+        {"superoffload-multipath",
+         {"gh1-25B", hw::gh200Single(), "25B", 8, 1024}, "nvme_fraction",
+         "feas=1|iter=0x1.89acbc029c8bdp+3|mb=8|acc=1|ckpt=0|"
+         "gpu=0x1.9d59ae6ec5636p-2|cpu=0x1.a30f277521145p-3|"
+         "link=0x1.1a8d50e240e28p-6"},
+    };
+    for (const Pin &pin : kPins) {
+        TrainSetup setup;
+        setup.cluster = pin.cell.cluster;
+        setup.model = model::modelPreset(pin.cell.model);
+        setup.global_batch = pin.cell.batch;
+        setup.seq = pin.cell.seq;
+        const std::string name = pin.system;
+        const IterationResult res =
+            name == "superoffload-ulysses"
+                ? core::SuperOffloadUlyssesSystem{}.run(setup)
+                : makeBaseline(name)->run(setup);
+        EXPECT_EQ(fingerprint(res), pin.golden) << name;
+        if (pin.extra != nullptr)
+            EXPECT_GT(res.extra(pin.extra), 0.0) << name;
     }
 }
 

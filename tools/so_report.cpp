@@ -42,8 +42,10 @@
  * only add fields.
  */
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -239,8 +241,17 @@ cmdCheck(const ArgParser &args)
                          "so-report: --tol expects PATH=TOLERANCE\n");
             return 1;
         }
-        options.overrides[spec.substr(0, eq)] =
-            std::stod(spec.substr(eq + 1));
+        const std::string value = spec.substr(eq + 1);
+        char *end = nullptr;
+        const double tolerance = std::strtod(value.c_str(), &end);
+        if (value.empty() || *end != '\0' || !std::isfinite(tolerance)) {
+            std::fprintf(stderr,
+                         "so-report: --tol %s: TOLERANCE must be a finite "
+                         "number\n",
+                         spec.c_str());
+            return 1;
+        }
+        options.overrides[spec.substr(0, eq)] = tolerance;
     }
 
     const report::CheckVerdict verdict =
