@@ -189,6 +189,25 @@ JsonValue::number() const
     return number_;
 }
 
+bool
+JsonValue::asInteger(std::int64_t &out) const
+{
+    // Both bounds are exact doubles: -2^63 fits, 2^63 does not.
+    if (!isNumber() || !(number_ >= -0x1p63 && number_ < 0x1p63))
+        return false;
+    out = static_cast<std::int64_t>(number_);
+    return true;
+}
+
+bool
+JsonValue::asInteger(std::uint64_t &out) const
+{
+    if (!isNumber() || !(number_ >= 0.0 && number_ < 0x1p64))
+        return false;
+    out = static_cast<std::uint64_t>(number_);
+    return true;
+}
+
 const std::string &
 JsonValue::text() const
 {

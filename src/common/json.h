@@ -120,6 +120,16 @@ class JsonValue
     /** The numeric payload. @panics unless isNumber(). */
     double number() const;
 
+    /**
+     * The numeric payload truncated toward zero into @p out, when the
+     * value is a number that fits @p out's type. Returns false and
+     * leaves @p out untouched otherwise, so a reader of an untrusted
+     * document can treat an out-of-range count or index like an absent
+     * member instead of casting it out of range.
+     */
+    bool asInteger(std::int64_t &out) const;
+    bool asInteger(std::uint64_t &out) const;
+
     /** The string payload (unescaped). @panics unless isString(). */
     const std::string &text() const;
 

@@ -393,7 +393,7 @@ SuperOffloadSystem::simulateWithRetained(const TrainSetup &setup,
             const sim::TaskId check = builder.onCpuBg(
                 "global-check", 1e-5, validations);
             builder.onCpuBg("rollback(amortized)",
-                            opts_.expected_rollback_overhead, {check});
+                            kExpectedRollbackSeconds, {check});
         }
         if (!opts_.stv) {
             // STE constraint 2 (§3): next forward waits for *all*

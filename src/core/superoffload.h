@@ -63,11 +63,6 @@ struct SuperOffloadOptions
      * expose the raw cost of the requested granularity.
      */
     bool coalesce_buckets = true;
-    /**
-     * Expected rollback overhead per iteration in seconds, amortized:
-     * §5.7 measures 0.12% of iterations triggering a ~2 s rollback.
-     */
-    double expected_rollback_overhead = 0.0024;
 };
 
 /** SuperOffload (optionally with ZeRO-3 across multiple Superchips). */
@@ -80,6 +75,12 @@ class SuperOffloadSystem : public runtime::TrainingSystem
      * harmless: the C2C link is already saturated at 64 MB (Fig. 7).
      */
     static constexpr std::uint32_t kMaxTransferBuckets = 128;
+
+    /**
+     * Expected rollback overhead per iteration in seconds, amortized:
+     * §5.7 measures 0.12% of iterations triggering a ~2 s rollback.
+     */
+    static constexpr double kExpectedRollbackSeconds = 0.0024;
 
     explicit SuperOffloadSystem(SuperOffloadOptions opts = {});
 

@@ -102,9 +102,6 @@ class Adam
     /** Register a tensor of @p n elements; returns its slot id. */
     std::size_t addParameter(std::size_t n);
 
-    /** Number of registered tensors. */
-    std::size_t parameterCount() const { return slots_.size(); }
-
     /** Elements of slot @p slot. */
     std::size_t size(std::size_t slot) const;
 

@@ -114,12 +114,6 @@ isInf(Half value)
 }
 
 Half
-halfMax()
-{
-    return Half{0x7bff};
-}
-
-Half
 halfMinNormal()
 {
     return Half{0x0400};

@@ -36,9 +36,6 @@ bool isNan(Half value);
 /** True for +/- infinity. */
 bool isInf(Half value);
 
-/** Largest finite half (65504). */
-Half halfMax();
-
 /** Smallest positive normal half (2^-14). */
 Half halfMinNormal();
 

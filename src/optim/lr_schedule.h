@@ -46,7 +46,6 @@ class LrSchedule
     /** Learning rate at 1-based optimizer step @p step. */
     float at(std::int64_t step) const;
 
-    float baseLr() const { return base_lr_; }
     std::int64_t warmupSteps() const { return warmup_steps_; }
 
   private:

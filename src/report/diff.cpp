@@ -31,16 +31,43 @@ textOr(const JsonValue &obj, const std::string &key,
     return v && v->isString() ? v->text() : fallback;
 }
 
-/** Read a [{phase, seconds}] array into @p out. */
+/** Read array member @p key of @p obj, [{phase, <value_key>}], into
+ *  @p out; an absent or wrong-typed member reads as empty. */
 void
-readPhases(const JsonValue &arr, std::vector<PhaseSlice> &out)
+readPhases(const JsonValue &obj, const std::string &key,
+           const std::string &value_key, std::vector<PhaseSlice> &out)
 {
-    for (const JsonValue &item : arr.items()) {
+    const JsonValue *arr = obj.find(key);
+    if (!arr || !arr->isArray())
+        return;
+    for (const JsonValue &item : arr->items())
+        if (item.isObject())
+            out.push_back(PhaseSlice{textOr(item, "phase", ""),
+                                     numberOr(item, value_key, 0.0)});
+}
+
+/**
+ * Read array member @p key of @p obj as per-resource busy and
+ * idle-cause seconds into @p out. The idle-cause keys carry
+ * @p cause_prefix: "idle_" in profile documents, none in results.
+ */
+void
+readResources(const JsonValue &obj, const std::string &key,
+              const std::string &cause_prefix,
+              std::vector<ResourceSlice> &out)
+{
+    const JsonValue *arr = obj.find(key);
+    if (!arr || !arr->isArray())
+        return;
+    for (const JsonValue &item : arr->items()) {
         if (!item.isObject())
             continue;
-        PhaseSlice slice;
-        slice.phase = textOr(item, "phase", "");
-        slice.seconds = numberOr(item, "seconds", 0.0);
+        ResourceSlice slice;
+        slice.resource = textOr(item, "resource", "");
+        slice.busy = numberOr(item, "busy_s", 0.0);
+        slice.dependency = numberOr(item, cause_prefix + "dependency_s", 0.0);
+        slice.contention = numberOr(item, cause_prefix + "contention_s", 0.0);
+        slice.tail = numberOr(item, cause_prefix + "tail_s", 0.0);
         out.push_back(std::move(slice));
     }
 }
@@ -57,18 +84,7 @@ readEnergy(const JsonValue &doc, ProfileView &out)
         return;
     out.has_energy = true;
     out.energy_j = numberOr(*energy, "total_j", 0.0);
-    if (const JsonValue *phases = energy->find("phases")) {
-        if (phases->isArray()) {
-            for (const JsonValue &item : phases->items()) {
-                if (!item.isObject())
-                    continue;
-                PhaseSlice slice;
-                slice.phase = textOr(item, "phase", "");
-                slice.seconds = numberOr(item, "joules", 0.0);
-                out.energy_phases.push_back(std::move(slice));
-            }
-        }
-    }
+    readPhases(*energy, "phases", "joules", out.energy_phases);
 }
 
 /**
@@ -97,24 +113,8 @@ viewFromResultDoc(const JsonValue &doc, ProfileView &out,
     }
     out.makespan = numberOr(*profile, "makespan_s",
                             numberOr(*profile, "critical_length_s", 0.0));
-    if (const JsonValue *phases = profile->find("critical_phases"))
-        if (phases->isArray())
-            readPhases(*phases, out.phases);
-    if (const JsonValue *idle = profile->find("idle")) {
-        if (idle->isArray()) {
-            for (const JsonValue &item : idle->items()) {
-                if (!item.isObject())
-                    continue;
-                ResourceSlice slice;
-                slice.resource = textOr(item, "resource", "");
-                slice.busy = numberOr(item, "busy_s", 0.0);
-                slice.dependency = numberOr(item, "dependency_s", 0.0);
-                slice.contention = numberOr(item, "contention_s", 0.0);
-                slice.tail = numberOr(item, "tail_s", 0.0);
-                out.resources.push_back(std::move(slice));
-            }
-        }
-    }
+    readPhases(*profile, "critical_phases", "seconds", out.phases);
+    readResources(*profile, "idle", "", out.resources);
     readEnergy(doc, out);
     return true;
 }
@@ -124,30 +124,16 @@ bool
 viewFromProfileDoc(const JsonValue &doc, ProfileView &out,
                    std::string *error)
 {
-    out.makespan = numberOr(doc, "makespan_s", 0.0);
     const JsonValue &cp = doc.at("critical_path");
-    if (const JsonValue *phases = cp.find("phases"))
-        if (phases->isArray())
-            readPhases(*phases, out.phases);
-    if (const JsonValue *resources = doc.find("resources")) {
-        if (resources->isArray()) {
-            for (const JsonValue &item : resources->items()) {
-                if (!item.isObject())
-                    continue;
-                ResourceSlice slice;
-                slice.resource = textOr(item, "resource", "");
-                slice.busy = numberOr(item, "busy_s", 0.0);
-                slice.dependency =
-                    numberOr(item, "idle_dependency_s", 0.0);
-                slice.contention =
-                    numberOr(item, "idle_contention_s", 0.0);
-                slice.tail = numberOr(item, "idle_tail_s", 0.0);
-                out.resources.push_back(std::move(slice));
-            }
-        }
+    if (!cp.isObject()) {
+        if (error)
+            *error = "profile document's critical_path is not an object";
+        return false;
     }
+    out.makespan = numberOr(doc, "makespan_s", 0.0);
+    readPhases(cp, "phases", "seconds", out.phases);
+    readResources(doc, "resources", "idle_", out.resources);
     readEnergy(doc, out);
-    (void)error;
     return true;
 }
 
@@ -183,6 +169,11 @@ selectCell(const JsonValue &cells, const std::string &selector,
             return nullptr;
         }
         const JsonValue &cell = items[index];
+        if (!cell.isObject()) {
+            if (error)
+                *error = "cell " + selector + " is not an object";
+            return nullptr;
+        }
         *label = textOr(cell, "system", "cell " + selector);
         return &cell;
     }
@@ -200,6 +191,53 @@ selectCell(const JsonValue &cells, const std::string &selector,
     return nullptr;
 }
 
+/**
+ * Diff two phase lists over the union of their names (duplicate names
+ * accumulate) into @p out, largest |delta| first; returns the sum of
+ * the deltas.
+ */
+double
+diffPhases(const std::vector<PhaseSlice> &before,
+           const std::vector<PhaseSlice> &after,
+           std::vector<PhaseDelta> &out)
+{
+    std::map<std::string, PhaseDelta> merged;
+    auto entry = [&](const std::string &phase) -> PhaseDelta & {
+        const auto [it, fresh] = merged.try_emplace(phase);
+        if (fresh) {
+            it->second.phase = phase;
+            it->second.appeared = true;
+            it->second.vanished = true;
+        }
+        return it->second;
+    };
+    for (const PhaseSlice &slice : before) {
+        PhaseDelta &delta = entry(slice.phase);
+        delta.before += slice.seconds;
+        delta.appeared = false;
+    }
+    for (const PhaseSlice &slice : after) {
+        PhaseDelta &delta = entry(slice.phase);
+        delta.after += slice.seconds;
+        delta.vanished = false;
+    }
+    double attributed = 0.0;
+    for (auto &[phase, delta] : merged) {
+        delta.delta = delta.after - delta.before;
+        attributed += delta.delta;
+        out.push_back(std::move(delta));
+    }
+    std::sort(out.begin(), out.end(),
+              [](const PhaseDelta &a, const PhaseDelta &b) {
+                  const double ma = std::abs(a.delta);
+                  const double mb = std::abs(b.delta);
+                  if (ma != mb)
+                      return ma > mb;
+                  return a.phase < b.phase;
+              });
+    return attributed;
+}
+
 std::string
 formatSeconds(double s)
 {
@@ -211,7 +249,8 @@ formatSeconds(double s)
 } // namespace
 
 ProfileView
-viewFromProfile(const sim::ScheduleProfile &profile, std::string label)
+viewFromProfile(const sim::ProfileTotals &profile, std::string label,
+                const sim::EnergyTotals *energy)
 {
     ProfileView view;
     view.label = std::move(label);
@@ -232,30 +271,6 @@ viewFromProfile(const sim::ScheduleProfile &profile, std::string label)
         slice.tail = rp.idle_tail;
         view.resources.push_back(std::move(slice));
     }
-    return view;
-}
-
-ProfileView
-viewFromSummary(const runtime::ProfileSummary &summary,
-                std::string label, const runtime::EnergySummary *energy)
-{
-    ProfileView view;
-    view.label = std::move(label);
-    view.makespan = summary.makespan > 0.0 ? summary.makespan
-                                           : summary.critical_length;
-    view.phases.reserve(summary.critical_phases.size());
-    for (const auto &[phase, seconds] : summary.critical_phases)
-        view.phases.push_back(PhaseSlice{phase, seconds});
-    view.resources.reserve(summary.idle.size());
-    for (const auto &idle : summary.idle) {
-        ResourceSlice slice;
-        slice.resource = idle.resource;
-        slice.busy = idle.busy;
-        slice.dependency = idle.dependency;
-        slice.contention = idle.contention;
-        slice.tail = idle.tail;
-        view.resources.push_back(std::move(slice));
-    }
     if (energy != nullptr && energy->valid) {
         view.has_energy = true;
         view.energy_j = energy->total_j;
@@ -270,7 +285,7 @@ ProfileView
 viewFromIteration(const runtime::IterationResult &result,
                   std::string label)
 {
-    return viewFromSummary(result.profile, std::move(label),
+    return viewFromProfile(result.profile, std::move(label),
                            &result.energy);
 }
 
@@ -328,43 +343,11 @@ diffProfiles(const ProfileView &before, const ProfileView &after)
     diff.makespan_after = after.makespan;
     diff.makespan_delta = after.makespan - before.makespan;
 
-    // Fold each side's phases (duplicate phase names accumulate), then
-    // diff over the union of names.
-    std::map<std::string, std::pair<double, double>> phases;
-    for (const PhaseSlice &slice : before.phases)
-        phases[slice.phase].first += slice.seconds;
-    for (const PhaseSlice &slice : after.phases)
-        phases[slice.phase].second += slice.seconds;
-    std::map<std::string, bool> in_before, in_after;
-    for (const PhaseSlice &slice : before.phases)
-        in_before[slice.phase] = true;
-    for (const PhaseSlice &slice : after.phases)
-        in_after[slice.phase] = true;
-
-    double attributed = 0.0;
-    for (const auto &[phase, seconds] : phases) {
-        PhaseDelta delta;
-        delta.phase = phase;
-        delta.before = seconds.first;
-        delta.after = seconds.second;
-        delta.delta = seconds.second - seconds.first;
-        delta.appeared = !in_before.count(phase);
-        delta.vanished = !in_after.count(phase);
-        attributed += delta.delta;
-        diff.phases.push_back(std::move(delta));
-    }
-    std::sort(diff.phases.begin(), diff.phases.end(),
-              [](const PhaseDelta &a, const PhaseDelta &b) {
-                  const double ma = std::abs(a.delta);
-                  const double mb = std::abs(b.delta);
-                  if (ma != mb)
-                      return ma > mb;
-                  return a.phase < b.phase;
-              });
     // Exact by construction: whatever the phase deltas miss of the
     // makespan delta lands here (≈0 for profiler-produced inputs,
     // where each side's phases sum to its makespan).
-    diff.unattributed = diff.makespan_delta - attributed;
+    diff.unattributed = diff.makespan_delta -
+                        diffPhases(before.phases, after.phases, diff.phases);
 
     // Resource idle-cause deltas over the union of resource names,
     // before-side order first, then after-only resources.
@@ -404,38 +387,10 @@ diffProfiles(const ProfileView &before, const ProfileView &after)
         diff.energy_before_j = before.energy_j;
         diff.energy_after_j = after.energy_j;
         diff.energy_delta_j = after.energy_j - before.energy_j;
-        std::map<std::string, std::pair<double, double>> joules;
-        std::map<std::string, bool> e_before, e_after;
-        for (const PhaseSlice &slice : before.energy_phases) {
-            joules[slice.phase].first += slice.seconds;
-            e_before[slice.phase] = true;
-        }
-        for (const PhaseSlice &slice : after.energy_phases) {
-            joules[slice.phase].second += slice.seconds;
-            e_after[slice.phase] = true;
-        }
-        double energy_attributed = 0.0;
-        for (const auto &[phase, j] : joules) {
-            PhaseDelta delta;
-            delta.phase = phase;
-            delta.before = j.first;
-            delta.after = j.second;
-            delta.delta = j.second - j.first;
-            delta.appeared = !e_before.count(phase);
-            delta.vanished = !e_after.count(phase);
-            energy_attributed += delta.delta;
-            diff.energy_phases.push_back(std::move(delta));
-        }
-        std::sort(diff.energy_phases.begin(), diff.energy_phases.end(),
-                  [](const PhaseDelta &a, const PhaseDelta &b) {
-                      const double ma = std::abs(a.delta);
-                      const double mb = std::abs(b.delta);
-                      if (ma != mb)
-                          return ma > mb;
-                      return a.phase < b.phase;
-                  });
         diff.energy_unattributed_j =
-            diff.energy_delta_j - energy_attributed;
+            diff.energy_delta_j - diffPhases(before.energy_phases,
+                                             after.energy_phases,
+                                             diff.energy_phases);
     }
     return diff;
 }
@@ -477,8 +432,7 @@ diffSweepCells(const runtime::SweepEngine &engine, std::size_t before,
                 ? (cell.system ? cell.system->name()
                                : "cell " + std::to_string(index))
                 : cell.tag;
-        view = viewFromSummary(cell.result.profile, std::move(label),
-                               &cell.result.energy);
+        view = viewFromIteration(cell.result, std::move(label));
         return true;
     };
     ProfileView view_before, view_after;

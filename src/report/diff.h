@@ -15,10 +15,11 @@
  * (up to an explicit `unattributed` residual, kept for inputs that do
  * not satisfy the invariants exactly, e.g. hand-edited JSON).
  *
- * Inputs come in three shapes, all normalized into a ProfileView:
- *   - an in-memory sim::ScheduleProfile (viewFromProfile),
- *   - a runtime::ProfileSummary from an IterationResult
- *     (viewFromSummary),
+ * Inputs come in two shapes, both normalized into a ProfileView:
+ *   - an in-memory profile (viewFromProfile): the bounded
+ *     sim::ProfileTotals that a sim::ScheduleProfile and an
+ *     IterationResult's profile summary share, with optional energy
+ *     totals (viewFromIteration passes a result's pair),
  *   - a JSON document (viewFromJson): a standalone profile document
  *     (sim::profileToJson), a result document (runtime::toJson), a
  *     planner report (core::toJson), or a sweep/bench record with a
@@ -83,22 +84,19 @@ struct ProfileView
     std::vector<PhaseSlice> energy_phases;
 };
 
-/** View of an in-memory profile; @p label is carried into the diff. */
-ProfileView viewFromProfile(const sim::ScheduleProfile &profile,
-                            std::string label);
-
 /**
- * View of a result's compact profile summary. The summary must be
- * valid (IterationResult::profile.valid). When @p energy is given and
- * valid, the view carries joule attribution into the diff.
+ * View of an in-memory profile; @p label is carried into the diff.
+ * When @p energy is given and valid, the view carries joule
+ * attribution into the diff.
  */
-ProfileView viewFromSummary(const runtime::ProfileSummary &summary,
+ProfileView viewFromProfile(const sim::ProfileTotals &profile,
                             std::string label,
-                            const runtime::EnergySummary *energy = nullptr);
+                            const sim::EnergyTotals *energy = nullptr);
 
 /**
- * View of an in-memory iteration result: the profile summary plus its
- * energy attribution in one call (the planner's --explain input).
+ * View of an in-memory iteration result: the profile summary, which
+ * must be valid (IterationResult::profile.valid), plus its energy
+ * attribution in one call (the planner's --explain input).
  */
 ProfileView viewFromIteration(const runtime::IterationResult &result,
                               std::string label);

@@ -176,8 +176,7 @@ resourceName(const JsonValue &task,
         return "(unknown)";
     if (v->isString())
         return v->text();
-    if (v->isNumber()) {
-        const auto idx = static_cast<std::size_t>(v->number());
+    if (std::uint64_t idx = 0; v->asInteger(idx)) {
         if (idx < names.size())
             return names[idx];
         // Prepended in place: GCC 12 flags `"#" + std::to_string(idx)`
@@ -337,14 +336,14 @@ queryDocumentFile(const std::string &path, Accumulator &acc,
         if (strField(obj, "ph", ph)) {
             std::string name;
             strField(obj, "name", name);
-            double pid = 0.0;
-            const bool has_pid = numField(obj, "pid", pid);
+            std::int64_t pid = 0;
+            const JsonValue *pid_v = member(obj, "pid");
+            const bool has_pid = pid_v != nullptr && pid_v->asInteger(pid);
             if (ph == "M" && name == "process_name" && has_pid) {
                 const JsonValue *args = member(obj, "args");
                 std::string pname;
                 if (args != nullptr && strField(*args, "name", pname))
-                    pid_names[static_cast<std::int64_t>(pid)] =
-                        std::move(pname);
+                    pid_names[pid] = std::move(pname);
                 return;
             }
             if (ph != "X")
@@ -357,12 +356,10 @@ queryDocumentFile(const std::string &path, Accumulator &acc,
             s.label = std::move(name);
             s.phase = sim::phaseKey(s.label);
             if (has_pid) {
-                auto it = pid_names.find(static_cast<std::int64_t>(pid));
-                s.resource =
-                    it != pid_names.end()
-                        ? it->second
-                        : "#" + std::to_string(
-                                    static_cast<std::int64_t>(pid));
+                auto it = pid_names.find(pid);
+                s.resource = it != pid_names.end()
+                                 ? it->second
+                                 : "#" + std::to_string(pid);
             } else {
                 s.resource = "(unknown)";
             }

@@ -252,13 +252,6 @@ IterBuilder::onPath(const hw::MemoryPath &path, std::string_view label,
     return id;
 }
 
-double
-IterBuilder::pathBytes(std::size_t path_index) const
-{
-    SO_ASSERT(path_index < path_bytes_.size(), "path index out of range");
-    return path_bytes_[path_index];
-}
-
 void
 IterBuilder::reserve(std::size_t tasks, std::size_t edges)
 {
@@ -328,66 +321,18 @@ IterBuilder::fillEnergy(IterationResult &res, const sim::Schedule &schedule,
     for (const hw::BackgroundPower &bg : power_.background())
         inputs.background.emplace_back(bg.name, bg.watts);
 
-    EnergySummary &e = res.energy;
-    e.valid = true;
-    const double makespan = schedule.makespan;
+    // With a profile, ride its attribution: same busy/idle partition,
+    // same phaseKey grouping, idle joules split by cause.
     sim::EnergyProfile ep;
+    EnergySummary &e = res.energy;
     if (profile != nullptr) {
-        // Ride the profiler's attribution: same busy/idle partition,
-        // same phaseKey grouping, idle joules split by cause.
         ep = sim::attributeEnergy(graph_, schedule, *profile, inputs,
                                   setup_.profile_options);
-        e.active_j = ep.active_j;
-        e.idle_j = ep.idle_j;
-        e.background_j = ep.background_j;
-        e.total_j = ep.total_j;
-        e.phases = ep.phases;
-        e.background = ep.background;
-        e.resources.reserve(graph_.resourceCount());
-        for (sim::ResourceId r = 0; r < graph_.resourceCount(); ++r) {
-            const sim::ResourceEnergy &re = ep.resources[r];
-            EnergySummary::ResourceEnergy out;
-            out.resource = graph_.resource(r).name;
-            out.busy_w = re.busy_w;
-            out.idle_w = re.idle_w;
-            out.busy_j = re.busy_j;
-            out.transfer_j = re.transfer_j;
-            out.idle_j = re.idle_j;
-            out.idle_dependency_j = re.idle_dependency_j;
-            out.idle_contention_j = re.idle_contention_j;
-            out.idle_tail_j = re.idle_tail_j;
-            e.resources.push_back(std::move(out));
-        }
+        static_cast<sim::EnergyTotals &>(e) = ep;
     } else {
-        // Cheap pass: union busy time straight off the timelines, no
-        // cause split, no per-phase roll-up. Totals match the profiled
-        // attribution (same busy/idle partition of the makespan).
-        std::vector<double> res_bytes(graph_.resourceCount(), 0.0);
-        for (const auto &[task, bytes] : task_bytes_)
-            res_bytes[graph_.taskResource(task)] += bytes;
-        for (sim::ResourceId r = 0; r < graph_.resourceCount(); ++r) {
-            const sim::ResourcePower &rp = inputs.resources[r];
-            const double busy =
-                schedule.timelines[r].busyTime(0.0, makespan);
-            EnergySummary::ResourceEnergy out;
-            out.resource = graph_.resource(r).name;
-            out.busy_w = rp.busy_w;
-            out.idle_w = rp.idle_w;
-            out.busy_j = rp.busy_w * busy;
-            out.transfer_j = rp.joules_per_byte * res_bytes[r];
-            out.idle_j = rp.idle_w * (makespan - busy);
-            e.active_j += out.busy_j + out.transfer_j;
-            e.idle_j += out.idle_j;
-            e.resources.push_back(std::move(out));
-        }
-        for (const auto &[name, watts] : inputs.background) {
-            const double joules = watts * makespan;
-            e.background.emplace_back(name, joules);
-            e.background_j += joules;
-        }
-        e.total_j = e.active_j + e.idle_j + e.background_j;
+        static_cast<sim::EnergyTotals &>(e) =
+            sim::meterEnergy(graph_, schedule, inputs);
     }
-    e.avg_w = makespan > 0.0 ? e.total_j / makespan : 0.0;
     // Energy-to-solution: the measurement window's share of the
     // schedule at the schedule's average draw (steady-state systems
     // measure one iteration out of a longer simulated schedule).
@@ -435,21 +380,10 @@ IterBuilder::finishWindow(const model::IterationFlops &flops,
         const sim::ScheduleProfile prof =
             sim::profileSchedule(graph_, schedule,
                                  setup_.profile_options);
+        static_cast<sim::ProfileTotals &>(res.profile) = prof;
         res.profile.valid = true;
-        res.profile.makespan = prof.makespan;
-        res.profile.critical_length = prof.critical_length;
-        res.profile.critical_phases = prof.critical_phases;
         for (sim::TaskId id : sim::topZeroSlackTasks(prof, graph_))
             res.profile.hot_tasks.emplace_back(graph_.label(id));
-        for (sim::ResourceId r = 0; r < graph_.resourceCount(); ++r) {
-            ProfileSummary::ResourceIdle idle;
-            idle.resource = graph_.resource(r).name;
-            idle.busy = prof.resources[r].busy;
-            idle.dependency = prof.resources[r].idle_dependency;
-            idle.contention = prof.resources[r].idle_contention;
-            idle.tail = prof.resources[r].idle_tail;
-            res.profile.idle.push_back(std::move(idle));
-        }
         const sim::EnergyProfile energy =
             fillEnergy(res, schedule, &prof);
         res.profile_json =

@@ -10,7 +10,10 @@
  * (bytes, parameter counts) from the hardware model, and the measured
  * window of the finished schedule. Strategies then express only their
  * schedule structure (plus any cost of their own, such as Megatron's
- * tensor-parallel GEMM penalty).
+ * tensor-parallel GEMM penalty). The result's profile and energy
+ * totals come from sim (profileSchedule, attributeEnergy,
+ * meterEnergy); the builder adds only the per-iteration and per-token
+ * joules.
  */
 #ifndef SO_RUNTIME_BUILDER_H
 #define SO_RUNTIME_BUILDER_H
@@ -54,8 +57,6 @@ class IterBuilder
     /// @{
     sim::ResourceId gpu() const { return gpu_; }
     sim::ResourceId cpu() const { return cpu_; }
-    /** Background CPU slot (validation process, §4.4). */
-    sim::ResourceId cpuBg() const { return cpu_bg_; }
     sim::ResourceId h2d() const { return h2d_; }
     sim::ResourceId d2h() const { return d2h_; }
     /** Cross-GPU collective fabric (NVLink / Slingshot). */
@@ -65,9 +66,6 @@ class IterBuilder
 
     /** The memory hierarchy this rank schedules transfers over. */
     const hw::MemoryHierarchy &hierarchy() const { return hier_; }
-
-    /** The electrical model metering this rank (hw/power.h). */
-    const hw::PowerModel &powerModel() const { return power_; }
 
     /** Sim resource carrying hierarchy channel @p channel. */
     sim::ResourceId channelResource(std::string_view channel) const;
@@ -203,9 +201,6 @@ class IterBuilder
     sim::TaskId onPath(const hw::MemoryPath &path, std::string_view label,
                        double seconds, double bytes,
                        sim::DepView deps = {}, std::int32_t priority = 0);
-
-    /** Bytes accounted so far to hierarchy path @p path_index. */
-    double pathBytes(std::size_t path_index) const;
     /// @}
 
     /**
@@ -270,10 +265,12 @@ class IterBuilder
     std::vector<std::pair<sim::TaskId, double>> task_bytes_;
 
     /**
-     * Fill @p res.energy from the finished @p schedule: full
-     * phase/idle-cause attribution when @p profile is given (the
-     * returned EnergyProfile is then valid, for the profile/bundle JSON
-     * documents), a cheap timeline-only pass otherwise.
+     * Fill @p res.energy from the finished @p schedule: the
+     * electrical model keyed by sim resource goes to
+     * sim::attributeEnergy when @p profile is given (the returned
+     * EnergyProfile is then valid, for the profile/bundle JSON
+     * documents) and to sim::meterEnergy otherwise; only the
+     * per-iteration and per-token joules are computed here.
      */
     sim::EnergyProfile fillEnergy(IterationResult &res,
                                   const sim::Schedule &schedule,

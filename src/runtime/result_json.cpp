@@ -65,33 +65,34 @@ writeIterationJson(JsonWriter &json, const IterationResult &result)
     json.field("model_flops", result.flops.modelFlops());
     json.field("executed_flops", result.flops.executedFlops());
     if (result.profile.valid) {
+        const ProfileSummary &p = result.profile;
         json.key("profile").beginObject();
-        json.field("makespan_s", result.profile.makespan);
-        json.field("critical_length_s", result.profile.critical_length);
+        json.field("makespan_s", p.makespan);
+        json.field("critical_length_s", p.critical_length);
         json.key("critical_phases").beginArray();
-        for (const auto &[phase, seconds] : result.profile.critical_phases) {
+        for (const auto &[phase, seconds] : p.critical_phases) {
             json.beginObject();
             json.field("phase", phase);
             json.field("seconds", seconds);
-            json.field("share",
-                       result.profile.critical_length > 0.0
-                           ? seconds / result.profile.critical_length
-                           : 0.0);
+            json.field("share", p.critical_length > 0.0
+                                    ? seconds / p.critical_length
+                                    : 0.0);
             json.endObject();
         }
         json.endArray();
         json.key("hot_tasks").beginArray();
-        for (const std::string &label : result.profile.hot_tasks)
+        for (const std::string &label : p.hot_tasks)
             json.value(label);
         json.endArray();
         json.key("idle").beginArray();
-        for (const auto &idle : result.profile.idle) {
+        for (std::size_t r = 0; r < p.resources.size(); ++r) {
+            const sim::ResourceProfile &rp = p.resources[r];
             json.beginObject();
-            json.field("resource", idle.resource);
-            json.field("busy_s", idle.busy);
-            json.field("dependency_s", idle.dependency);
-            json.field("contention_s", idle.contention);
-            json.field("tail_s", idle.tail);
+            json.field("resource", p.resource_names[r]);
+            json.field("busy_s", rp.busy);
+            json.field("dependency_s", rp.idle_dependency);
+            json.field("contention_s", rp.idle_contention);
+            json.field("tail_s", rp.idle_tail);
             json.endObject();
         }
         json.endArray();
@@ -122,9 +123,10 @@ writeIterationJson(JsonWriter &json, const IterationResult &result)
             json.endArray();
         }
         json.key("resources").beginArray();
-        for (const EnergySummary::ResourceEnergy &re : e.resources) {
+        for (std::size_t r = 0; r < e.resources.size(); ++r) {
+            const sim::ResourceEnergy &re = e.resources[r];
             json.beginObject();
-            json.field("resource", re.resource);
+            json.field("resource", e.resource_names[r]);
             json.field("busy_w", re.busy_w);
             json.field("idle_w", re.idle_w);
             json.field("busy_j", re.busy_j);

@@ -166,10 +166,6 @@ SweepEngine::fingerprint(const TrainingSystem &system,
     // cached profile retains), so it is part of the cell's identity.
     appendNum(key,
               static_cast<std::uint32_t>(setup.profile_options.detail));
-    appendNum(key, static_cast<std::uint32_t>(
-                       setup.profile_options.bins));
-    appendNum(key, static_cast<std::uint32_t>(
-                       setup.profile_options.top_k));
     // Power overrides change the energy numbers cached inside the
     // result, so they are part of the cell's identity (a presence bit
     // per field keeps an explicit override distinct from the preset

@@ -150,95 +150,34 @@ struct MemoryReport
 };
 
 /**
- * Compact schedule-profile summary (see sim/profiler.h for the full
- * analysis). Filled only when TrainSetup::capture_profile is set.
+ * The bounded part of the schedule profile (sim::ProfileTotals; see
+ * sim/profiler.h for the full analysis) plus the hot-task labels.
+ * Filled only when TrainSetup::capture_profile is set. Results keep
+ * this base rather than the full sim::ScheduleProfile because every
+ * candidate's result lives until selectBest: per-task arrays and bins
+ * there would grow every sweep's peak memory.
  */
-struct ProfileSummary
+struct ProfileSummary : sim::ProfileTotals
 {
-    /** Per-resource busy/idle-cause seconds over the schedule. */
-    struct ResourceIdle
-    {
-        std::string resource;
-        double busy = 0.0;
-        /** Idle waiting on an upstream dependency still executing. */
-        double dependency = 0.0;
-        /** Idle waiting on a dependency queued behind other work. */
-        double contention = 0.0;
-        /** Idle with no further work this iteration. */
-        double tail = 0.0;
-    };
-
     bool valid = false;
-
-    /** Simulated makespan of the profiled schedule. */
-    double makespan = 0.0;
-
-    /** Critical-path length (== the simulated makespan). */
-    double critical_length = 0.0;
-
-    /** Critical-path seconds per label phase, largest share first. */
-    std::vector<std::pair<std::string, double>> critical_phases;
 
     /** Labels of the longest zero-slack tasks, longest first. */
     std::vector<std::string> hot_tasks;
-
-    /** One entry per simulated resource, in resource order. */
-    std::vector<ResourceIdle> idle;
 };
 
 /**
- * Joule accounting of one simulated iteration (docs/ENERGY.md). Always
- * filled for feasible results: the totals come from a cheap pass over
- * the timelines; the per-phase and idle-cause splits additionally
- * require TrainSetup::capture_profile (they ride the schedule
- * profiler's attribution).
+ * Joule accounting of one simulated iteration (docs/ENERGY.md): the
+ * schedule's sim::EnergyTotals plus the per-iteration and per-token
+ * figures. Always filled for feasible results; the per-phase and
+ * idle-cause splits additionally require TrainSetup::capture_profile
+ * (they ride the schedule profiler's attribution).
  */
-struct EnergySummary
+struct EnergySummary : sim::EnergyTotals
 {
-    /** Per-resource joule split over the schedule. */
-    struct ResourceEnergy
-    {
-        std::string resource;
-        /** The watts the resource was metered at (hw/power.h). */
-        double busy_w = 0.0;
-        double idle_w = 0.0;
-        /** busy_w × busy time. */
-        double busy_j = 0.0;
-        /** Per-byte switching energy of the bytes the resource moved. */
-        double transfer_j = 0.0;
-        /** idle_w × idle time. */
-        double idle_j = 0.0;
-        /** Idle-cause split of idle_j; zero without capture_profile. */
-        double idle_dependency_j = 0.0;
-        double idle_contention_j = 0.0;
-        double idle_tail_j = 0.0;
-    };
-
-    bool valid = false;
-
-    /** Busy joules + per-byte transfer tolls across all resources. */
-    double active_j = 0.0;
-    /** Idle-floor joules across all resources. */
-    double idle_j = 0.0;
-    /** Static draws (DRAM refresh) over the schedule. */
-    double background_j = 0.0;
-    /** active_j + idle_j + background_j, per schedule window. */
-    double total_j = 0.0;
-    /** Average electrical draw over the schedule, in watts. */
-    double avg_w = 0.0;
     /** Energy-to-solution of one full iteration (all accum steps). */
     double iter_j = 0.0;
     /** Cluster joules per trained token (iter_j × chips / tokens). */
     double token_j = 0.0;
-
-    /** One entry per simulated resource, in resource order. */
-    std::vector<ResourceEnergy> resources;
-
-    /** Task joules per label phase; filled with capture_profile. */
-    std::vector<std::pair<std::string, double>> phases;
-
-    /** Static draws as (name, joules) over the schedule. */
-    std::vector<std::pair<std::string, double>> background;
 };
 
 /** Outcome of evaluating one setup under one system. */

@@ -71,8 +71,6 @@ class CalendarQueue
     /// @{
     /** Current bucket count (0 while staging). */
     std::size_t bucketCount() const { return built_ ? n_buckets_ : 0; }
-    /** Current bucket width in seconds (meaningless while staging). */
-    double bucketWidth() const { return width_; }
     /** Events currently parked in the sorted-overflow ladder. */
     std::size_t overflowSize() const { return overflow_.size(); }
     /// @}

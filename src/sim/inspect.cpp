@@ -60,7 +60,7 @@ writeBundleDoc(JsonWriter &json, const TaskGraph &graph,
         json.field("busy_w", metered ? energy->resources[r].busy_w : 0.0);
         json.field("idle_w", metered ? energy->resources[r].idle_w : 0.0);
         json.key("gaps").beginArray();
-        for (const IdleGap &gap : rp.gaps) {
+        for (const IdleGap &gap : profile.gaps[r]) {
             json.beginObject();
             json.field("begin_s", gap.begin);
             json.field("end_s", gap.end);

@@ -141,6 +141,21 @@ class TopK
     std::vector<TopTask> heap_;
 };
 
+/** @p totals as (phase, value) pairs, largest value first (ties by
+ *  name). */
+std::vector<std::pair<std::string, double>>
+largestFirst(const std::map<std::string, double> &totals)
+{
+    std::vector<std::pair<std::string, double>> out(totals.begin(),
+                                                    totals.end());
+    std::sort(out.begin(), out.end(), [](const auto &a, const auto &b) {
+        if (a.second != b.second)
+            return a.second > b.second;
+        return a.first < b.first;
+    });
+    return out;
+}
+
 } // namespace
 
 ScheduleProfile
@@ -161,11 +176,12 @@ profileSchedule(const TaskGraph &graph, const Schedule &schedule,
     if (!prof.summarized)
         prof.slack.assign(n, 0.0);
     prof.resources.resize(graph.resourceCount());
+    prof.gaps.resize(graph.resourceCount());
     prof.resource_names.reserve(graph.resourceCount());
     for (ResourceId r = 0; r < graph.resourceCount(); ++r)
         prof.resource_names.push_back(graph.resource(r).name);
     const std::size_t nbins =
-        (options.bins > 0 && prof.makespan > 0.0) ? options.bins : 0;
+        prof.makespan > 0.0 ? ProfileOptions::kBins : 0;
     if (nbins > 0) {
         prof.bin_s = prof.makespan / static_cast<double>(nbins);
         prof.busy_bins.assign(graph.resourceCount(),
@@ -256,13 +272,7 @@ profileSchedule(const TaskGraph &graph, const Schedule &schedule,
     for (auto it = rpath.rbegin(); it != rpath.rend(); ++it)
         phases[phaseKey(graph.label(it->task))] +=
             graph.duration(it->task);
-    prof.critical_phases.assign(phases.begin(), phases.end());
-    std::sort(prof.critical_phases.begin(), prof.critical_phases.end(),
-              [](const auto &a, const auto &b) {
-                  if (a.second != b.second)
-                      return a.second > b.second;
-                  return a.first < b.first;
-              });
+    prof.critical_phases = largestFirst(phases);
 
     // ------------------------------------------------------------ slack
     // Local slack: how far a finish could slip before bumping into the
@@ -287,8 +297,8 @@ profileSchedule(const TaskGraph &graph, const Schedule &schedule,
     // The slack array is transient in Summary mode: the top-K lists
     // below retain everything a bounded profile answers with, in the
     // exact order topZeroSlackTasks() would sort the full array.
-    TopK top_slack(options.top_k);
-    TopK top_zero(options.top_k);
+    TopK top_slack(ProfileOptions::kTopK);
+    TopK top_zero(ProfileOptions::kTopK);
     for (TaskId id = 0; id < n; ++id) {
         const double s =
             std::max(0.0, limit[id] - schedule.finish[id]);
@@ -308,14 +318,7 @@ profileSchedule(const TaskGraph &graph, const Schedule &schedule,
         for (TaskId id = 0; id < n; ++id)
             busy_by_phase[phaseKey(graph.label(id))] +=
                 graph.duration(id);
-        prof.phase_busy.assign(busy_by_phase.begin(),
-                               busy_by_phase.end());
-        std::sort(prof.phase_busy.begin(), prof.phase_busy.end(),
-                  [](const auto &a, const auto &b) {
-                      if (a.second != b.second)
-                          return a.second > b.second;
-                      return a.first < b.first;
-                  });
+        prof.phase_busy = largestFirst(busy_by_phase);
     }
 
     // ------------------------------------------------- idle attribution
@@ -365,7 +368,7 @@ profileSchedule(const TaskGraph &graph, const Schedule &schedule,
                 break;
             }
             if (!prof.summarized)
-                rp.gaps.push_back(gap);
+                prof.gaps[r].push_back(gap);
         };
 
         // Sweep the union of busy intervals, attributing each hole and
@@ -405,6 +408,58 @@ profileSchedule(const TaskGraph &graph, const Schedule &schedule,
     return prof;
 }
 
+namespace {
+
+/**
+ * The per-resource metering rule attributeEnergy and meterEnergy
+ * share: busy watts over each resource's union-busy seconds
+ * (@p time[r].busy), idle watts over its idle seconds, the per-byte
+ * toll over the bytes its tasks moved; then the background draws over
+ * @p makespan and the totals. Idle-cause joules stay zero.
+ */
+EnergyTotals
+meterResources(const TaskGraph &graph, const EnergyInputs &inputs,
+               const std::vector<ResourceProfile> &time, double makespan)
+{
+    const std::size_t n = graph.taskCount();
+    EnergyTotals energy;
+    energy.valid = true;
+    energy.makespan = makespan;
+    energy.resources.resize(graph.resourceCount());
+    energy.resource_names.reserve(graph.resourceCount());
+    std::vector<double> res_bytes(graph.resourceCount(), 0.0);
+    for (TaskId id = 0; id < n && id < inputs.task_bytes.size(); ++id)
+        res_bytes[graph.taskResource(id)] += inputs.task_bytes[id];
+    for (ResourceId r = 0; r < graph.resourceCount(); ++r) {
+        const ResourcePower rp = r < inputs.resources.size()
+                                     ? inputs.resources[r]
+                                     : ResourcePower{};
+        ResourceEnergy &re = energy.resources[r];
+        re.busy_w = rp.busy_w;
+        re.idle_w = rp.idle_w;
+        re.joules_per_byte = rp.joules_per_byte;
+        re.busy_j = rp.busy_w * time[r].busy;
+        re.transfer_j = rp.joules_per_byte * res_bytes[r];
+        re.idle_j = rp.idle_w * time[r].idle;
+        energy.active_j += re.busy_j + re.transfer_j;
+        energy.idle_j += re.idle_j;
+        energy.resource_names.push_back(graph.resource(r).name);
+    }
+
+    for (const auto &[name, watts] : inputs.background) {
+        const double joules = watts * makespan;
+        energy.background.emplace_back(name, joules);
+        energy.background_j += joules;
+    }
+
+    energy.total_j =
+        energy.active_j + energy.idle_j + energy.background_j;
+    energy.avg_w = makespan > 0.0 ? energy.total_j / makespan : 0.0;
+    return energy;
+}
+
+} // namespace
+
 EnergyProfile
 attributeEnergy(const TaskGraph &graph, const Schedule &schedule,
                 const ScheduleProfile &profile, const EnergyInputs &inputs,
@@ -415,28 +470,32 @@ attributeEnergy(const TaskGraph &graph, const Schedule &schedule,
     SO_ASSERT(profile.resources.size() == graph.resourceCount(),
               "profile does not match graph");
 
+    // Per-resource view: busy joules on the union busy time (equal to
+    // the per-task sum on the capacity-1 resources every builder
+    // creates), transfer joules on the bytes the resource's tasks
+    // moved, idle joules partitioned by the profiler's own idle-cause
+    // attribution.
     EnergyProfile energy;
-    energy.valid = true;
-    energy.makespan = profile.makespan;
+    static_cast<EnergyTotals &>(energy) = meterResources(
+        graph, inputs, profile.resources, profile.makespan);
+    for (ResourceId r = 0; r < graph.resourceCount(); ++r) {
+        const ResourceProfile &prof_r = profile.resources[r];
+        ResourceEnergy &re = energy.resources[r];
+        re.idle_dependency_j = re.idle_w * prof_r.idle_dependency;
+        re.idle_contention_j = re.idle_w * prof_r.idle_contention;
+        re.idle_tail_j = re.idle_w * prof_r.idle_tail;
+    }
+
     energy.summarized = options.summarized(n);
-    energy.resources.resize(graph.resourceCount());
     if (!energy.summarized)
         energy.task_j.assign(n, 0.0);
     const std::size_t nbins =
-        (options.bins > 0 && profile.makespan > 0.0) ? options.bins : 0;
+        profile.makespan > 0.0 ? ProfileOptions::kBins : 0;
     if (nbins > 0) {
         energy.bin_s = profile.makespan / static_cast<double>(nbins);
         energy.energy_bins.assign(graph.resourceCount(),
                                   std::vector<double>(nbins, 0.0));
     }
-
-    auto power = [&](ResourceId r) {
-        return r < inputs.resources.size() ? inputs.resources[r]
-                                           : ResourcePower{};
-    };
-    auto bytes = [&](TaskId id) {
-        return id < inputs.task_bytes.size() ? inputs.task_bytes[id] : 0.0;
-    };
 
     // Per-task joules: time-proportional busy draw plus the per-byte
     // switching toll. Phase roll-up uses the same phaseKey grouping as
@@ -445,14 +504,15 @@ attributeEnergy(const TaskGraph &graph, const Schedule &schedule,
     // uniformly over its scheduled span into the per-resource bins, so
     // a bin row sums to the per-task joules of that resource's tasks.
     std::map<std::string, double> phases;
-    TopK top_tasks(options.top_k);
-    TopK top_bytes(options.top_k);
+    TopK top_tasks(ProfileOptions::kTopK);
+    TopK top_bytes(ProfileOptions::kTopK);
     for (TaskId id = 0; id < n; ++id) {
         const ResourceId res = graph.taskResource(id);
-        const ResourcePower rp = power(res);
-        const double task_bytes = bytes(id);
-        const double task_j = rp.busy_w * graph.duration(id) +
-                              rp.joules_per_byte * task_bytes;
+        const ResourceEnergy &re = energy.resources[res];
+        const double task_bytes =
+            id < inputs.task_bytes.size() ? inputs.task_bytes[id] : 0.0;
+        const double task_j = re.busy_w * graph.duration(id) +
+                              re.joules_per_byte * task_bytes;
         if (!energy.summarized)
             energy.task_j[id] = task_j;
         phases[phaseKey(graph.label(id))] += task_j;
@@ -473,51 +533,25 @@ attributeEnergy(const TaskGraph &graph, const Schedule &schedule,
     }
     energy.top_tasks = top_tasks.take();
     energy.top_bytes = top_bytes.take();
-    energy.phases.assign(phases.begin(), phases.end());
-    std::sort(energy.phases.begin(), energy.phases.end(),
-              [](const auto &a, const auto &b) {
-                  if (a.second != b.second)
-                      return a.second > b.second;
-                  return a.first < b.first;
-              });
-
-    // Per-resource view: busy joules on the union busy time (equal to
-    // the per-task sum on the capacity-1 resources every builder
-    // creates), idle joules partitioned by the profiler's own
-    // idle-cause attribution, transfer joules on the bytes the
-    // resource's tasks moved.
-    std::vector<double> res_bytes(graph.resourceCount(), 0.0);
-    for (TaskId id = 0; id < n; ++id)
-        res_bytes[graph.taskResource(id)] += bytes(id);
-    for (ResourceId r = 0; r < graph.resourceCount(); ++r) {
-        const ResourcePower rp = power(r);
-        const ResourceProfile &prof_r = profile.resources[r];
-        ResourceEnergy &re = energy.resources[r];
-        re.busy_w = rp.busy_w;
-        re.idle_w = rp.idle_w;
-        re.joules_per_byte = rp.joules_per_byte;
-        re.busy_j = rp.busy_w * prof_r.busy;
-        re.transfer_j = rp.joules_per_byte * res_bytes[r];
-        re.idle_dependency_j = rp.idle_w * prof_r.idle_dependency;
-        re.idle_contention_j = rp.idle_w * prof_r.idle_contention;
-        re.idle_tail_j = rp.idle_w * prof_r.idle_tail;
-        re.idle_j = rp.idle_w * prof_r.idle;
-        energy.active_j += re.busy_j + re.transfer_j;
-        energy.idle_j += re.idle_j;
-    }
-
-    for (const auto &[name, watts] : inputs.background) {
-        const double joules = watts * profile.makespan;
-        energy.background.emplace_back(name, joules);
-        energy.background_j += joules;
-    }
-
-    energy.total_j =
-        energy.active_j + energy.idle_j + energy.background_j;
-    energy.avg_w = profile.makespan > 0.0
-                       ? energy.total_j / profile.makespan
-                       : 0.0;
+    energy.phases = largestFirst(phases);
     return energy;
+}
+
+EnergyTotals
+meterEnergy(const TaskGraph &graph, const Schedule &schedule,
+            const EnergyInputs &inputs)
+{
+    SO_ASSERT(schedule.timelines.size() == graph.resourceCount(),
+              "schedule timelines do not match graph resources");
+    // Union busy seconds straight off the timelines; the idle seconds
+    // are the rest of the makespan, with no cause split.
+    std::vector<ResourceProfile> time(graph.resourceCount());
+    for (ResourceId r = 0; r < graph.resourceCount(); ++r) {
+        time[r].busy =
+            schedule.timelines[r].busyTime(0.0, schedule.makespan);
+        time[r].idle = schedule.makespan - time[r].busy;
+    }
+    return meterResources(graph, inputs, time, schedule.makespan);
 }
 
 std::vector<TaskId>
@@ -652,7 +686,7 @@ writeProfileDoc(JsonWriter &json, const ScheduleProfile &profile,
         json.field("idle_contention_s", rp.idle_contention);
         json.field("idle_tail_s", rp.idle_tail);
         json.key("gaps").beginArray();
-        for (const IdleGap &gap : rp.gaps) {
+        for (const IdleGap &gap : profile.gaps[r]) {
             json.beginObject();
             json.field("begin_s", gap.begin);
             json.field("end_s", gap.end);

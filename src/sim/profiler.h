@@ -64,11 +64,11 @@ struct ProfileOptions
     };
 
     Detail detail = Detail::Auto;
-    /** Histogram bins over [0, makespan] (0 disables binning). */
-    std::size_t bins = 256;
-    /** Entries retained in each top-K task list. */
-    std::size_t top_k = 32;
 
+    /** Histogram bins over [0, makespan]. */
+    static constexpr std::size_t kBins = 256;
+    /** Entries retained in each top-K task list. */
+    static constexpr std::size_t kTopK = 32;
     /** Task count at which Auto switches to Summary. */
     static constexpr std::size_t kAutoSummaryTasks = 200'000;
 
@@ -128,8 +128,6 @@ struct ResourceProfile
     double idle_dependency = 0.0;
     double idle_contention = 0.0;
     double idle_tail = 0.0;
-    /** Per-gap list; empty in Summary mode (totals above are kept). */
-    std::vector<IdleGap> gaps;
 };
 
 /** How a critical-path task's start time is explained. */
@@ -150,11 +148,42 @@ struct CriticalStep
     CriticalLink link = CriticalLink::Start;
 };
 
-/** Full profile of one (TaskGraph, Schedule) pair. */
-struct ScheduleProfile
+/**
+ * The bounded, graph-free part of a schedule profile: O(resources +
+ * phases) no matter how large the graph. It is what an
+ * IterationResult keeps (runtime::ProfileSummary), what the result
+ * document renders, and what a profile diff reads (report/diff.h).
+ */
+struct ProfileTotals
 {
     double makespan = 0.0;
 
+    /** Sum of critical-path task durations (== makespan when the chain
+     * is contiguous, which the deterministic greedy scheduler
+     * guarantees). */
+    double critical_length = 0.0;
+
+    /**
+     * Critical-path seconds grouped by label phase (phaseKey in
+     * sim/trace.h), largest first — the "which phase bounds the
+     * iteration" answer.
+     */
+    std::vector<std::pair<std::string, double>> critical_phases;
+
+    /** Indexed by ResourceId. */
+    std::vector<ResourceProfile> resources;
+
+    /**
+     * Display names of the resources, indexed by ResourceId — copied
+     * from the graph so a profile can be rendered or diffed (see
+     * report/diff.h) without the TaskGraph that produced it.
+     */
+    std::vector<std::string> resource_names;
+};
+
+/** Full profile of one (TaskGraph, Schedule) pair. */
+struct ScheduleProfile : ProfileTotals
+{
     /** Whether the per-task arrays were elided (Summary detail). */
     bool summarized = false;
 
@@ -171,11 +200,6 @@ struct ScheduleProfile
     /** Steps in the walked chain (== critical_path.size() in Full). */
     std::size_t critical_steps = 0;
 
-    /** Sum of critical-path task durations (== makespan when the chain
-     * is contiguous, which the deterministic greedy scheduler
-     * guarantees). */
-    double critical_length = 0.0;
-
     /**
      * Per-task local slack: how far the task's finish could slip —
      * holding everything else fixed — before it would delay a
@@ -185,7 +209,7 @@ struct ScheduleProfile
      */
     std::vector<double> slack;
 
-    /** Histogram bin width in seconds (0 when binning is off). The
+    /** Histogram bin width in seconds (0 for a zero makespan). The
      *  bins tile [0, makespan]; the last bin absorbs the boundary. */
     double bin_s = 0.0;
 
@@ -201,33 +225,22 @@ struct ScheduleProfile
     std::vector<std::pair<std::string, double>> phase_busy;
 
     /** Largest-slack tasks (value = slack seconds), capped at
-     *  ProfileOptions::top_k, largest first. */
+     *  ProfileOptions::kTopK, largest first. */
     std::vector<TopTask> top_slack;
 
     /**
      * Longest zero-slack tasks (value = duration seconds), capped at
-     * ProfileOptions::top_k — the same ranking topZeroSlackTasks()
+     * ProfileOptions::kTopK — the same ranking topZeroSlackTasks()
      * computes from the full slack array, retained so Summary profiles
      * can still answer it.
      */
     std::vector<TopTask> top_zero_slack;
 
-    /** Indexed by ResourceId. */
-    std::vector<ResourceProfile> resources;
-
     /**
-     * Display names of the resources, indexed by ResourceId — copied
-     * from the graph so a profile can be rendered or diffed (see
-     * report/diff.h) without the TaskGraph that produced it.
+     * Per-gap idle lists, indexed by ResourceId; each list is empty in
+     * Summary mode (the ResourceProfile totals are kept).
      */
-    std::vector<std::string> resource_names;
-
-    /**
-     * Critical-path seconds grouped by label phase (phaseKey in
-     * sim/trace.h), largest first — the "which phase bounds the
-     * iteration" answer.
-     */
-    std::vector<std::pair<std::string, double>> critical_phases;
+    std::vector<std::vector<IdleGap>> gaps;
 };
 
 /** Analyze @p schedule of @p graph (schedule must come from it). */
@@ -285,16 +298,14 @@ struct ResourceEnergy
 };
 
 /**
- * Joule attribution of one profiled schedule.
+ * The bounded, graph-free joule accounting of one schedule: what an
+ * IterationResult keeps (runtime::EnergySummary) and renders.
  *
  * Invariants (tested to 1e-9 relative, see tests/sim/test_energy.cpp):
- * the per-phase energies sum to active_j (on the capacity-1 resources
- * every builder creates, per-task busy seconds sum to union busy
- * time); per resource the idle-cause joules partition idle_j and
- * busy_j / idle_j reproduce busy_w × busy and idle_w × idle; and
- * total_j == active_j + idle_j + background_j.
+ * per resource busy_j / idle_j reproduce busy_w × busy and
+ * idle_w × idle, and total_j == active_j + idle_j + background_j.
  */
-struct EnergyProfile
+struct EnergyTotals
 {
     bool valid = false;
     double makespan = 0.0;
@@ -310,17 +321,41 @@ struct EnergyProfile
     /** total_j / makespan (0 when the makespan is 0). */
     double avg_w = 0.0;
 
-    /** Whether the per-task array was elided (Summary detail). */
-    bool summarized = false;
-
     /** Indexed by ResourceId (parallel to ScheduleProfile). */
     std::vector<ResourceEnergy> resources;
+
+    /** Display names of the resources, indexed by ResourceId. */
+    std::vector<std::string> resource_names;
+
+    /**
+     * Task joules grouped by label phase (same phaseKey grouping as
+     * the critical-path breakdown), largest first — the "which phase
+     * burns the joules" answer next to "which phase bounds the time".
+     * Empty from meterEnergy, which has no profile to roll up.
+     */
+    std::vector<std::pair<std::string, double>> phases;
+
+    /** Background draws as (name, joules) over the makespan. */
+    std::vector<std::pair<std::string, double>> background;
+};
+
+/**
+ * Joule attribution of one profiled schedule: the totals plus the
+ * per-task view. Beyond the EnergyTotals invariants, the per-phase
+ * energies sum to active_j (on the capacity-1 resources every builder
+ * creates, per-task busy seconds sum to union busy time) and per
+ * resource the idle-cause joules partition idle_j.
+ */
+struct EnergyProfile : EnergyTotals
+{
+    /** Whether the per-task array was elided (Summary detail). */
+    bool summarized = false;
 
     /** Per-task joules: busy_w × duration + joules_per_byte × bytes.
      *  Empty in Summary mode — use energy_bins / top_tasks instead. */
     std::vector<double> task_j;
 
-    /** Histogram bin width in seconds (0 when binning is off). */
+    /** Histogram bin width in seconds (0 for a zero makespan). */
     double bin_s = 0.0;
 
     /**
@@ -333,23 +368,13 @@ struct EnergyProfile
     std::vector<std::vector<double>> energy_bins;
 
     /** Highest-joule tasks (value = joules), capped at
-     *  ProfileOptions::top_k, largest first. */
+     *  ProfileOptions::kTopK, largest first. */
     std::vector<TopTask> top_tasks;
 
     /** Highest-byte tasks (value = bytes moved), capped at
-     *  ProfileOptions::top_k, largest first; empty when no task moves
+     *  ProfileOptions::kTopK, largest first; empty when no task moves
      *  bytes. */
     std::vector<TopTask> top_bytes;
-
-    /**
-     * Task joules grouped by label phase (same phaseKey grouping as
-     * the critical-path breakdown), largest first — the "which phase
-     * burns the joules" answer next to "which phase bounds the time".
-     */
-    std::vector<std::pair<std::string, double>> phases;
-
-    /** Background draws as (name, joules) over the makespan. */
-    std::vector<std::pair<std::string, double>> background;
 };
 
 /**
@@ -364,11 +389,20 @@ EnergyProfile attributeEnergy(const TaskGraph &graph,
                               const ProfileOptions &options = {});
 
 /**
+ * Meter @p schedule with @p inputs without a profile: the same
+ * per-resource rule as attributeEnergy, fed each timeline's union busy
+ * seconds, so the totals match the profiled attribution while the
+ * idle-cause joules and phases stay empty.
+ */
+EnergyTotals meterEnergy(const TaskGraph &graph, const Schedule &schedule,
+                         const EnergyInputs &inputs);
+
+/**
  * The (at most @p top_k) longest nonzero-duration tasks with zero
  * slack, longest first — the tasks where a speedup would immediately
  * shorten the iteration. On a Summary profile the answer comes from
  * the retained top_zero_slack list, so at most
- * ProfileOptions::top_k entries exist regardless of @p top_k.
+ * ProfileOptions::kTopK entries exist regardless of @p top_k.
  */
 std::vector<TaskId> topZeroSlackTasks(const ScheduleProfile &profile,
                                       const TaskGraph &graph,
@@ -378,7 +412,7 @@ std::vector<TaskId> topZeroSlackTasks(const ScheduleProfile &profile,
  * The profile as one standalone JSON document: critical path (tasks,
  * length, phase shares), per-resource busy/idle splits with per-gap
  * causes, the top-@p top_slack zero-slack tasks by duration, and —
- * when binning was on — a "bins" subtree with the per-resource
+ * for a nonzero makespan — a "bins" subtree with the per-resource
  * occupancy histograms. When @p energy is given (and valid) the
  * document gains an "energy" subtree: totals, per-phase joules,
  * per-resource joule splits, and binned joules (docs/ENERGY.md).

@@ -164,6 +164,41 @@ TEST(JsonValue, RejectsNonFiniteNumbers)
     EXPECT_DOUBLE_EQ(doc.number(), 1e308);
 }
 
+TEST(JsonValue, AsIntegerRejectsOutOfRangeNumbers)
+{
+    JsonValue doc;
+    ASSERT_TRUE(JsonValue::parse(
+        "[7.9, -7.9, -1, 1e300, -9223372036854775808, "
+        "9223372036854775808, 18446744073709551616, \"7\"]",
+        doc));
+    const std::vector<JsonValue> &v = doc.items();
+    std::int64_t i = 42;
+    std::uint64_t u = 42;
+    // In range: truncated toward zero, like a cast.
+    ASSERT_TRUE(v[0].asInteger(i));
+    EXPECT_EQ(i, 7);
+    ASSERT_TRUE(v[1].asInteger(i));
+    EXPECT_EQ(i, -7);
+    ASSERT_TRUE(v[0].asInteger(u));
+    EXPECT_EQ(u, 7u);
+    ASSERT_TRUE(v[4].asInteger(i));
+    EXPECT_EQ(i, std::numeric_limits<std::int64_t>::min());
+    ASSERT_TRUE(v[5].asInteger(u));
+    EXPECT_EQ(u, std::uint64_t{1} << 63);
+    // Out of range or not a number: false, and the target keeps its
+    // value.
+    i = 42;
+    u = 42;
+    EXPECT_FALSE(v[2].asInteger(u));
+    EXPECT_FALSE(v[3].asInteger(i));
+    EXPECT_FALSE(v[3].asInteger(u));
+    EXPECT_FALSE(v[5].asInteger(i));
+    EXPECT_FALSE(v[6].asInteger(u));
+    EXPECT_FALSE(v[7].asInteger(i));
+    EXPECT_EQ(i, 42);
+    EXPECT_EQ(u, 42u);
+}
+
 TEST(JsonValue, RejectsMalformedInput)
 {
     JsonValue v;

@@ -292,7 +292,7 @@ TEST(SuperOffload, ProfileCaptureAttributesTheSchedule)
     ASSERT_TRUE(with.profile.valid);
     EXPECT_GT(with.profile.critical_length, 0.0);
     EXPECT_FALSE(with.profile.critical_phases.empty());
-    EXPECT_FALSE(with.profile.idle.empty());
+    EXPECT_FALSE(with.profile.resources.empty());
 
     // The full profile document parses, its critical path spans the
     // schedule, the per-resource idle causes partition the idle time,

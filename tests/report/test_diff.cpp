@@ -457,6 +457,16 @@ TEST(ProfileDiff, ViewFromJsonRejectsUnusableDocuments)
     EXPECT_FALSE(
         viewFromJson(doc, view, &error, "99999999999999999999"));
     EXPECT_NE(error.find("out of range"), std::string::npos) << error;
+
+    // Wrong-typed members where an object belongs: an error, not an
+    // assertion failure.
+    ASSERT_TRUE(JsonValue::parse(
+        "{\"makespan_s\": 1, \"critical_path\": 5}", doc));
+    EXPECT_FALSE(viewFromJson(doc, view, &error));
+    EXPECT_NE(error.find("critical_path"), std::string::npos) << error;
+    ASSERT_TRUE(JsonValue::parse("{\"cells\": [5]}", doc));
+    EXPECT_FALSE(viewFromJson(doc, view, &error, "0"));
+    EXPECT_NE(error.find("not an object"), std::string::npos) << error;
 }
 
 TEST(ProfileDiff, TopContributorsTruncates)

@@ -4,8 +4,10 @@
  * over bundle shards and Chrome traces with phase/resource/window
  * filters and top-N ranking, plus the `so-report` CLI contract — the
  * query subcommand answers over real artifacts, an unknown subcommand
- * exits with the distinct usage status listing the valid ones, and
- * check rejects an unusable --tol value with exit 1.
+ * exits with the distinct usage status listing the valid ones, check
+ * rejects an unusable --tol value with exit 1, top and diff reject
+ * malformed documents with exit 1, and the query and selftrace readers
+ * treat out-of-range numbers as absent.
  */
 #include "report/query.h"
 
@@ -314,6 +316,77 @@ TEST(Query, CliCheckRejectsUnusableTolerance)
         EXPECT_NE(output.find("finite number"), std::string::npos)
             << output;
     }
+}
+
+TEST(Query, CliTopAndDiffRejectMalformedDocuments)
+{
+    // A number where an object belongs: a message and exit 1, like any
+    // other unusable document, instead of an assertion abort.
+    const std::string profile = writeFile(
+        "malformed_profile.json", R"({"makespan_s":1,"critical_path":5})");
+    const std::string record =
+        writeFile("malformed_record.json", R"({"cells":[5]})");
+    std::string output;
+    EXPECT_EQ(runReport("top " + profile, output), 1) << output;
+    EXPECT_NE(output.find("critical_path"), std::string::npos) << output;
+    EXPECT_EQ(runReport("diff " + profile + " " + profile, output), 1)
+        << output;
+    EXPECT_NE(output.find("critical_path"), std::string::npos) << output;
+    EXPECT_EQ(runReport("top " + record + " --cell 0", output), 1)
+        << output;
+    EXPECT_NE(output.find("not an object"), std::string::npos) << output;
+}
+
+TEST(Query, CliReadersTreatOutOfRangeNumbersAsAbsent)
+{
+    // query: a negative resource index and a pid beyond int64 name no
+    // resource, like a wrong-typed member.
+    const std::string shard = writeFile(
+        "out_of_range.bundle.jsonl",
+        R"({"schema_version":2,"kind":"bundle_shard_header","label":"x","makespan_s":1,"task_count":1,"resources":[{"resource":"GPU","slots":1}]}
+{"kind":"bundle_tasks","tasks":[{"id":0,"label":"fwd a","phase":"fwd","resource":-1,"slot":0,"start_s":0,"end_s":1}]}
+)");
+    const std::string trace = writeFile(
+        "out_of_range.trace.json",
+        R"({"traceEvents":[
+{"ph":"M","pid":1e300,"name":"process_name","args":{"name":"GPU"}},
+{"ph":"X","pid":1e300,"tid":0,"ts":0,"dur":1000000,"name":"fwd a"}
+]})");
+    std::string output;
+    for (const std::string &file : {shard, trace}) {
+        ASSERT_EQ(runReport("query " + file + " --json", output), 0)
+            << output;
+        JsonValue doc;
+        ASSERT_TRUE(JsonValue::parse(output, doc)) << output;
+        ASSERT_EQ(doc.at("by_resource").items().size(), 1u) << output;
+        EXPECT_EQ(doc.at("by_resource").items()[0].at("resource").text(),
+                  "(unknown)");
+    }
+
+    // selftrace: negative and huge counts and tids read as absent.
+    const std::string host_trace = writeFile(
+        "out_of_range.selftrace.json",
+        R"({"traceEvents":[
+{"ph":"C","name":"dropped_spans","args":{"dropped":-1}},
+{"ph":"X","cat":"pool","name":"job","tid":1e300,"ts":0,"dur":10}
+]})");
+    ASSERT_EQ(runReport("selftrace " + host_trace, output), 0) << output;
+    EXPECT_NE(output.find("1 span(s)"), std::string::npos) << output;
+    EXPECT_EQ(output.find("dropped"), std::string::npos) << output;
+    EXPECT_EQ(output.find("worker utilization"), std::string::npos)
+        << output;
+
+    const std::string self_profile = writeFile(
+        "out_of_range.selfprofile.json",
+        R"({"kind":"self_profile","wall_s":1,"spans":-1,"dropped":1e300,
+"categories":{"sim":{"count":-5,"total_s":0.5}},
+"workers":[{"tid":1e300,"jobs":-1,"busy_s":0.5}],
+"queue_wait":{"count":1e300,"mean_s":0.1}})");
+    ASSERT_EQ(runReport("selftrace " + self_profile, output), 0)
+        << output;
+    EXPECT_NE(output.find("0 span(s)"), std::string::npos) << output;
+    EXPECT_EQ(output.find("dropped"), std::string::npos) << output;
+    EXPECT_EQ(output.find("queue wait"), std::string::npos) << output;
 }
 
 #endif // SO_REPORT_BIN

@@ -46,7 +46,7 @@ expectNearRel(double actual, double expected)
 
 TEST(RuntimeEnergy, FeasibleResultsAlwaysCarryValidEnergy)
 {
-    // No capture_profile: the cheap timeline pass must still fill the
+    // No capture_profile: the profile-free meter must still fill the
     // totals, the per-resource splits, and the per-iteration figures.
     const core::SuperOffloadSystem sys;
     const IterationResult res = sys.run(setupFor("1B"));

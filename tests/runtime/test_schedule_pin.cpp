@@ -414,6 +414,36 @@ TEST(SchedulePin, CapturedArtifactBytesIdentical)
         EXPECT_EQ(artifactPin(res.bundle_json), pin.bundle) << name;
         EXPECT_EQ(artifactPin(toJson(res)), pin.result) << name;
     }
+
+    // Capture off: the result document alone, whose energy section
+    // comes from the profile-free meter. Multipath at 25B routes part
+    // of its state over NVMe and GDS, so those resources carry nonzero
+    // transfer joules.
+    setup.capture_trace = false;
+    setup.capture_profile = false;
+    struct ResultPin
+    {
+        const char *system;
+        const char *model;
+        const char *result;
+    };
+    const ResultPin kResultPins[] = {
+        {"superoffload", "1B", "2409:9aa9968ede0c7b36"},
+        {"zero-offload", "1B", "2311:6a3b8ab53277c851"},
+        {"superoffload-multipath", "25B", "2841:f0616a5bd66a06cb"},
+    };
+    for (const ResultPin &pin : kResultPins) {
+        const std::string name = pin.system;
+        setup.model = model::modelPreset(pin.model);
+        const IterationResult res =
+            name == "superoffload"
+                ? core::SuperOffloadSystem{core::SuperOffloadOptions{}}.run(
+                      setup)
+                : makeBaseline(name)->run(setup);
+        ASSERT_TRUE(res.feasible) << name;
+        ASSERT_FALSE(res.profile.valid) << name;
+        EXPECT_EQ(artifactPin(toJson(res)), pin.result) << name;
+    }
 }
 
 } // namespace

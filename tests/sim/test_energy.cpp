@@ -5,8 +5,8 @@
  * partition the idle joules, busy/idle joules reproduce watts × time,
  * and the grand total splits exactly into active + idle + background —
  * on handmade graphs and randomized capacity-1 graphs, all to 1e-9
- * relative. The JSON export carries the energy subtree and parses
- * back.
+ * relative. The profile-free meter reproduces the attributed totals.
+ * The JSON export carries the energy subtree and parses back.
  */
 #include "sim/profiler.h"
 
@@ -151,6 +151,26 @@ expectEnergyInvariants(const TaskGraph &g, const Schedule &s,
                e.total_j);
     if (s.makespan > 0.0)
         expectNear(e.avg_w, e.total_j / s.makespan, e.avg_w);
+
+    // The profile-free meter applies the same per-resource rule to the
+    // timelines' busy seconds: the same totals, no cause or phase split.
+    const EnergyTotals cheap = meterEnergy(g, s, inputs);
+    ASSERT_TRUE(cheap.valid);
+    EXPECT_TRUE(cheap.phases.empty());
+    EXPECT_EQ(cheap.resource_names, prof.resource_names);
+    ASSERT_EQ(cheap.resources.size(), g.resourceCount());
+    for (std::size_t r = 0; r < g.resourceCount(); ++r) {
+        const ResourceEnergy &a = cheap.resources[r];
+        const ResourceEnergy &b = e.resources[r];
+        EXPECT_EQ(a.transfer_j, b.transfer_j);
+        expectNear(a.busy_j, b.busy_j, b.busy_j);
+        expectNear(a.idle_j, b.idle_j, b.idle_j);
+        EXPECT_EQ(a.idle_dependency_j + a.idle_contention_j +
+                      a.idle_tail_j,
+                  0.0);
+    }
+    EXPECT_EQ(cheap.background, e.background);
+    expectNear(cheap.total_j, e.total_j, e.total_j);
 }
 
 TEST(Energy, HandmadeTwoResourcePipeline)

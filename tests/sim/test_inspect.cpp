@@ -149,14 +149,15 @@ TEST(BundleJson, FlattensScheduleExactly)
                     rp.idle_contention, kTol);
         EXPECT_NEAR(res.at("idle_tail_s").number(), rp.idle_tail, kTol);
         const auto &gaps = res.at("gaps").items();
-        ASSERT_EQ(gaps.size(), rp.gaps.size());
+        const std::vector<IdleGap> &rp_gaps = b.profile.gaps[r];
+        ASSERT_EQ(gaps.size(), rp_gaps.size());
         for (std::size_t i = 0; i < gaps.size(); ++i) {
-            EXPECT_NEAR(gaps[i].at("begin_s").number(), rp.gaps[i].begin,
+            EXPECT_NEAR(gaps[i].at("begin_s").number(), rp_gaps[i].begin,
                         kTol);
-            EXPECT_NEAR(gaps[i].at("end_s").number(), rp.gaps[i].end,
+            EXPECT_NEAR(gaps[i].at("end_s").number(), rp_gaps[i].end,
                         kTol);
             EXPECT_EQ(gaps[i].at("cause").text(),
-                      idleCauseName(rp.gaps[i].cause));
+                      idleCauseName(rp_gaps[i].cause));
         }
     }
 }

@@ -124,8 +124,9 @@ TEST(ProfileLod, SummaryElidesOnlyPerTaskArrays)
     // Elided: the O(V) arrays.
     EXPECT_TRUE(sum.slack.empty());
     EXPECT_TRUE(sum.critical_path.empty());
-    for (const ResourceProfile &rp : sum.resources)
-        EXPECT_TRUE(rp.gaps.empty());
+    ASSERT_EQ(sum.gaps.size(), g.resourceCount());
+    for (const std::vector<IdleGap> &gaps : sum.gaps)
+        EXPECT_TRUE(gaps.empty());
 
     // Retained bit-identically: every bounded aggregate.
     EXPECT_DOUBLE_EQ(sum.makespan, full.makespan);
@@ -164,7 +165,7 @@ TEST(ProfileLod, BinnedBusyConservesPerResourceBusy)
             ASSERT_EQ(prof.busy_bins.size(), g.resourceCount());
             EXPECT_GT(prof.bin_s, 0.0);
             for (ResourceId r = 0; r < g.resourceCount(); ++r) {
-                ASSERT_EQ(prof.busy_bins[r].size(), options.bins);
+                ASSERT_EQ(prof.busy_bins[r].size(), ProfileOptions::kBins);
                 double binned = 0.0;
                 for (double v : prof.busy_bins[r]) {
                     EXPECT_GE(v, 0.0);
@@ -258,8 +259,8 @@ TEST(ProfileLod, TopKListsAreExactPrefixesOfFullArrays)
             else if (g.duration(id) > 0.0)
                 zeros.push_back(TopTask{id, g.duration(id)});
         }
-        expectExactPrefix(prof.top_slack, slackers, options.top_k);
-        expectExactPrefix(prof.top_zero_slack, zeros, options.top_k);
+        expectExactPrefix(prof.top_slack, slackers, ProfileOptions::kTopK);
+        expectExactPrefix(prof.top_zero_slack, zeros, ProfileOptions::kTopK);
 
         // Summary mode retains the same lists without the full array.
         const ScheduleProfile sum =
@@ -284,8 +285,8 @@ TEST(ProfileLod, TopKListsAreExactPrefixesOfFullArrays)
                 by_bytes.push_back(
                     TopTask{id, inputs.task_bytes[id]});
         }
-        expectExactPrefix(energy.top_tasks, by_joules, options.top_k);
-        expectExactPrefix(energy.top_bytes, by_bytes, options.top_k);
+        expectExactPrefix(energy.top_tasks, by_joules, ProfileOptions::kTopK);
+        expectExactPrefix(energy.top_bytes, by_bytes, ProfileOptions::kTopK);
     }
 }
 
@@ -324,7 +325,7 @@ TEST(ProfileLod, SummaryProfileJsonCarriesBoundedViews)
     const JsonValue &bins = doc.at("bins");
     EXPECT_GT(bins.at("bin_s").number(), 0.0);
     EXPECT_EQ(static_cast<std::size_t>(bins.at("count").number()),
-              ProfileOptions{}.bins);
+              ProfileOptions::kBins);
     ASSERT_EQ(bins.at("resources").items().size(), g.resourceCount());
 
     double share = 0.0;

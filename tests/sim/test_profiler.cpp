@@ -104,7 +104,7 @@ expectProfileInvariants(const TaskGraph &g, const Schedule &s)
                         rp.idle_tail,
                     rp.idle, 1e-12);
         double gap_total = 0.0;
-        for (const IdleGap &gap : rp.gaps) {
+        for (const IdleGap &gap : prof.gaps[r]) {
             EXPECT_GT(gap.end, gap.begin);
             gap_total += gap.length();
         }
@@ -176,12 +176,12 @@ TEST(Profiler, IdleCauseDependencyWait)
     g.addTask(gpu, 3.0, "more gpu", {produce});
     const Schedule s = Scheduler().run(g);
     const ScheduleProfile prof = profileSchedule(g, s);
-    const ResourceProfile &cpu_prof = prof.resources[cpu];
-    ASSERT_EQ(cpu_prof.gaps.size(), 2u);
-    EXPECT_EQ(cpu_prof.gaps[0].cause, IdleCause::DependencyWait);
-    EXPECT_DOUBLE_EQ(cpu_prof.gaps[0].length(), 2.0);
-    EXPECT_EQ(cpu_prof.gaps[1].cause, IdleCause::Tail);
-    EXPECT_DOUBLE_EQ(cpu_prof.gaps[1].length(), 2.0);
+    const std::vector<IdleGap> &cpu_gaps = prof.gaps[cpu];
+    ASSERT_EQ(cpu_gaps.size(), 2u);
+    EXPECT_EQ(cpu_gaps[0].cause, IdleCause::DependencyWait);
+    EXPECT_DOUBLE_EQ(cpu_gaps[0].length(), 2.0);
+    EXPECT_EQ(cpu_gaps[1].cause, IdleCause::Tail);
+    EXPECT_DOUBLE_EQ(cpu_gaps[1].length(), 2.0);
     expectProfileInvariants(g, s);
 }
 
@@ -198,8 +198,8 @@ TEST(Profiler, IdleCauseResourceContention)
     g.addTask(cpu, 0.5, "consume", {produce});
     const Schedule s = Scheduler().run(g);
     const ScheduleProfile prof = profileSchedule(g, s);
-    ASSERT_FALSE(prof.resources[cpu].gaps.empty());
-    EXPECT_EQ(prof.resources[cpu].gaps[0].cause,
+    ASSERT_FALSE(prof.gaps[cpu].empty());
+    EXPECT_EQ(prof.gaps[cpu][0].cause,
               IdleCause::ResourceContention);
     EXPECT_GT(prof.resources[cpu].idle_contention, 0.0);
     expectProfileInvariants(g, s);
@@ -263,7 +263,8 @@ TEST(Profiler, EmptyGraphProfilesCleanly)
     EXPECT_DOUBLE_EQ(prof.makespan, 0.0);
     EXPECT_TRUE(prof.critical_path.empty());
     ASSERT_EQ(prof.resources.size(), 1u);
-    EXPECT_TRUE(prof.resources[0].gaps.empty());
+    ASSERT_EQ(prof.gaps.size(), 1u);
+    EXPECT_TRUE(prof.gaps[0].empty());
 }
 
 TEST(Profiler, ProfileJsonParsesWithExpectedStructure)

@@ -433,9 +433,8 @@ summarizeChromeTrace(const JsonValue &doc, SelftraceSummary &sum)
             // dropped_spans counters (ring overflow).
             if (args && args->isObject()) {
                 const JsonValue *d = args->find("dropped");
-                if (d && d->isNumber())
-                    sum.dropped +=
-                        static_cast<std::uint64_t>(d->number());
+                if (std::uint64_t dropped = 0; d && d->asInteger(dropped))
+                    sum.dropped += dropped;
             }
             continue;
         }
@@ -457,11 +456,11 @@ summarizeChromeTrace(const JsonValue &doc, SelftraceSummary &sum)
         bumpCategory(sum,
                      cat && cat->isString() ? cat->text() : "other", 1,
                      len);
+        std::int64_t worker_tid = 0;
         if (name && name->isString() && name->text() == "job" && tid &&
-            tid->isNumber()) {
-            SelftraceSummary::Worker &w =
-                workers[static_cast<std::int64_t>(tid->number())];
-            w.tid = static_cast<std::int64_t>(tid->number());
+            tid->asInteger(worker_tid)) {
+            SelftraceSummary::Worker &w = workers[worker_tid];
+            w.tid = worker_tid;
             ++w.jobs;
             w.busy_s += len;
             if (args && args->isObject()) {
@@ -493,10 +492,10 @@ summarizeSelfProfile(const JsonValue &doc, SelftraceSummary &sum)
         return false;
     if (const JsonValue *v = doc.find("wall_s"); v && v->isNumber())
         sum.wall_s = v->number();
-    if (const JsonValue *v = doc.find("spans"); v && v->isNumber())
-        sum.spans = static_cast<std::uint64_t>(v->number());
-    if (const JsonValue *v = doc.find("dropped"); v && v->isNumber())
-        sum.dropped = static_cast<std::uint64_t>(v->number());
+    if (const JsonValue *v = doc.find("spans"))
+        v->asInteger(sum.spans);
+    if (const JsonValue *v = doc.find("dropped"))
+        v->asInteger(sum.dropped);
     if (const JsonValue *cats = doc.find("categories");
         cats && cats->isObject()) {
         for (const auto &[name, cat] : cats->members()) {
@@ -504,10 +503,10 @@ summarizeSelfProfile(const JsonValue &doc, SelftraceSummary &sum)
                 continue;
             const JsonValue *count = cat.find("count");
             const JsonValue *total = cat.find("total_s");
-            bumpCategory(sum, name,
-                         count && count->isNumber()
-                             ? static_cast<std::uint64_t>(count->number())
-                             : 0,
+            std::uint64_t n = 0;
+            if (count)
+                count->asInteger(n);
+            bumpCategory(sum, name, n,
                          total && total->isNumber() ? total->number()
                                                     : 0.0);
         }
@@ -518,10 +517,10 @@ summarizeSelfProfile(const JsonValue &doc, SelftraceSummary &sum)
             if (!w.isObject())
                 continue;
             SelftraceSummary::Worker worker;
-            if (const JsonValue *v = w.find("tid"); v && v->isNumber())
-                worker.tid = static_cast<std::int64_t>(v->number());
-            if (const JsonValue *v = w.find("jobs"); v && v->isNumber())
-                worker.jobs = static_cast<std::uint64_t>(v->number());
+            if (const JsonValue *v = w.find("tid"))
+                v->asInteger(worker.tid);
+            if (const JsonValue *v = w.find("jobs"))
+                v->asInteger(worker.jobs);
             if (const JsonValue *v = w.find("busy_s");
                 v && v->isNumber())
                 worker.busy_s = v->number();
@@ -530,8 +529,8 @@ summarizeSelfProfile(const JsonValue &doc, SelftraceSummary &sum)
     }
     if (const JsonValue *wait = doc.find("queue_wait");
         wait && wait->isObject()) {
-        if (const JsonValue *v = wait->find("count"); v && v->isNumber())
-            sum.wait_count = static_cast<std::uint64_t>(v->number());
+        if (const JsonValue *v = wait->find("count"))
+            v->asInteger(sum.wait_count);
         if (const JsonValue *v = wait->find("mean_s"); v && v->isNumber())
             sum.wait_mean = v->number();
         if (const JsonValue *v = wait->find("p50_s"); v && v->isNumber())
