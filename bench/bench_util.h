@@ -81,9 +81,6 @@ class Harness
             const std::string &paper_expectation,
             std::size_t default_jobs = 1);
 
-    /** The engine (for scale searches and direct evaluate() calls). */
-    runtime::SweepEngine &engine() { return *engine_; }
-
     /**
      * Declare one cell; returns its index for result(). When --profile
      * or --trace-dir was given, the setup's capture_profile /

@@ -68,17 +68,16 @@ main(int argc, char **argv)
                 }
                 table.addRow(std::move(row));
             }
-            // The OOM cliffs, bisected to 32k granularity. The probes
-            // run through the engine, so lengths already evaluated for
-            // the MFU rows come from the cache.
+            // The OOM cliffs, bisected to 32k granularity by the
+            // memory screen alone.
             runtime::TrainSetup probe;
             probe.cluster = hw::gh200ClusterOf(chips);
             probe.model = model::modelPreset(m);
             probe.global_batch = 1;
-            const std::uint32_t ul_max = runtime::maxSequenceLength(
-                harness.engine(), *ulysses, probe);
-            const std::uint32_t sou_max = runtime::maxSequenceLength(
-                harness.engine(), sou, probe);
+            const std::uint32_t ul_max =
+                runtime::maxSequenceLength(*ulysses, probe);
+            const std::uint32_t sou_max =
+                runtime::maxSequenceLength(sou, probe);
             table.addRow({"max seq",
                           ul_max ? std::to_string(ul_max / 1024) + "k"
                                  : "none",

@@ -29,8 +29,6 @@ main(int argc, char **argv)
         harness.table("Fig. 13: largest trainable model (B params)");
     table.setHeader({"system", "1x GH200", "4x GH200", "16x GH200"});
 
-    // Systems stay alive until the end of main: the engine's cache is
-    // keyed by system identity.
     std::vector<runtime::SystemPtr> baselines;
     for (const char *name : names)
         baselines.push_back(runtime::makeBaseline(name));
@@ -43,8 +41,7 @@ main(int argc, char **argv)
             setup.cluster = hw::gh200ClusterOf(chips);
             setup.global_batch = 8 * chips;
             setup.seq = 1024;
-            const auto res = runtime::largestTrainableModel(
-                harness.engine(), sys, setup);
+            const auto res = runtime::largestTrainableModel(sys, setup);
             row.push_back(res.any_feasible
                               ? Table::num(res.max_params / 1e9, 1)
                               : "-");

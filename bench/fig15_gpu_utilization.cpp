@@ -28,8 +28,7 @@ main(int argc, char **argv)
     setup.cluster = hw::gh200Single();
     setup.global_batch = 8;
     setup.seq = 1024;
-    const auto scale =
-        runtime::largestTrainableModel(harness.engine(), *zo, setup);
+    const auto scale = runtime::largestTrainableModel(*zo, setup);
     setup.model = scale.config;
 
     const std::size_t zo_cell = harness.add(*zo, setup, "fig4");

@@ -42,8 +42,6 @@ main()
     auto zo = runtime::makeBaseline("zero-offload");
     core::SuperOffloadSystem so_sys;
 
-    // One engine evaluates every grid point and memoizes the scale
-    // searches' probes below.
     runtime::SweepEngine sweep;
     for (const Era &era : eras) {
         runtime::TrainSetup setup;
@@ -97,11 +95,9 @@ main()
         setup.global_batch = 8;
         setup.seq = 1024;
         const double a =
-            runtime::largestTrainableModel(sweep, *ddp, setup)
-                .max_params;
+            runtime::largestTrainableModel(*ddp, setup).max_params;
         const double b =
-            runtime::largestTrainableModel(sweep, so_sys, setup)
-                .max_params;
+            runtime::largestTrainableModel(so_sys, setup).max_params;
         scale.addRow({era.label, Table::num(a / 1e9, 1) + "B",
                       Table::num(b / 1e9, 1) + "B",
                       Table::num(b / std::max(a, 1.0), 1) + "x"});

@@ -47,8 +47,6 @@ class SyntheticCorpus
   public:
     explicit SyntheticCorpus(const CorpusConfig &cfg);
 
-    const CorpusConfig &config() const { return cfg_; }
-
     /**
      * Fill @p inputs / @p targets with @p count consecutive (current,
      * next) token pairs, advancing the stream.

@@ -66,7 +66,6 @@ class AttentionLm : public Model
   public:
     AttentionLm(const AttentionLmConfig &cfg, std::uint64_t seed);
 
-    const AttentionLmConfig &config() const { return cfg_; }
     const AttentionParamLayout &layout() const { return layout_; }
 
     std::size_t paramCount() const override { return params_.size(); }

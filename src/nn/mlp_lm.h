@@ -56,7 +56,6 @@ class MlpLm : public Model
   public:
     MlpLm(const MlpLmConfig &cfg, std::uint64_t seed);
 
-    const MlpLmConfig &config() const { return cfg_; }
     const ParamLayout &layout() const { return layout_; }
 
     std::size_t paramCount() const override { return params_.size(); }

@@ -125,8 +125,6 @@ class Adam
     /** Steps applied to @p slot so far. */
     std::int64_t stepCount(std::size_t slot) const;
 
-    const AdamConfig &config() const { return cfg_; }
-
     /**
      * Update the learning rate for subsequent steps (schedule hook).
      * Rollbacks of steps taken under an earlier rate must re-set it

@@ -46,8 +46,6 @@ class LrSchedule
     /** Learning rate at 1-based optimizer step @p step. */
     float at(std::int64_t step) const;
 
-    std::int64_t warmupSteps() const { return warmup_steps_; }
-
   private:
     float base_lr_;
     float min_lr_;

@@ -7,7 +7,7 @@
 namespace so::runtime {
 
 ScaleResult
-largestTrainableModel(SweepEngine &engine, const TrainingSystem &system,
+largestTrainableModel(const TrainingSystem &system,
                       const TrainSetup &setup_template,
                       std::uint32_t max_layers)
 {
@@ -23,7 +23,7 @@ largestTrainableModel(SweepEngine &engine, const TrainingSystem &system,
                 std::to_string(hidden) + "h" + std::to_string(layers) +
                     "L",
                 layers, hidden);
-            return engine.evaluate(system, setup).feasible;
+            return !system.enumerateCandidates(setup).empty();
         };
         if (!feasible_at(1))
             continue;
@@ -54,18 +54,8 @@ largestTrainableModel(SweepEngine &engine, const TrainingSystem &system,
     return best;
 }
 
-ScaleResult
-largestTrainableModel(const TrainingSystem &system,
-                      const TrainSetup &setup_template,
-                      std::uint32_t max_layers)
-{
-    SweepEngine engine;
-    return largestTrainableModel(engine, system, setup_template,
-                                 max_layers);
-}
-
 std::uint32_t
-maxSequenceLength(SweepEngine &engine, const TrainingSystem &system,
+maxSequenceLength(const TrainingSystem &system,
                   const TrainSetup &setup_template,
                   std::uint32_t granularity, std::uint32_t max_seq)
 {
@@ -74,7 +64,7 @@ maxSequenceLength(SweepEngine &engine, const TrainingSystem &system,
     auto feasible_at = [&](std::uint32_t seq) {
         TrainSetup setup = setup_template;
         setup.seq = seq;
-        return engine.evaluate(system, setup).feasible;
+        return !system.enumerateCandidates(setup).empty();
     };
     if (!feasible_at(granularity))
         return 0;
@@ -104,16 +94,6 @@ maxSequenceLength(SweepEngine &engine, const TrainingSystem &system,
             hi = mid;
     }
     return lo;
-}
-
-std::uint32_t
-maxSequenceLength(const TrainingSystem &system,
-                  const TrainSetup &setup_template,
-                  std::uint32_t granularity, std::uint32_t max_seq)
-{
-    SweepEngine engine;
-    return maxSequenceLength(engine, system, setup_template,
-                             granularity, max_seq);
 }
 
 } // namespace so::runtime

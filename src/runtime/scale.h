@@ -1,12 +1,15 @@
 /**
  * @file
- * Model-scale search (paper Fig. 13): the largest model a system can
- * train on a given cluster.
+ * Capacity searches (paper Figs. 12 and 13): the largest model, and the
+ * longest sequence, a system can train on a given cluster.
+ *
+ * Both ask only whether a probe fits, so they ask the memory screen
+ * (TrainingSystem::enumerateCandidates) and simulate nothing: a setup
+ * is feasible exactly when the screen leaves at least one candidate.
  */
 #ifndef SO_RUNTIME_SCALE_H
 #define SO_RUNTIME_SCALE_H
 
-#include "runtime/sweep.h"
 #include "runtime/system.h"
 
 namespace so::runtime {
@@ -34,18 +37,6 @@ ScaleResult largestTrainableModel(const TrainingSystem &system,
                                   std::uint32_t max_layers = 256);
 
 /**
- * Engine-backed variant: probes go through @p engine, so repeated
- * probes hit its memoization cache and each probe's candidates are
- * simulated in parallel when the engine has jobs > 1. The search
- * itself stays sequential (each probe depends on the previous answer),
- * and results are identical to the serial overload.
- */
-ScaleResult largestTrainableModel(SweepEngine &engine,
-                                  const TrainingSystem &system,
-                                  const TrainSetup &setup_template,
-                                  std::uint32_t max_layers = 256);
-
-/**
  * Largest feasible sequence length for @p system on @p setup_template
  * (its seq field is ignored), searched in multiples of @p granularity
  * tokens by exponential probing plus bisection — the quantity on the
@@ -54,13 +45,6 @@ ScaleResult largestTrainableModel(SweepEngine &engine,
  * @param max_seq upper bound of the search (default 4M tokens).
  */
 std::uint32_t maxSequenceLength(const TrainingSystem &system,
-                                const TrainSetup &setup_template,
-                                std::uint32_t granularity = 32 * 1024,
-                                std::uint32_t max_seq = 4u << 20);
-
-/** Engine-backed variant; see largestTrainableModel(SweepEngine&). */
-std::uint32_t maxSequenceLength(SweepEngine &engine,
-                                const TrainingSystem &system,
                                 const TrainSetup &setup_template,
                                 std::uint32_t granularity = 32 * 1024,
                                 std::uint32_t max_seq = 4u << 20);

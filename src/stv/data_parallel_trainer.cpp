@@ -1,6 +1,5 @@
 #include "stv/data_parallel_trainer.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -24,7 +23,7 @@ DataParallelTrainer::DataParallelTrainer(const nn::MlpLmConfig &model_cfg,
 DataParallelTrainer::DataParallelTrainer(const ReplicaFactory &factory,
                                          std::uint32_t ranks,
                                          const TrainerConfig &cfg)
-    : cfg_(cfg), ranks_(ranks), loss_scale_(cfg.loss_scale)
+    : TrainerState(cfg), ranks_(ranks)
 {
     SO_ASSERT(ranks >= 1, "need at least one rank");
     SO_ASSERT(cfg.buckets >= ranks,
@@ -41,31 +40,20 @@ DataParallelTrainer::DataParallelTrainer(const ReplicaFactory &factory,
         optimizers_.push_back(
             std::make_unique<optim::Adam>(cfg.adam, cfg.kernel));
     }
-    reduced_grads_.assign(replicas_[0]->paramCount(), 0.0f);
+    const std::size_t n = replicas_[0]->paramCount();
+    reduced_grads_.assign(n, 0.0f);
     slot_of_bucket_.assign(ranks_, {});
     for (std::uint32_t r = 0; r < ranks_; ++r)
         slot_of_bucket_[r].assign(cfg_.buckets, 0);
     for (std::uint32_t b = 0; b < cfg_.buckets; ++b) {
         std::size_t begin, end;
-        bucketRange(b, begin, end);
+        bucketRange(n, cfg_.buckets, b, begin, end);
         // Only the owner holds optimizer state for this shard: the
         // ZeRO-2 memory saving, for real.
         const std::uint32_t owner = ownerOf(b);
         slot_of_bucket_[owner][b] =
             optimizers_[owner]->addParameter(end - begin);
     }
-}
-
-void
-DataParallelTrainer::bucketRange(std::uint32_t b, std::size_t &begin,
-                                 std::size_t &end) const
-{
-    SO_ASSERT(b < cfg_.buckets, "bucket index out of range");
-    const std::size_t n = replicas_[0]->paramCount();
-    const std::size_t base = n / cfg_.buckets;
-    const std::size_t extra = n % cfg_.buckets;
-    begin = b * base + std::min<std::size_t>(b, extra);
-    end = begin + base + (b < extra ? 1 : 0);
 }
 
 const nn::Model &
@@ -117,8 +105,7 @@ DataParallelTrainer::step(const std::uint32_t *inputs,
 
     if (optim::hasNanOrInf(reduced_grads_.data(), n)) {
         stats.overflowed = true;
-        loss_scale_ = std::max(1.0f, loss_scale_ * 0.5f);
-        good_steps_ = 0;
+        updateLossScale(true);
         return stats;
     }
 
@@ -137,7 +124,7 @@ DataParallelTrainer::step(const std::uint32_t *inputs,
     // is broadcast ("all-gathered") to every other replica.
     for (std::uint32_t b = 0; b < cfg_.buckets; ++b) {
         std::size_t begin, end;
-        bucketRange(b, begin, end);
+        bucketRange(n, cfg_.buckets, b, begin, end);
         const std::uint32_t owner = ownerOf(b);
         optim::Adam &adam = *optimizers_[owner];
         if (cfg_.lr_schedule) {
@@ -157,10 +144,7 @@ DataParallelTrainer::step(const std::uint32_t *inputs,
     }
 
     ++steps_taken_;
-    if (++good_steps_ >= cfg_.scale_growth_interval) {
-        loss_scale_ = std::min(16777216.0f, loss_scale_ * 2.0f);
-        good_steps_ = 0;
-    }
+    updateLossScale(false);
     return stats;
 }
 

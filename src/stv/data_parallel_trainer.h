@@ -26,8 +26,11 @@
 
 namespace so::stv {
 
-/** In-process K-rank ZeRO-2 data-parallel trainer. */
-class DataParallelTrainer
+/**
+ * In-process K-rank ZeRO-2 data-parallel trainer. Optimizer shards are
+ * trainer.h's buckets, and the loss scale follows trainer.h's rule.
+ */
+class DataParallelTrainer : public TrainerState
 {
   public:
     /** Builds one identically-initialized model replica per call. */
@@ -57,10 +60,6 @@ class DataParallelTrainer
                    const std::uint32_t *targets,
                    std::size_t count_per_rank);
 
-    std::uint32_t ranks() const { return ranks_; }
-    std::int64_t stepsTaken() const { return steps_taken_; }
-    float lossScale() const { return loss_scale_; }
-
     /** Rank @p r's replica (all replicas stay bitwise identical). */
     const nn::Model &replica(std::uint32_t r) const;
 
@@ -68,13 +67,9 @@ class DataParallelTrainer
     bool replicasInSync() const;
 
   private:
-    void bucketRange(std::uint32_t b, std::size_t &begin,
-                     std::size_t &end) const;
-
     /** Which rank owns optimizer shard/bucket @p b (round-robin). */
     std::uint32_t ownerOf(std::uint32_t b) const { return b % ranks_; }
 
-    TrainerConfig cfg_;
     std::uint32_t ranks_;
     std::vector<std::unique_ptr<nn::Model>> replicas_;
     /** One optimizer per rank, holding only that rank's shards. */
@@ -82,9 +77,6 @@ class DataParallelTrainer
     /** Per rank: bucket index -> slot id in that rank's optimizer. */
     std::vector<std::vector<std::size_t>> slot_of_bucket_;
     std::vector<float> reduced_grads_;
-    float loss_scale_;
-    std::uint32_t good_steps_ = 0;
-    std::int64_t steps_taken_ = 0;
 };
 
 } // namespace so::stv

@@ -1,6 +1,5 @@
 #include "stv/offload_trainer.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -11,8 +10,8 @@ namespace so::stv {
 
 OffloadTrainer::OffloadTrainer(nn::Model &model, const TrainerConfig &cfg,
                                CastStrategy cast_strategy)
-    : model_(model), cfg_(cfg), cast_strategy_(cast_strategy),
-      adam_(cfg.adam, cfg.kernel), loss_scale_(cfg.loss_scale)
+    : TrainerState(cfg), model_(model), cast_strategy_(cast_strategy),
+      adam_(cfg.adam, cfg.kernel)
 {
     SO_ASSERT(cfg.buckets >= 1 && cfg.buckets <= model.paramCount(),
               "invalid bucket count");
@@ -27,21 +26,9 @@ OffloadTrainer::OffloadTrainer(nn::Model &model, const TrainerConfig &cfg,
     host_param_shadow_ = device_params_;
     for (std::uint32_t b = 0; b < cfg_.buckets; ++b) {
         std::size_t begin, end;
-        bucketRange(b, begin, end);
+        bucketRange(model_.paramCount(), cfg_.buckets, b, begin, end);
         adam_.addParameter(end - begin);
     }
-}
-
-void
-OffloadTrainer::bucketRange(std::uint32_t b, std::size_t &begin,
-                            std::size_t &end) const
-{
-    SO_ASSERT(b < cfg_.buckets, "bucket index out of range");
-    const std::size_t n = model_.paramCount();
-    const std::size_t base = n / cfg_.buckets;
-    const std::size_t extra = n % cfg_.buckets;
-    begin = b * base + std::min<std::size_t>(b, extra);
-    end = begin + base + (b < extra ? 1 : 0);
 }
 
 void
@@ -57,7 +44,7 @@ void
 OffloadTrainer::shipGradients(std::uint32_t bucket)
 {
     std::size_t begin, end;
-    bucketRange(bucket, begin, end);
+    bucketRange(model_.paramCount(), cfg_.buckets, bucket, begin, end);
     const std::size_t len = end - begin;
     if (cast_strategy_ == CastStrategy::CastGpuMoveFp32) {
         // SAC: the device casts, fp32 crosses the link.
@@ -76,7 +63,7 @@ void
 OffloadTrainer::returnParams(std::uint32_t bucket)
 {
     std::size_t begin, end;
-    bucketRange(bucket, begin, end);
+    bucketRange(model_.paramCount(), cfg_.buckets, bucket, begin, end);
     const std::size_t len = end - begin;
     // Either pipeline delivers floatToHalf(master) to the device: SAC
     // ships fp32 and casts device-side, the classic path ships the
@@ -106,8 +93,7 @@ OffloadTrainer::step(const std::uint32_t *inputs,
     // device-side fp16 phenomenon).
     if (optim::hasNanOrInf(device_grads_.data(), device_grads_.size())) {
         stats.overflowed = true;
-        loss_scale_ = std::max(1.0f, loss_scale_ * 0.5f);
-        good_steps_ = 0;
+        updateLossScale(true);
         return stats;
     }
 
@@ -133,17 +119,14 @@ OffloadTrainer::step(const std::uint32_t *inputs,
         adam_.setLearningRate(cfg_.lr_schedule->at(steps_taken_ + 1));
     for (std::uint32_t b = 0; b < cfg_.buckets; ++b) {
         std::size_t begin, end;
-        bucketRange(b, begin, end);
+        bucketRange(model_.paramCount(), cfg_.buckets, b, begin, end);
         adam_.stepWithFp16Shadow(b, host_params_.data() + begin,
                                  host_param_shadow_.data() + begin,
                                  host_grads_.data() + begin);
         returnParams(b);
     }
     ++steps_taken_;
-    if (++good_steps_ >= cfg_.scale_growth_interval) {
-        loss_scale_ = std::min(16777216.0f, loss_scale_ * 2.0f);
-        good_steps_ = 0;
-    }
+    updateLossScale(false);
     return stats;
 }
 

@@ -21,7 +21,8 @@
  * computes with fp16-representable weights. Validation (overflow skip,
  * global-norm clipping) is synchronous here — this class is about the
  * placement/casting data path; the STV schedule variants live in
- * trainer.h / pipelined_trainer.h.
+ * trainer.h / pipelined_trainer.h. The bucket layout and the loss-scale
+ * rule are the ones trainer.h states for every trainer.
  */
 #ifndef SO_STV_OFFLOAD_TRAINER_H
 #define SO_STV_OFFLOAD_TRAINER_H
@@ -38,7 +39,7 @@ namespace so::stv {
 using core::CastStrategy;
 
 /** Mixed-precision trainer with explicit device/host state placement. */
-class OffloadTrainer
+class OffloadTrainer : public TrainerState
 {
   public:
     OffloadTrainer(nn::Model &model, const TrainerConfig &cfg,
@@ -48,9 +49,6 @@ class OffloadTrainer
     /** Run one training step; same stats semantics as SyncTrainer. */
     StepStats step(const std::uint32_t *inputs,
                    const std::uint32_t *targets, std::size_t count);
-
-    float lossScale() const { return loss_scale_; }
-    std::int64_t stepsTaken() const { return steps_taken_; }
 
     /** Host-side fp32 master parameters (read-only). */
     const std::vector<float> &masterParams() const { return host_params_; }
@@ -65,9 +63,6 @@ class OffloadTrainer
     std::uint64_t bytesMoved() const { return bytes_moved_; }
 
   private:
-    void bucketRange(std::uint32_t b, std::size_t &begin,
-                     std::size_t &end) const;
-
     /** Expand fp16 device params into the model's compute buffer. */
     void materializeDeviceParams();
 
@@ -78,12 +73,8 @@ class OffloadTrainer
     void returnParams(std::uint32_t bucket);
 
     nn::Model &model_;
-    TrainerConfig cfg_;
     CastStrategy cast_strategy_;
     optim::Adam adam_;
-    float loss_scale_;
-    std::uint32_t good_steps_ = 0;
-    std::int64_t steps_taken_ = 0;
     std::uint64_t bytes_moved_ = 0;
 
     // Device-side state.

@@ -1,34 +1,16 @@
 #include "stv/pipelined_trainer.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 
-#include "common/logging.h"
 #include "optim/kernels.h"
 
 namespace so::stv {
 
 PipelinedStvTrainer::PipelinedStvTrainer(nn::Model &model,
                                          const TrainerConfig &cfg)
-    : TrainerBase(model, cfg)
+    : StvTrainer(model, cfg), last_grads_(model.paramCount())
 {
-    // The pipelined trainer needs per-bucket snapshots or the
-    // algebraic inverse, exactly like StvTrainer; it reuses the same
-    // Adam machinery but tracks which buckets were stepped itself.
-    last_grads_.resize(model.paramCount());
-    stepped_.assign(cfg_.buckets, false);
-    if (cfg_.rollback == RollbackMode::Snapshot) {
-        snap_params_.resize(model.paramCount());
-        snap_m_.resize(cfg_.buckets);
-        snap_v_.resize(cfg_.buckets);
-        for (std::uint32_t b = 0; b < cfg_.buckets; ++b) {
-            std::size_t begin, end;
-            bucketRange(b, begin, end);
-            snap_m_[b].resize(end - begin);
-            snap_v_[b].resize(end - begin);
-        }
-    }
     worker_ = std::thread([this] { workerLoop(); });
 }
 
@@ -99,64 +81,13 @@ PipelinedStvTrainer::awaitVerdict()
 }
 
 void
-PipelinedStvTrainer::speculativeStep(const float *grads)
-{
-    for (std::uint32_t b = 0; b < cfg_.buckets; ++b) {
-        std::size_t begin, end;
-        bucketRange(b, begin, end);
-        if (optim::hasUnsafeValues(grads + begin, end - begin,
-                                   StvTrainer::kSpeculationLimit)) {
-            stepped_[b] = false;
-            continue;
-        }
-        if (cfg_.rollback == RollbackMode::Snapshot) {
-            std::memcpy(snap_params_.data() + begin,
-                        model_.params() + begin,
-                        (end - begin) * sizeof(float));
-            std::memcpy(snap_m_[b].data(), adam_.momentum(b).data(),
-                        (end - begin) * sizeof(float));
-            std::memcpy(snap_v_[b].data(), adam_.variance(b).data(),
-                        (end - begin) * sizeof(float));
-        }
-        adam_.step(b, model_.params() + begin, grads + begin);
-        stepped_[b] = true;
-    }
-}
-
-void
-PipelinedStvTrainer::rollbackLast()
-{
-    ++rollbacks_;
-    for (std::uint32_t b = 0; b < cfg_.buckets; ++b) {
-        if (!stepped_[b])
-            continue;
-        std::size_t begin, end;
-        bucketRange(b, begin, end);
-        if (cfg_.rollback == RollbackMode::Snapshot) {
-            std::memcpy(model_.params() + begin,
-                        snap_params_.data() + begin,
-                        (end - begin) * sizeof(float));
-            std::memcpy(adam_.momentumData(b), snap_m_[b].data(),
-                        (end - begin) * sizeof(float));
-            std::memcpy(adam_.varianceData(b), snap_v_[b].data(),
-                        (end - begin) * sizeof(float));
-            adam_.rewindStep(b);
-        } else {
-            adam_.rollback(b, model_.params() + begin,
-                           last_grads_.data() + begin);
-        }
-        stepped_[b] = false;
-    }
-}
-
-void
 PipelinedStvTrainer::applyVerdict(const Verdict &verdict, StepStats &stats)
 {
     stats.overflowed = verdict.overflowed;
     stats.grad_norm = verdict.grad_norm;
     if (verdict.overflowed) {
         // Rollback scenario 1: revert and skip the iteration.
-        rollbackLast();
+        rollbackStep(last_grads_.data());
         stats.rolled_back = true;
         updateLossScale(true);
         return;
@@ -165,7 +96,7 @@ PipelinedStvTrainer::applyVerdict(const Verdict &verdict, StepStats &stats)
         // Rollback scenario 2: revert and re-execute with clipped
         // gradients (the re-executed update is final: its inputs were
         // just validated).
-        rollbackLast();
+        rollbackStep(last_grads_.data());
         stats.clipped = true;
         stats.rolled_back = true;
         optim::scaleInPlace(last_grads_.data(), last_grads_.size(),

@@ -18,7 +18,10 @@
  *      the background worker, and control returns to the caller.
  *
  * The final trajectory is identical to the synchronous trainer's; the
- * concurrency only moves the validation off the critical path.
+ * concurrency only moves the validation off the critical path. The
+ * speculative step, the rollback (and its snapshot buffers) and the
+ * rollback count are StvTrainer's; only the scheduling around them is
+ * this class's.
  */
 #ifndef SO_STV_PIPELINED_TRAINER_H
 #define SO_STV_PIPELINED_TRAINER_H
@@ -34,7 +37,7 @@
 namespace so::stv {
 
 /** STV with asynchronous background validation. */
-class PipelinedStvTrainer : public TrainerBase
+class PipelinedStvTrainer : public StvTrainer
 {
   public:
     PipelinedStvTrainer(nn::Model &model, const TrainerConfig &cfg);
@@ -56,9 +59,6 @@ class PipelinedStvTrainer : public TrainerBase
      * also drains.
      */
     void drain();
-
-    /** Rollbacks applied so far (including deferred ones). */
-    std::uint64_t rollbackCount() const { return rollbacks_; }
 
     /** Steps whose forward had to be recomputed after a rollback. */
     std::uint64_t recomputeCount() const { return recomputes_; }
@@ -83,20 +83,10 @@ class PipelinedStvTrainer : public TrainerBase
     /** Apply / re-execute per the §4.4 rollback scenarios. */
     void applyVerdict(const Verdict &verdict, StepStats &stats);
 
-    void speculativeStep(const float *grads);
-    void rollbackLast();
-
     // The gradients of the last speculative step (the rollback needs
     // them, and the worker scans them).
     std::vector<float> last_grads_;
     bool speculation_in_flight_ = false;
-
-    /** Which buckets the last speculativeStep() actually stepped. */
-    std::vector<bool> stepped_;
-    // Snapshot-mode buffers (param, m, v per bucket).
-    std::vector<float> snap_params_;
-    std::vector<std::vector<float>> snap_m_;
-    std::vector<std::vector<float>> snap_v_;
 
     // Worker state.
     std::thread worker_;
@@ -107,7 +97,6 @@ class PipelinedStvTrainer : public TrainerBase
     bool stop_ = false;
     Verdict verdict_;
 
-    std::uint64_t rollbacks_ = 0;
     std::uint64_t recomputes_ = 0;
 };
 

@@ -10,9 +10,38 @@
 
 namespace so::stv {
 
+void
+bucketRange(std::size_t params, std::uint32_t buckets, std::uint32_t b,
+            std::size_t &begin, std::size_t &end)
+{
+    SO_ASSERT(b < buckets, "bucket index out of range");
+    const std::size_t base = params / buckets;
+    const std::size_t extra = params % buckets;
+    begin = b * base + std::min<std::size_t>(b, extra);
+    end = begin + base + (b < extra ? 1 : 0);
+}
+
+void
+TrainerState::updateLossScale(bool overflowed)
+{
+    if (overflowed) {
+        loss_scale_ = std::max(1.0f, loss_scale_ * 0.5f);
+        good_steps_ = 0;
+        return;
+    }
+    if (++good_steps_ >= cfg_.scale_growth_interval) {
+        // PyTorch-style dynamic scaling: keep probing larger scales
+        // (bounded only far away, at 2^24). Once training is stable
+        // this produces the classic pattern of one overflow-rollback
+        // per growth interval — the paper's "rollbacks rarely happen"
+        // steady state.
+        loss_scale_ = std::min(16777216.0f, loss_scale_ * 2.0f);
+        good_steps_ = 0;
+    }
+}
+
 TrainerBase::TrainerBase(nn::Model &model, const TrainerConfig &cfg)
-    : model_(model), cfg_(cfg), adam_(cfg.adam, cfg.kernel),
-      loss_scale_(cfg.loss_scale)
+    : TrainerState(cfg), model_(model), adam_(cfg.adam, cfg.kernel)
 {
     SO_ASSERT(cfg.buckets >= 1, "need at least one bucket");
     SO_ASSERT(cfg.buckets <= model.paramCount(),
@@ -22,18 +51,6 @@ TrainerBase::TrainerBase(nn::Model &model, const TrainerConfig &cfg)
         bucketRange(b, begin, end);
         adam_.addParameter(end - begin);
     }
-}
-
-void
-TrainerBase::bucketRange(std::uint32_t b, std::size_t &begin,
-                         std::size_t &end) const
-{
-    SO_ASSERT(b < cfg_.buckets, "bucket index out of range");
-    const std::size_t n = model_.paramCount();
-    const std::size_t base = n / cfg_.buckets;
-    const std::size_t extra = n % cfg_.buckets;
-    begin = b * base + std::min<std::size_t>(b, extra);
-    end = begin + base + (b < extra ? 1 : 0);
 }
 
 float
@@ -89,25 +106,6 @@ TrainerBase::recordStep(const StepStats &stats) const
     metrics.observe("stv.loss", stats.loss);
     if (!stats.overflowed)
         metrics.observe("stv.grad_norm", stats.grad_norm);
-}
-
-void
-TrainerBase::updateLossScale(bool overflowed)
-{
-    if (overflowed) {
-        loss_scale_ = std::max(1.0f, loss_scale_ * 0.5f);
-        good_steps_ = 0;
-        return;
-    }
-    if (++good_steps_ >= cfg_.scale_growth_interval) {
-        // PyTorch-style dynamic scaling: keep probing larger scales
-        // (bounded only far away, at 2^24). Once training is stable
-        // this produces the classic pattern of one overflow-rollback
-        // per growth interval — the paper's "rollbacks rarely happen"
-        // steady state.
-        loss_scale_ = std::min(16777216.0f, loss_scale_ * 2.0f);
-        good_steps_ = 0;
-    }
 }
 
 // ------------------------------------------------------------- SyncTrainer
@@ -169,7 +167,7 @@ StvTrainer::StvTrainer(nn::Model &model, const TrainerConfig &cfg)
 }
 
 void
-StvTrainer::speculativeStep()
+StvTrainer::speculativeStep(const float *grads)
 {
     for (std::uint32_t b = 0; b < cfg_.buckets; ++b) {
         std::size_t begin, end;
@@ -177,7 +175,7 @@ StvTrainer::speculativeStep()
         // Bucket-local guard (no global synchronization): a bucket
         // with non-finite gradients is left unstepped; the deferred
         // global validation will then skip the whole iteration.
-        if (optim::hasUnsafeValues(model_.grads() + begin, end - begin,
+        if (optim::hasUnsafeValues(grads + begin, end - begin,
                                    kSpeculationLimit)) {
             stepped_[b] = false;
             continue;
@@ -191,13 +189,13 @@ StvTrainer::speculativeStep()
             std::memcpy(snap_v_[b].data(), adam_.variance(b).data(),
                         (end - begin) * sizeof(float));
         }
-        adam_.step(b, model_.params() + begin, model_.grads() + begin);
+        adam_.step(b, model_.params() + begin, grads + begin);
         stepped_[b] = true;
     }
 }
 
 void
-StvTrainer::rollbackStep()
+StvTrainer::rollbackStep(const float *grads)
 {
     ++rollbacks_;
     for (std::uint32_t b = 0; b < cfg_.buckets; ++b) {
@@ -215,8 +213,7 @@ StvTrainer::rollbackStep()
                         (end - begin) * sizeof(float));
             adam_.rewindStep(b);
         } else {
-            adam_.rollback(b, model_.params() + begin,
-                           model_.grads() + begin);
+            adam_.rollback(b, model_.params() + begin, grads + begin);
         }
         stepped_[b] = false;
     }
@@ -236,14 +233,14 @@ StvTrainer::step(const std::uint32_t *inputs, const std::uint32_t *targets,
     // them afterwards.
     unscaleGrads();
     applyLrSchedule();
-    speculativeStep();
+    speculativeStep(model_.grads());
 
     // Deferred validation (in the real system this runs on background
     // Grace cores concurrent with the next forward pass).
     const bool overflow = gradsOverflowed();
     if (overflow) {
         // Rollback scenario 1 (§4.4): NaN/Inf — revert and skip.
-        rollbackStep();
+        rollbackStep(model_.grads());
         stats.overflowed = true;
         stats.rolled_back = true;
         updateLossScale(true);
@@ -256,12 +253,12 @@ StvTrainer::step(const std::uint32_t *inputs, const std::uint32_t *targets,
     if (scale < 1.0) {
         // Rollback scenario 2 (§4.4): clipping violation — revert the
         // update and re-execute it with clipped gradients.
-        rollbackStep();
+        rollbackStep(model_.grads());
         stats.clipped = true;
         stats.rolled_back = true;
         optim::scaleInPlace(model_.grads(), model_.paramCount(),
                             static_cast<float>(scale));
-        speculativeStep();
+        speculativeStep(model_.grads());
     }
     ++steps_taken_;
     updateLossScale(false);

@@ -12,6 +12,11 @@
  * mixed-precision pipeline (loss scaling, fp16 gradient rounding,
  * global-norm clipping), so the exactness claim is *testable*: the STV
  * trajectory must match the synchronous (STE) trajectory step for step.
+ *
+ * The rules every trainer in this module shares are stated once here:
+ * the bucket layout (bucketRange), the dynamic loss scale
+ * (TrainerState::updateLossScale) and the speculate / rollback /
+ * snapshot machinery (StvTrainer, which PipelinedStvTrainer extends).
  */
 #ifndef SO_STV_TRAINER_H
 #define SO_STV_TRAINER_H
@@ -82,10 +87,50 @@ struct StepStats
 };
 
 /**
- * Shared scaffolding: model + bucketed Adam state + loss scaling.
- * Subclasses implement the two §4.4 schedules.
+ * [begin, end) element range of bucket @p b when @p params parameters
+ * split into @p buckets contiguous buckets: the first
+ * params % buckets buckets hold one element more than the rest. Every
+ * trainer, and so the checkpoint format, uses this layout.
  */
-class TrainerBase
+void bucketRange(std::size_t params, std::uint32_t buckets, std::uint32_t b,
+                 std::size_t &begin, std::size_t &end);
+
+/**
+ * What every trainer keeps besides its model and optimizer: the
+ * configuration, the step count and the dynamic loss scale.
+ */
+class TrainerState
+{
+  public:
+    float lossScale() const { return loss_scale_; }
+    std::int64_t stepsTaken() const { return steps_taken_; }
+
+  protected:
+    explicit TrainerState(const TrainerConfig &cfg)
+        : cfg_(cfg), loss_scale_(cfg.loss_scale)
+    {
+    }
+
+    /**
+     * The dynamic loss-scale rule, applied after every step: an
+     * overflowed step halves the scale (floor 1) and restarts the
+     * good-step count; scale_growth_interval good steps in a row
+     * double it (cap 2^24).
+     */
+    void updateLossScale(bool overflowed);
+
+    TrainerConfig cfg_;
+    float loss_scale_;
+    std::uint32_t good_steps_ = 0;
+    std::int64_t steps_taken_ = 0;
+};
+
+/**
+ * Shared scaffolding of the STE/STV schedules: one model + bucketed
+ * Adam state on top of TrainerState. Subclasses implement the two §4.4
+ * schedules.
+ */
+class TrainerBase : public TrainerState
 {
   public:
     TrainerBase(nn::Model &model, const TrainerConfig &cfg);
@@ -95,11 +140,6 @@ class TrainerBase
     virtual StepStats step(const std::uint32_t *inputs,
                            const std::uint32_t *targets,
                            std::size_t count) = 0;
-
-    nn::Model &model() { return model_; }
-    const TrainerConfig &config() const { return cfg_; }
-    float lossScale() const { return loss_scale_; }
-    std::int64_t stepsTaken() const { return steps_taken_; }
 
     /**
      * Serialize the complete training state — parameters, optimizer
@@ -117,9 +157,12 @@ class TrainerBase
     bool loadCheckpoint(const std::string &path);
 
   protected:
-    /** [begin, end) element range of bucket @p b. */
-    void bucketRange(std::uint32_t b, std::size_t &begin,
-                     std::size_t &end) const;
+    /** [begin, end) element range of bucket @p b of this model. */
+    void
+    bucketRange(std::uint32_t b, std::size_t &begin, std::size_t &end) const
+    {
+        stv::bucketRange(model_.paramCount(), cfg_.buckets, b, begin, end);
+    }
 
     /** Forward/backward with loss scaling + optional fp16 rounding. */
     float computeGradients(const std::uint32_t *inputs,
@@ -135,9 +178,6 @@ class TrainerBase
     /** Global L2 norm of the (unscaled) gradients. */
     double gradNorm() const;
 
-    /** Dynamic loss-scale bookkeeping after a good / overflowed step. */
-    void updateLossScale(bool overflowed);
-
     /** Set the optimizer's rate for the upcoming step (schedule hook). */
     void applyLrSchedule();
 
@@ -150,11 +190,7 @@ class TrainerBase
     void recordStep(const StepStats &stats) const;
 
     nn::Model &model_;
-    TrainerConfig cfg_;
     optim::Adam adam_;
-    float loss_scale_;
-    std::uint32_t good_steps_ = 0;
-    std::int64_t steps_taken_ = 0;
 };
 
 /**
@@ -198,10 +234,21 @@ class StvTrainer : public TrainerBase
      */
     static constexpr float kSpeculationLimit = 1e18f;
 
-  private:
-    void speculativeStep();
-    void rollbackStep();
+  protected:
+    /**
+     * Step every bucket whose slice of @p grads passes the speculation
+     * guard, snapshotting it first in Snapshot mode.
+     */
+    void speculativeStep(const float *grads);
 
+    /**
+     * Revert every bucket the last speculativeStep() stepped; @p grads
+     * must be the gradients that step applied (the algebraic inverse
+     * needs them).
+     */
+    void rollbackStep(const float *grads);
+
+  private:
     std::uint64_t rollbacks_ = 0;
     /** Which buckets the last speculativeStep() actually stepped. */
     std::vector<bool> stepped_;
