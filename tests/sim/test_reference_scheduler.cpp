@@ -89,6 +89,51 @@ makeAdversarialGraph(std::uint64_t seed, std::size_t n_resources,
     return graph;
 }
 
+/**
+ * Layers of tasks between zero-duration barriers. Every task of a layer
+ * waits on the barrier before it (a few also on an earlier task of the
+ * same layer), so a layer's tasks become ready at one instant; each
+ * draws one of three layer-wide durations from @p ladder, so dozens of
+ * completions land on the same timestamp.
+ */
+TaskGraph
+makeBarrierLayers(std::uint64_t seed,
+                  const std::vector<std::uint32_t> &slots,
+                  const std::vector<double> &ladder, std::size_t layers,
+                  std::size_t max_width)
+{
+    Rng rng(seed);
+    TaskGraph graph;
+    for (std::size_t r = 0; r < slots.size(); ++r)
+        graph.addResource("R" + std::to_string(r), slots[r]);
+    const auto resource = [&] {
+        return static_cast<ResourceId>(rng.below(slots.size()));
+    };
+    TaskId barrier = graph.addTask(resource(), 0.0, "barrier");
+    for (std::size_t layer = 0; layer < layers; ++layer) {
+        const double picks[] = {ladder[rng.below(ladder.size())],
+                                ladder[rng.below(ladder.size())],
+                                rng.bernoulli(0.5)
+                                    ? 0.0
+                                    : ladder[rng.below(ladder.size())]};
+        const std::size_t width = 1 + rng.below(max_width);
+        std::vector<TaskId> members;
+        for (std::size_t i = 0; i < width; ++i) {
+            std::vector<TaskId> deps{barrier};
+            if (!members.empty() && rng.bernoulli(0.1))
+                deps.push_back(members[rng.below(members.size())]);
+            members.push_back(graph.addTask(
+                resource(), picks[rng.below(3)],
+                "l" + std::to_string(layer) + "." + std::to_string(i),
+                std::move(deps),
+                static_cast<std::int32_t>(rng.below(3)) - 1));
+        }
+        barrier = graph.addTask(resource(), 0.0, "barrier",
+                                std::move(members));
+    }
+    return graph;
+}
+
 class DifferentialTest
     : public ::testing::TestWithParam<std::uint64_t> // seed
 {
@@ -157,6 +202,49 @@ TEST_P(DifferentialTest, RecycledScheduleMatchesReference)
         expectBitIdentical(graph, recycled,
                            testing::referenceSchedule(graph));
     }
+}
+
+TEST_P(DifferentialTest, DurationsSpanningTwelveDecadesMatchReference)
+{
+    // Durations from 1e-9 to 1e3 s in one graph: a nanosecond task and
+    // a kilosecond one may be pending together, alongside mass-equal
+    // completions and zero-duration barriers.
+    std::vector<double> ladder;
+    for (double decade = 1e-9; decade <= 1.01e3; decade *= 10.0)
+        for (int k = 1; k <= 4; ++k)
+            ladder.push_back(decade * k);
+    const TaskGraph graph = makeBarrierLayers(
+        GetParam() * 0xd1b54a32d192ed03ull + 5, {1, 2, 3, 4}, ladder, 24,
+        24);
+    expectBitIdentical(graph, Scheduler().run(graph),
+                       testing::referenceSchedule(graph));
+}
+
+TEST_P(DifferentialTest, SixtyFourSlotResourceMatchesReference)
+{
+    // Half the tasks run on a 64-slot resource, so dozens of completion
+    // events are pending at once, many on one timestamp.
+    const TaskGraph graph = makeBarrierLayers(
+        GetParam() * 0x94d049bb133111ebull + 3, {64, 2},
+        {0.125, 0.25, 0.5, 1.0, 0.75}, 12, 160);
+    const Schedule sched = Scheduler().run(graph);
+    expectBitIdentical(graph, sched, testing::referenceSchedule(graph));
+
+    // The most tasks running at one instant, each one a pending
+    // completion event: the input must really hold dozens at once.
+    std::vector<Interval> running;
+    for (const Timeline &t : sched.timelines)
+        running.insert(running.end(), t.intervals().begin(),
+                       t.intervals().end());
+    std::size_t peak = 0;
+    for (const Interval &at : running)
+        peak = std::max(peak, static_cast<std::size_t>(std::count_if(
+                                  running.begin(), running.end(),
+                                  [&](const Interval &iv) {
+                                      return iv.start <= at.start &&
+                                             at.start < iv.end;
+                                  })));
+    EXPECT_GE(peak, 40u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialTest,
