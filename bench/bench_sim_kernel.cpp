@@ -9,10 +9,10 @@
  * build phase (addTask/addDep into the SoA pools) and the schedule
  * phase (discrete-event run over a reused workspace). The 1M/10M sizes
  * exist to hold the schedule phase flat at scale (docs/PERF.md, "Event
- * queue at scale"): calendar-queue events, bucketed ready sets, and the
- * graph-cached dependents CSR are all sized for them. Both phases also
- * publish into a private MetricsRegistry so the JSON record carries the
- * full histograms alongside the derived tasks/sec numbers.
+ * queue at scale"): the slot-bounded event heap, bucketed ready sets,
+ * and the graph-cached dependents CSR are all sized for them. Both
+ * phases also publish into a private MetricsRegistry so the JSON record
+ * carries the full histograms alongside the derived tasks/sec numbers.
  *
  * Run with --json [path] to write BENCH_sim_kernel.json (default path);
  * CI's perf-smoke step records the numbers without gating on them,

@@ -47,6 +47,22 @@ struct SlotAfter
     }
 };
 
+/**
+ * Min-heap comparator over (time, id): completions drain in ascending
+ * time, ties in ascending task id, so the drain sequence is a pure
+ * function of the pending set.
+ */
+struct EventAfter
+{
+    bool
+    operator()(const SimEvent &a, const SimEvent &b) const
+    {
+        if (a.time != b.time)
+            return a.time > b.time;
+        return a.id > b.id;
+    }
+};
+
 /** How many unreachable-task labels a cycle diagnosis lists. */
 constexpr std::size_t kMaxCycleLabels = 8;
 
@@ -235,7 +251,9 @@ Scheduler::run(const TaskGraph &graph, Workspace &ws,
             schedule.finish[id] = end;
             ws.task_slot[id] = slot;
             schedule.timelines[r].add(begin, end, id, slot);
-            ws.events.push(end, id);
+            ws.events.push_back(SimEvent{end, id});
+            std::push_heap(ws.events.begin(), ws.events.end(),
+                           EventAfter{});
         }
     };
 
@@ -259,12 +277,16 @@ Scheduler::run(const TaskGraph &graph, Workspace &ws,
         ws.touched.resize(nres, 0);
 
     while (!ws.events.empty()) {
-        now = ws.events.peek().time;
+        now = ws.events.front().time;
         // Process every completion at this timestamp before starting new
         // work, so freed slots and satisfied deps are all visible.
         ws.finished.clear();
-        while (!ws.events.empty() && ws.events.peek().time == now)
-            ws.finished.push_back(ws.events.pop().id);
+        while (!ws.events.empty() && ws.events.front().time == now) {
+            std::pop_heap(ws.events.begin(), ws.events.end(),
+                          EventAfter{});
+            ws.finished.push_back(ws.events.back().id);
+            ws.events.pop_back();
+        }
         std::fill(ws.touched.begin(), ws.touched.begin() +
                                           static_cast<std::ptrdiff_t>(nres),
                   0);

@@ -9,12 +9,12 @@
  * so results are bit-for-bit reproducible.
  *
  * The hot machinery is sized for 10M-task graphs (docs/PERF.md, "Event
- * queue at scale"): completion events live in a calendar queue with a
- * sorted-overflow ladder (amortized O(1) per event), ready tasks live
- * in per-resource priority buckets (priorities are small dense ints in
- * every builder, so mark-ready and pop are O(1)), and the reverse-edge
- * CSR is cached on the TaskGraph — built once per graph, not once per
- * run.
+ * queue at scale"): completion events live in a binary heap whose size
+ * is bounded by the graph's slot count, not its task count (one event
+ * per running task), ready tasks live in per-resource priority buckets
+ * (priorities are small dense ints in every builder, so mark-ready and
+ * pop are O(1)), and the reverse-edge CSR is cached on the TaskGraph —
+ * built once per graph, not once per run.
  */
 #ifndef SO_SIM_SCHEDULER_H
 #define SO_SIM_SCHEDULER_H
@@ -22,11 +22,17 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/calendar_queue.h"
 #include "sim/graph.h"
 #include "sim/timeline.h"
 
 namespace so::sim {
+
+/** One pending completion: task @p id finishes at @p time. */
+struct SimEvent
+{
+    double time = 0.0;
+    TaskId id = kInvalidTask;
+};
 
 /** Result of simulating one TaskGraph. */
 struct Schedule
@@ -107,8 +113,12 @@ class Scheduler
         /** Per-resource ready sets and slot-free heaps. */
         std::vector<ReadySet> ready;
         std::vector<std::vector<Slot>> slot_free;
-        /** Pending completion events (calendar_queue.h). */
-        CalendarQueue events;
+        /**
+         * Pending completion events, a binary min-heap by (time, id):
+         * one event per running task, so never more than the graph's
+         * total slot count.
+         */
+        std::vector<SimEvent> events;
         /** Sorted unique priorities, for graphs with sparse ranges. */
         std::vector<std::int32_t> rank_values;
         /** Slot index each running/finished task occupies. */

@@ -26,7 +26,12 @@ struct Interval
     std::uint32_t slot = 0;
 };
 
-/** Ordered record of the busy intervals of one resource. */
+/**
+ * Record of the busy intervals of one resource, in the order they were
+ * added. The scheduler adds them in start order; the union queries
+ * merge such a timeline in place and only sort a copy of one that was
+ * filled out of order.
+ */
 class Timeline
 {
   public:
@@ -34,13 +39,19 @@ class Timeline
     void add(double start, double end, TaskId task, std::uint32_t slot = 0);
 
     /** Drop all intervals but keep the capacity (recycling support). */
-    void clear() { intervals_.clear(); }
+    void
+    clear()
+    {
+        intervals_.clear();
+        start_ordered_ = true;
+    }
 
     const std::vector<Interval> &intervals() const { return intervals_; }
 
     /**
      * Time inside [begin, end) during which at least one slot is busy
-     * (union of intervals, clamped to the window).
+     * (union of intervals, clamped to the window). One merge pass over
+     * a timeline in start order; otherwise over a sorted copy.
      */
     double busyTime(double begin, double end) const;
 
@@ -63,6 +74,8 @@ class Timeline
 
   private:
     std::vector<Interval> intervals_;
+    /** Whether intervals_ is in non-decreasing start order. */
+    bool start_ordered_ = true;
 };
 
 } // namespace so::sim

@@ -4,10 +4,10 @@
  * over bundle shards and Chrome traces with phase/resource/window
  * filters and top-N ranking, plus the `so-report` CLI contract — the
  * query subcommand answers over real artifacts, an unknown subcommand
- * exits with the distinct usage status listing the valid ones, check
- * rejects an unusable --tol value with exit 1, top and diff reject
- * malformed documents with exit 1, and the query and selftrace readers
- * treat out-of-range numbers as absent.
+ * exits with the distinct usage status listing the valid ones, query
+ * and check reject an unusable window or --tol value with exit 1, top
+ * and diff reject malformed documents with exit 1, and the query and
+ * selftrace readers treat out-of-range numbers as absent.
  */
 #include "report/query.h"
 
@@ -299,6 +299,33 @@ TEST(Query, CliQueryAnswersOverShards)
     // Bad rank key: usage failure, not a crash.
     EXPECT_NE(runReport("query " + shardFixture() + " --rank sideways",
                         output), 0);
+
+    // An unusable window: a message and exit 1. A NaN bound would
+    // match every span and print as null, like an unbounded end.
+    for (const char *window :
+         {"--begin nan", "--begin inf", "--begin -inf", "--begin abc",
+          "--begin", "--end nan", "--end -inf", "--end 2 --begin 2",
+          "--begin 5 --end 1", "--begin -1 --end -2"}) {
+        EXPECT_EQ(runReport("query " + shardFixture() + " " + window,
+                            output),
+                  1)
+            << window << ": " << output;
+        EXPECT_NE(output.find("finite --begin"), std::string::npos)
+            << window << ": " << output;
+    }
+
+    // An infinite end is the unbounded default, spelled out.
+    ASSERT_EQ(runReport("query " + shardFixture() +
+                            " --begin 3 --end inf --json",
+                        output),
+              0)
+        << output;
+    ASSERT_TRUE(JsonValue::parse(output, doc)) << output;
+    EXPECT_EQ(doc.at("filters").at("begin_s").number(), 3.0);
+    EXPECT_TRUE(doc.at("filters").at("end_s").isNull());
+    // Spans 1, 2 and 3 reach past t = 3 (bwd [2, 6), adam [1, 4),
+    // d2h [4, 9)).
+    EXPECT_EQ(static_cast<int>(doc.at("matched").number()), 3);
 }
 
 TEST(Query, CliCheckRejectsUnusableTolerance)

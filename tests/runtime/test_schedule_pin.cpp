@@ -263,7 +263,7 @@ TEST(SchedulePin, GoldenFingerprintsHoldAcrossJobs)
     // The same pinned cells, evaluated through SweepEngine at several
     // --jobs settings: the worker count must never perturb a
     // fingerprint. This is what keeps the scheduler's per-thread
-    // Workspaces (calendar queue, ready buckets) and the graph-cached
+    // Workspaces (event heap, ready buckets) and the graph-cached
     // dependents CSR honest under parallel sweeps — any cross-thread
     // state leak shows up here as a golden mismatch.
     core::SuperOffloadSystem so_sys{core::SuperOffloadOptions{}};

@@ -249,32 +249,20 @@ TEST_P(TimelineBusyPin, SchedulerTimelinesMatchCopySortMerge)
             expectMatchesCopySortMerge(timeline, intervals, begin, end);
             expectMatchesCopySortMerge(readded, shuffled, begin, end);
         }
+
+        // Cleared and refilled in start order, the same timeline object
+        // still reports the same union.
+        readded.clear();
+        for (const Interval &iv : intervals)
+            readded.add(iv.start, iv.end, iv.task, iv.slot);
+        for (const auto &[begin, end] : windows)
+            expectMatchesCopySortMerge(readded, intervals, begin, end);
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TimelineBusyPin,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u,
                                            34u));
-
-TEST(Timeline, ClearedTimelineMatchesCopySortMerge)
-{
-    // An out-of-order timeline, cleared and refilled in start order,
-    // still reports the copy-sort-merge union.
-    Timeline t;
-    t.add(5.0, 6.0, 0);
-    t.add(1.0, 4.0, 1);
-    expectMatchesCopySortMerge(t, t.intervals(), 0.0, 10.0);
-    t.clear();
-    EXPECT_TRUE(t.empty());
-    t.add(0.5, 2.0, 2, 0);
-    t.add(0.5, 1.0, 3, 1);
-    t.add(1.5, 3.0, 4, 1);
-    t.add(3.0, 3.5, 5, 0);
-    for (const auto &[begin, end] :
-         std::vector<std::pair<double, double>>{
-             {0.0, 4.0}, {0.75, 3.25}, {2.0, 2.0}, {3.5, 9.0}})
-        expectMatchesCopySortMerge(t, t.intervals(), begin, end);
-}
 
 } // namespace
 } // namespace so::sim

@@ -113,6 +113,15 @@ usage(std::FILE *out)
     return out == stdout ? 0 : 1;
 }
 
+/** Parse all of @p text as a number (strtod syntax, so inf and nan too). */
+bool
+parseNumber(const std::string &text, double &value)
+{
+    char *end = nullptr;
+    value = std::strtod(text.c_str(), &end);
+    return !text.empty() && *end == '\0';
+}
+
 bool
 readFile(const std::string &path, std::string &out)
 {
@@ -241,10 +250,9 @@ cmdCheck(const ArgParser &args)
                          "so-report: --tol expects PATH=TOLERANCE\n");
             return 1;
         }
-        const std::string value = spec.substr(eq + 1);
-        char *end = nullptr;
-        const double tolerance = std::strtod(value.c_str(), &end);
-        if (value.empty() || *end != '\0' || !std::isfinite(tolerance)) {
+        double tolerance = 0.0;
+        if (!parseNumber(spec.substr(eq + 1), tolerance) ||
+            !std::isfinite(tolerance)) {
             std::fprintf(stderr,
                          "so-report: --tol %s: TOLERANCE must be a finite "
                          "number\n",
@@ -621,9 +629,20 @@ cmdQuery(const ArgParser &args)
     report::QueryOptions options;
     options.phase = args.get("phase");
     options.resource = args.get("resource");
-    options.begin_s = args.getDouble("begin", options.begin_s);
-    if (args.has("end"))
-        options.end_s = args.getDouble("end", options.end_s);
+    // The window needs a finite --begin and an --end past it; --end inf
+    // is the unbounded default. A NaN bound would match every span.
+    if ((args.has("begin") &&
+         !parseNumber(args.get("begin"), options.begin_s)) ||
+        (args.has("end") && !parseNumber(args.get("end"), options.end_s)) ||
+        !std::isfinite(options.begin_s) ||
+        !(options.end_s > options.begin_s)) {
+        std::fprintf(stderr,
+                     "so-report: query: --begin %s --end %s: the window "
+                     "needs a finite --begin and a later --end\n",
+                     args.get("begin", "0").c_str(),
+                     args.get("end", "inf").c_str());
+        return 1;
+    }
     options.top_n = static_cast<std::size_t>(
         std::max(0LL, args.getInt("top", 10)));
     const std::string rank = args.get("rank");
