@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,15 @@ struct ScaleCase
     bool fp16_grads;
     float loss_scale;
 };
+
+// Print the case name, so the parameter (and the test name that
+// gtest_discover_tests derives from it) is "fp16" rather than a byte dump
+// holding the string literal's address, which changes with every run.
+void
+PrintTo(const ScaleCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 TrainerConfig
 trainerConfig(const ScaleCase &c)
