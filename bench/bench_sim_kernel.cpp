@@ -18,11 +18,13 @@
  * CI's perf-smoke step records the numbers without gating on them,
  * using --max-tasks to keep the wall-time budget (the committed
  * baseline still carries every size; missing sizes are reported as
- * missing metrics, not failures). --trace-dir DIR additionally
- * profiles each measured size and streams the Chrome trace, profile
- * document, and chunked bundle shards there; --detail picks the
- * profiling level of detail (default auto: Summary at >= 200k tasks),
- * so even the 1M/10M sizes export under a bounded memory footprint.
+ * missing metrics, not failures). --tolerance T sets the check's
+ * relative tolerance, a finite number >= 0. --trace-dir DIR
+ * additionally profiles each measured size and streams the Chrome
+ * trace, profile document, and chunked bundle shards there; the
+ * profile's level of detail follows the graph size (Summary at >= 200k
+ * tasks), so even the 1M/10M sizes export under a bounded memory
+ * footprint.
  */
 #include <chrono>
 #include <cstdio>
@@ -33,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "common/file.h"
 #include "common/json.h"
 #include "common/metrics.h"
 #include "common/trace.h"
@@ -167,21 +170,18 @@ measure(std::size_t target_tasks, so::MetricsRegistry &metrics)
 /**
  * Profile one size and stream the full artifact set to @p dir:
  * `sim_kernel_<N>.trace.json` (Chrome trace), `.profile.json`, and
- * `.bundle.jsonl` (chunked shards). Everything is streamed, and at
- * Auto detail the big sizes profile in Summary mode, so peak memory
- * stays bounded even at 10M tasks (docs/OBSERVABILITY.md).
+ * `.bundle.jsonl` (chunked shards). Everything is streamed, and the
+ * big sizes profile in Summary mode, so peak memory stays bounded even
+ * at 10M tasks (docs/OBSERVABILITY.md).
  */
 bool
-exportArtifacts(std::size_t target_tasks,
-                const so::sim::ProfileOptions &options,
-                const std::string &dir)
+exportArtifacts(std::size_t target_tasks, const std::string &dir)
 {
     const TaskGraph g = buildGraph(target_tasks);
     Scheduler::Workspace ws;
     so::sim::Schedule sched;
     Scheduler().run(g, ws, sched);
-    const so::sim::ScheduleProfile prof =
-        so::sim::profileSchedule(g, sched, options);
+    const so::sim::ScheduleProfile prof = so::sim::profileSchedule(g, sched);
 
     const std::string stem =
         dir + "/sim_kernel_" + std::to_string(target_tasks);
@@ -234,7 +234,6 @@ main(int argc, char **argv)
     std::string json_path;
     std::string baseline_path;
     std::string trace_dir;
-    std::string detail = "auto";
     double tolerance = 0.25;
     std::size_t max_tasks = 0; // 0 = no cap.
     for (int i = 1; i < argc; ++i) {
@@ -247,7 +246,13 @@ main(int argc, char **argv)
             baseline_path = argv[++i];
         } else if (std::strcmp(argv[i], "--tolerance") == 0 &&
                    i + 1 < argc) {
-            tolerance = std::atof(argv[++i]);
+            if (!so::report::parseTolerance(argv[++i], tolerance)) {
+                std::fprintf(stderr,
+                             "--tolerance %s: must be a finite number "
+                             ">= 0\n",
+                             argv[i]);
+                return 1;
+            }
         } else if (std::strcmp(argv[i], "--max-tasks") == 0 &&
                    i + 1 < argc) {
             max_tasks = static_cast<std::size_t>(
@@ -255,33 +260,16 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--trace-dir") == 0 &&
                    i + 1 < argc) {
             trace_dir = argv[++i];
-        } else if (std::strcmp(argv[i], "--detail") == 0 &&
-                   i + 1 < argc) {
-            detail = argv[++i];
         } else {
             std::fprintf(stderr,
                          "usage: %s [--json [path]] [--baseline FILE]"
                          " [--tolerance T] [--max-tasks N]"
-                         " [--trace-dir DIR]"
-                         " [--detail auto|full|summary]\n",
+                         " [--trace-dir DIR]\n",
                          argv[0]);
             return 2;
         }
     }
 
-    so::sim::ProfileOptions profile_options;
-    if (detail == "full")
-        profile_options.detail = so::sim::ProfileOptions::Detail::Full;
-    else if (detail == "summary")
-        profile_options.detail =
-            so::sim::ProfileOptions::Detail::Summary;
-    else if (detail != "auto") {
-        std::fprintf(stderr,
-                     "unknown --detail %s (expected auto, full, or "
-                     "summary)\n",
-                     detail.c_str());
-        return 2;
-    }
     if (!trace_dir.empty()) {
         std::error_code ec;
         std::filesystem::create_directories(trace_dir, ec);
@@ -319,8 +307,7 @@ main(int argc, char **argv)
             return 1;
         }
         results.push_back(r);
-        if (!trace_dir.empty() &&
-            !exportArtifacts(size, profile_options, trace_dir))
+        if (!trace_dir.empty() && !exportArtifacts(size, trace_dir))
             return 1;
     }
 
@@ -349,15 +336,11 @@ main(int argc, char **argv)
 
         const std::string doc = json.str();
         if (!json_path.empty()) {
-            std::FILE *f = std::fopen(json_path.c_str(), "w");
-            if (!f) {
-                std::fprintf(stderr, "cannot open %s\n",
+            if (!so::writeFile(json_path, {doc, "\n"})) {
+                std::fprintf(stderr, "cannot write %s\n",
                              json_path.c_str());
                 return 1;
             }
-            std::fwrite(doc.data(), 1, doc.size(), f);
-            std::fputc('\n', f);
-            std::fclose(f);
             std::printf("\nwrote %s\n", json_path.c_str());
         }
 

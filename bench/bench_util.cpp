@@ -8,6 +8,7 @@
 #include <system_error>
 
 #include "common/argparse.h"
+#include "common/file.h"
 #include "common/json.h"
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -105,20 +106,10 @@ Harness::Harness(int argc, const char *const *argv, std::string id,
                 "BENCH_" + sanitizeId(id_) + ".selftrace.json";
         trace::setEnabled(true);
     }
-    tolerance_ = args.getDouble("tolerance", tolerance_);
-    if (args.has("profile-detail")) {
-        const std::string detail = args.get("profile-detail");
-        has_profile_detail_ = true;
-        if (detail == "auto")
-            profile_detail_ = sim::ProfileOptions::Detail::Auto;
-        else if (detail == "full")
-            profile_detail_ = sim::ProfileOptions::Detail::Full;
-        else if (detail == "summary")
-            profile_detail_ = sim::ProfileOptions::Detail::Summary;
-        else
-            SO_FATAL("--profile-detail ", detail,
-                     " (expected auto, full, or summary)");
-    }
+    if (args.has("tolerance") &&
+        !report::parseTolerance(args.get("tolerance"), tolerance_))
+        SO_FATAL("--tolerance ", args.get("tolerance"),
+                 ": must be a finite number >= 0");
     // --trace-dir and --html imply profiling so the traces carry
     // critical-path flow arrows and each cell gets its profile and
     // inspection-bundle documents.
@@ -134,8 +125,6 @@ Harness::add(const runtime::TrainingSystem &system,
         setup.capture_profile = true;
     if (!trace_dir_.empty())
         setup.capture_trace = true;
-    if (has_profile_detail_)
-        setup.profile_options.detail = profile_detail_;
     return engine_->add(system, std::move(setup), std::move(tag));
 }
 
@@ -157,14 +146,9 @@ Harness::writeTraceFiles() const
         SO_FATAL("cannot create trace directory ", trace_dir_, ": ",
                  ec.message());
 
-    auto write_doc = [&](const std::string &path,
-                         const std::string &doc) {
-        std::FILE *out = std::fopen(path.c_str(), "w");
-        if (!out)
-            SO_FATAL("cannot open ", path, " for writing");
-        std::fwrite(doc.data(), 1, doc.size(), out);
-        std::fputc('\n', out);
-        std::fclose(out);
+    auto write_doc = [](const std::string &path, const std::string &doc) {
+        if (!writeFile(path, {doc, "\n"}))
+            SO_FATAL("cannot write ", path);
     };
 
     const std::string stem = sanitizeId(id_);
@@ -235,15 +219,9 @@ Harness::checkBaseline(const std::string &doc) const
         verdict_path.resize(verdict_path.size() - suffix.size());
     verdict_path += ".verdict.json";
     const std::string verdict_json = verdict.json();
-    if (std::FILE *out = std::fopen(verdict_path.c_str(), "w")) {
-        std::fwrite(verdict_json.data(), 1, verdict_json.size(), out);
-        std::fputc('\n', out);
-        std::fclose(out);
-        std::printf("wrote %s\n", verdict_path.c_str());
-    } else {
-        std::fprintf(stderr, "baseline check: cannot write %s\n",
-                     verdict_path.c_str());
-    }
+    if (!writeFile(verdict_path, {verdict_json, "\n"}))
+        SO_FATAL("cannot write ", verdict_path);
+    std::printf("wrote %s\n", verdict_path.c_str());
     return verdict_json;
 }
 
@@ -252,12 +230,10 @@ Harness::writeHtmlPages(const std::string &doc,
                         const std::string &verdict_json,
                         const std::string &self_profile_json) const
 {
-    auto write_page = [&](const std::string &path,
-                          const report::HtmlReport &page) {
-        std::ofstream out(path, std::ios::binary);
-        if (!out)
-            SO_FATAL("cannot open ", path, " for writing");
-        out << report::renderHtmlReport(page);
+    auto write_page = [](const std::string &path,
+                         const report::HtmlReport &page) {
+        if (!writeFile(path, {report::renderHtmlReport(page)}))
+            SO_FATAL("cannot write ", path);
     };
 
     const std::string stem = sanitizeId(id_);
@@ -352,12 +328,8 @@ Harness::finish()
     const std::string doc = json.str();
 
     if (!json_path_.empty()) {
-        std::FILE *out = std::fopen(json_path_.c_str(), "w");
-        if (!out)
-            SO_FATAL("cannot open ", json_path_, " for writing");
-        std::fwrite(doc.data(), 1, doc.size(), out);
-        std::fputc('\n', out);
-        std::fclose(out);
+        if (!writeFile(json_path_, {doc, "\n"}))
+            SO_FATAL("cannot write ", json_path_);
         std::printf("wrote %s\n", json_path_.c_str());
     }
     std::string verdict_json;

@@ -5,19 +5,18 @@
  * Every bench builds on the Harness: it parses the shared command line
  * (--jobs N for parallel evaluation, --json [path] for a
  * machine-readable BENCH_<id>.json record, --progress for sweep
- * logging, --profile for schedule profiling, --profile-detail
- * auto|full|summary for the profiling level of detail (Summary keeps
- * every observability artifact bounded in graph size —
- * docs/OBSERVABILITY.md), --trace-dir DIR for
+ * logging, --profile for schedule profiling, whose level of detail
+ * follows the graph size (docs/OBSERVABILITY.md), --trace-dir DIR for
  * per-cell chrome-trace/profile/bundle files, --html DIR for a browsable
  * HTML Schedule Explorer (per-cell pages + an index), --baseline FILE +
- * --tolerance T for an in-process regression check of the fresh
- * record against a committed BENCH_*.json, --self-trace [PATH] for a
- * host-side engine trace — see docs/SELFTRACE.md), owns the SweepEngine the bench
- * declares its grid into, and collects the rendered tables so the JSON
- * document carries both the formatted tables and the raw per-cell
- * records. Benches keep working with no arguments at all — that is how
- * the ctest smoke tests and CI run them.
+ * --tolerance T (a finite number >= 0) for an in-process regression
+ * check of the fresh record against a committed BENCH_*.json,
+ * --self-trace [PATH] for a host-side engine trace — see
+ * docs/SELFTRACE.md), owns the SweepEngine the bench declares its grid
+ * into, and collects the rendered tables so the JSON document carries
+ * both the formatted tables and the raw per-cell records. Benches keep
+ * working with no arguments at all — that is how the ctest smoke tests
+ * and CI run them. A file the bench cannot write in full is fatal.
  */
 #ifndef SO_BENCH_BENCH_UTIL_H
 #define SO_BENCH_BENCH_UTIL_H
@@ -84,9 +83,7 @@ class Harness
     /**
      * Declare one cell; returns its index for result(). When --profile
      * or --trace-dir was given, the setup's capture_profile /
-     * capture_trace flags are switched on before the cell is added;
-     * --profile-detail overrides the setup's profiling level of
-     * detail.
+     * capture_trace flags are switched on before the cell is added.
      */
     std::size_t add(const runtime::TrainingSystem &system,
                     runtime::TrainSetup setup, std::string tag = "");
@@ -161,10 +158,6 @@ class Harness
     std::string selftrace_path_; // Empty: no host self-trace export.
     double tolerance_ = 0.25;
     bool profile_ = false;
-    /** --profile-detail override for every declared cell. */
-    bool has_profile_detail_ = false;
-    sim::ProfileOptions::Detail profile_detail_ =
-        sim::ProfileOptions::Detail::Auto;
     std::vector<std::string> argv_; // For the record's meta subtree.
     std::unique_ptr<runtime::SweepEngine> engine_;
     std::vector<std::unique_ptr<Table>> tables_;

@@ -52,17 +52,6 @@ ArgParser::getInt(const std::string &name, long long fallback) const
     return (end && *end == '\0') ? value : fallback;
 }
 
-double
-ArgParser::getDouble(const std::string &name, double fallback) const
-{
-    const auto it = options_.find(name);
-    if (it == options_.end() || it->second.empty())
-        return fallback;
-    char *end = nullptr;
-    const double value = std::strtod(it->second.c_str(), &end);
-    return (end && *end == '\0') ? value : fallback;
-}
-
 std::vector<std::string>
 ArgParser::keys() const
 {

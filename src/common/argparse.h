@@ -32,9 +32,6 @@ class ArgParser
     /** Integer value of --name, or @p fallback when absent/invalid. */
     long long getInt(const std::string &name, long long fallback) const;
 
-    /** Double value of --name, or @p fallback when absent/invalid. */
-    double getDouble(const std::string &name, double fallback) const;
-
     /** Positional (non --key) arguments in order. */
     const std::vector<std::string> &positional() const
     {

@@ -74,36 +74,6 @@ Table::str() const
     return os.str();
 }
 
-std::string
-Table::csv() const
-{
-    std::ostringstream os;
-    auto emit = [&](const std::vector<std::string> &row) {
-        for (std::size_t i = 0; i < row.size(); ++i) {
-            if (i)
-                os << ',';
-            // Quote cells containing separators.
-            if (row[i].find_first_of(",\"\n") != std::string::npos) {
-                os << '"';
-                for (char c : row[i]) {
-                    if (c == '"')
-                        os << '"';
-                    os << c;
-                }
-                os << '"';
-            } else {
-                os << row[i];
-            }
-        }
-        os << '\n';
-    };
-    if (!header_.empty())
-        emit(header_);
-    for (const auto &row : rows_)
-        emit(row);
-    return os.str();
-}
-
 void
 Table::writeJson(JsonWriter &json) const
 {

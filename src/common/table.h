@@ -3,7 +3,8 @@
  * Console table rendering for benchmark harnesses.
  *
  * Every table/figure reproduction binary prints its rows through this
- * class so output is uniform and machine-parseable (CSV mode).
+ * class so output is uniform; writeJson carries the same cells into a
+ * bench's JSON record.
  */
 #ifndef SO_COMMON_TABLE_H
 #define SO_COMMON_TABLE_H
@@ -16,7 +17,7 @@ namespace so {
 
 class JsonWriter;
 
-/** A simple aligned text table with an optional title and CSV export. */
+/** A simple aligned text table with an optional title. */
 class Table
 {
   public:
@@ -37,9 +38,6 @@ class Table
     /** Render as an aligned table. */
     std::string str() const;
 
-    /** Render as CSV (header + rows). */
-    std::string csv() const;
-
     /**
      * Emit {title, header, rows} as one JSON object into an in-progress
      * document. Cells stay strings: the table stores formatted text.
@@ -50,8 +48,6 @@ class Table
 
     /** Print the aligned table to @p out (defaults to stdout). */
     void print(std::FILE *out = stdout) const;
-
-    std::size_t rowCount() const { return rows_.size(); }
 
   private:
     std::string title_;

@@ -11,6 +11,7 @@
 #include <mutex>
 #include <thread>
 
+#include "common/file.h"
 #include "common/json.h"
 #include "common/logging.h"
 #include "common/metrics.h"
@@ -155,17 +156,8 @@ writeAtomically(const std::string &path, const std::string &doc)
 {
     const std::string tmp =
         path + ".tmp." + std::to_string(processId());
-    std::FILE *out = std::fopen(tmp.c_str(), "w");
-    if (!out)
-        return false;
-    const bool ok =
-        std::fwrite(doc.data(), 1, doc.size(), out) == doc.size() &&
-        std::fputc('\n', out) != EOF;
-    if (std::fclose(out) != 0 || !ok) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    if (!writeFile(tmp, {doc, "\n"}) ||
+        std::rename(tmp.c_str(), path.c_str()) != 0) {
         std::remove(tmp.c_str());
         return false;
     }

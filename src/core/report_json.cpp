@@ -6,12 +6,6 @@
 namespace so::core {
 
 std::string
-toJson(const runtime::IterationResult &result)
-{
-    return runtime::toJson(result);
-}
-
-std::string
 toJson(const PlanReport &report, const runtime::TrainSetup &setup)
 {
     JsonWriter json;

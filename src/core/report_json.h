@@ -14,9 +14,6 @@
 
 namespace so::core {
 
-/** Serialize one iteration evaluation (feasibility, timing, memory). */
-std::string toJson(const runtime::IterationResult &result);
-
 /** Serialize the full plan (decisions + iteration) for @p setup. */
 std::string toJson(const PlanReport &report,
                    const runtime::TrainSetup &setup);

@@ -101,16 +101,6 @@ MemoryHierarchy::primaryPath(std::string_view from,
              "'");
 }
 
-double
-MemoryHierarchy::aggregateBandwidth(std::string_view from,
-                                    std::string_view to) const
-{
-    double sum = 0.0;
-    for (const MemoryPath *path : pathsBetween(from, to))
-        sum += path->link.curve().peak();
-    return sum;
-}
-
 MemoryHierarchy
 memoryHierarchy(const SuperchipSpec &chip, const Link &host_link,
                 const HierarchyOptions &opts)

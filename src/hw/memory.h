@@ -137,14 +137,6 @@ class MemoryHierarchy
     const MemoryPath &primaryPath(std::string_view from,
                                   std::string_view to) const;
 
-    /**
-     * Sum of the peak bandwidths of all @p from -> @p to paths — the
-     * aggregate rate a multi-path transfer can approach when it
-     * stripes across every route (MLP-Offload's headline quantity).
-     */
-    double aggregateBandwidth(std::string_view from,
-                              std::string_view to) const;
-
   private:
     std::vector<MemoryTier> tiers_;
     std::vector<MemoryPath> paths_;

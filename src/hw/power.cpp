@@ -47,15 +47,6 @@ PowerModel::find(std::string_view name) const
     return nullptr;
 }
 
-double
-PowerModel::backgroundWatts() const
-{
-    double watts = 0.0;
-    for (const BackgroundPower &bg : background_)
-        watts += bg.watts;
-    return watts;
-}
-
 PowerModel
 powerModel(const SuperchipSpec &chip, const MemoryHierarchy &hierarchy,
            const PowerOverrides &overrides)

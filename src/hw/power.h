@@ -115,9 +115,6 @@ class PowerModel
     /** Profile of resource @p name, or nullptr when unmetered. */
     const PowerProfile *find(std::string_view name) const;
 
-    /** Sum of all static background draws, in watts. */
-    double backgroundWatts() const;
-
   private:
     std::vector<PowerProfile> resources_;
     std::vector<BackgroundPower> background_;

@@ -17,18 +17,6 @@ IterationFlops::executedFlops() const
 }
 
 double
-IterationFlops::totalGemm() const
-{
-    return fwd_gemm + bwd_gemm + recompute_gemm;
-}
-
-double
-IterationFlops::totalAttn() const
-{
-    return fwd_attn + bwd_attn + recompute_attn;
-}
-
-double
 fwdGemmFlops(const ModelConfig &cfg, double batch, double seq)
 {
     SO_ASSERT(batch > 0.0 && seq > 0.0, "batch and seq must be positive");

@@ -35,9 +35,6 @@ struct IterationFlops
 
     /** All executed flops including recompute. */
     double executedFlops() const;
-
-    double totalGemm() const;
-    double totalAttn() const;
 };
 
 /**

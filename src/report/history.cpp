@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -105,6 +106,18 @@ flattenNumericLeaves(const JsonValue &doc, const std::string &prefix,
     default:
         break;
     }
+}
+
+bool
+parseTolerance(const std::string &text, double &value)
+{
+    char *end = nullptr;
+    const double parsed = std::strtod(text.c_str(), &end);
+    if (text.empty() || *end != '\0' || !std::isfinite(parsed) ||
+        parsed < 0.0)
+        return false;
+    value = parsed;
+    return true;
 }
 
 CheckVerdict

@@ -66,6 +66,14 @@ struct MetricDelta
     bool missing = false;
 };
 
+/**
+ * Parse all of @p text as a relative tolerance into @p value: a finite
+ * number >= 0. Returns false for anything else, since nan or inf would
+ * pass every metric, a negative value would fail every one, and text
+ * that is not a number would silently keep the default.
+ */
+bool parseTolerance(const std::string &text, double &value);
+
 /** Tolerances for one check. */
 struct CheckOptions
 {

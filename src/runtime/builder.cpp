@@ -326,8 +326,7 @@ IterBuilder::fillEnergy(IterationResult &res, const sim::Schedule &schedule,
     sim::EnergyProfile ep;
     EnergySummary &e = res.energy;
     if (profile != nullptr) {
-        ep = sim::attributeEnergy(graph_, schedule, *profile, inputs,
-                                  setup_.profile_options);
+        ep = sim::attributeEnergy(graph_, schedule, *profile, inputs);
         static_cast<sim::EnergyTotals &>(e) = ep;
     } else {
         static_cast<sim::EnergyTotals &>(e) =
@@ -378,8 +377,7 @@ IterBuilder::finishWindow(const model::IterationFlops &flops,
         // [win_begin, win_end) measurement window: idle attribution is
         // only meaningful against the full iteration.
         const sim::ScheduleProfile prof =
-            sim::profileSchedule(graph_, schedule,
-                                 setup_.profile_options);
+            sim::profileSchedule(graph_, schedule);
         static_cast<sim::ProfileTotals &>(res.profile) = prof;
         res.profile.valid = true;
         for (sim::TaskId id : sim::topZeroSlackTasks(prof, graph_))

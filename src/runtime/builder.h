@@ -12,8 +12,8 @@
  * schedule structure (plus any cost of their own, such as Megatron's
  * tensor-parallel GEMM penalty). The result's profile and energy
  * totals come from sim (profileSchedule, attributeEnergy,
- * meterEnergy); the builder adds only the per-iteration and per-token
- * joules.
+ * meterEnergy) at the default level of detail, which follows the graph
+ * size; the builder adds only the per-iteration and per-token joules.
  */
 #ifndef SO_RUNTIME_BUILDER_H
 #define SO_RUNTIME_BUILDER_H

@@ -7,6 +7,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/file.h"
 #include "common/json.h"
 #include "common/schema.h"
 #include "common/logging.h"
@@ -162,10 +163,6 @@ SweepEngine::fingerprint(const TrainingSystem &system,
     appendNum(key, static_cast<std::uint32_t>(setup.binding));
     appendNum(key, static_cast<std::uint32_t>(setup.capture_trace));
     appendNum(key, static_cast<std::uint32_t>(setup.capture_profile));
-    // Level-of-detail shapes the captured artifacts (which arrays a
-    // cached profile retains), so it is part of the cell's identity.
-    appendNum(key,
-              static_cast<std::uint32_t>(setup.profile_options.detail));
     // Power overrides change the energy numbers cached inside the
     // result, so they are part of the cell's identity (a presence bit
     // per field keeps an explicit override distinct from the preset
@@ -236,7 +233,7 @@ SweepEngine::run()
             trace::Span span(trace::Category::Sweep, "fingerprint");
             key = fingerprint(*cell.system, cell.setup);
         }
-        if (options_.cache) {
+        {
             trace::Span probe(trace::Category::Sweep, "cache-probe");
             const auto hit = cache_.find(key);
             probe.arg("hit", hit != cache_.end() ? 1.0 : 0.0);
@@ -256,7 +253,7 @@ SweepEngine::run()
             p.first_cell = i;
             p.key = it->first;
             pending.push_back(std::move(p));
-        } else if (options_.cache) {
+        } else {
             ++hits_; // Duplicate within this batch: evaluated once.
             metrics.add("sweep.cache_hits");
         }
@@ -353,8 +350,7 @@ SweepEngine::run()
             const SweepCell &cell = cells_[p.first_cell];
             p.best = cell.system->selectBest(cell.setup, p.cands,
                                              std::move(p.results));
-            if (options_.cache)
-                cache_.emplace(p.key, p.best);
+            cache_.emplace(p.key, p.best);
             ++misses_;
             metrics.add("sweep.cache_misses");
         }
@@ -442,11 +438,6 @@ IterationResult
 SweepEngine::evaluate(const TrainingSystem &system,
                       const TrainSetup &setup)
 {
-    if (!options_.cache) {
-        ++misses_;
-        MetricsRegistry::global().add("sweep.cache_misses");
-        return evaluateCell(system, setup);
-    }
     std::string key = fingerprint(system, setup);
     const auto hit = cache_.find(key);
     if (hit != cache_.end()) {
@@ -523,13 +514,8 @@ SweepEngine::json() const
 void
 SweepEngine::writeJson(const std::string &path) const
 {
-    std::FILE *out = std::fopen(path.c_str(), "w");
-    if (!out)
-        SO_FATAL("cannot open ", path, " for writing");
-    const std::string doc = json();
-    std::fwrite(doc.data(), 1, doc.size(), out);
-    std::fputc('\n', out);
-    std::fclose(out);
+    if (!writeFile(path, {json(), "\n"}))
+        SO_FATAL("cannot write ", path);
 }
 
 } // namespace so::runtime

@@ -43,8 +43,6 @@ struct SweepOptions
 {
     /** Worker threads for simulations; 0 = hardware concurrency. */
     std::size_t jobs = 1;
-    /** Memoize evaluated cells by setup fingerprint. */
-    bool cache = true;
     /** Log one line per run() batch (cells, simulations, timing). */
     bool progress = false;
     /** Sweep name used in progress lines and the JSON document. */
@@ -120,7 +118,7 @@ class SweepEngine
      */
     std::string json() const;
 
-    /** Write json() to @p path. @fatal when the file cannot be opened. */
+    /** Write json() to @p path. @fatal when it cannot be written in full. */
     void writeJson(const std::string &path) const;
 
     /**

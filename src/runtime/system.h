@@ -69,19 +69,13 @@ struct TrainSetup
      * IterationResult::profile_json. When combined with capture_trace,
      * the trace additionally carries critical-path flow arrows and
      * per-resource occupancy counter tracks. Off by default for the
-     * same reason as capture_trace.
+     * same reason as capture_trace. The level of detail follows the
+     * graph size (sim::ProfileOptions::Detail::Auto): a graph of
+     * kAutoSummaryTasks or more tasks keeps only bounded histograms
+     * and top-K lists and gets no inline bundle document
+     * (docs/OBSERVABILITY.md).
      */
     bool capture_profile = false;
-
-    /**
-     * Level-of-detail for the captured profile (docs/OBSERVABILITY.md):
-     * Full keeps the O(V) per-task arrays and produces the inline
-     * bundle document; Summary (or Auto past the threshold) keeps only
-     * bounded histograms / top-K lists and skips the bundle so a
-     * multi-million-task window stays profileable. Part of the sweep
-     * fingerprint — changing it invalidates cached cells.
-     */
-    sim::ProfileOptions profile_options;
 
     /**
      * Per-job overrides of the derived electrical model (hw/power.h,

@@ -10,15 +10,6 @@
 namespace so::sim {
 
 double
-Schedule::idleFraction(ResourceId resource) const
-{
-    SO_ASSERT(resource < timelines.size(), "unknown resource ", resource);
-    if (makespan <= 0.0)
-        return 0.0;
-    return timelines[resource].idleTime(0.0, makespan) / makespan;
-}
-
-double
 Schedule::utilization(ResourceId resource) const
 {
     SO_ASSERT(resource < timelines.size(), "unknown resource ", resource);

@@ -46,9 +46,6 @@ struct Schedule
     /** Completion time of the last task. */
     double makespan = 0.0;
 
-    /** GPU/CPU idle fraction for a resource over [0, makespan). */
-    double idleFraction(ResourceId resource) const;
-
     /** Utilization of a resource over [0, makespan). */
     double utilization(ResourceId resource) const;
 };

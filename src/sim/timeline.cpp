@@ -94,24 +94,4 @@ Timeline::totalSlotSeconds() const
     return total;
 }
 
-double
-Timeline::firstStart() const
-{
-    if (intervals_.empty())
-        return 0.0;
-    double first = intervals_[0].start;
-    for (const Interval &iv : intervals_)
-        first = std::min(first, iv.start);
-    return first;
-}
-
-double
-Timeline::lastEnd() const
-{
-    double last = 0.0;
-    for (const Interval &iv : intervals_)
-        last = std::max(last, iv.end);
-    return last;
-}
-
 } // namespace so::sim

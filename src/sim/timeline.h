@@ -64,12 +64,6 @@ class Timeline
     /** Sum of slot-seconds (no union), for work accounting. */
     double totalSlotSeconds() const;
 
-    /** Earliest interval start; 0 if empty. */
-    double firstStart() const;
-
-    /** Latest interval end; 0 if empty. */
-    double lastEnd() const;
-
     bool empty() const { return intervals_.empty(); }
 
   private:

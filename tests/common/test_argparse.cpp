@@ -32,7 +32,7 @@ TEST(ArgParser, EqualsSyntax)
 {
     const ArgParser args = parse({"--seq=2048", "--ratio=1.5"});
     EXPECT_EQ(args.getInt("seq", 0), 2048);
-    EXPECT_DOUBLE_EQ(args.getDouble("ratio", 0.0), 1.5);
+    EXPECT_EQ(args.get("ratio"), "1.5");
 }
 
 TEST(ArgParser, BareFlags)
@@ -64,14 +64,12 @@ TEST(ArgParser, DefaultsWhenAbsent)
     const ArgParser args = parse({});
     EXPECT_EQ(args.get("missing", "def"), "def");
     EXPECT_EQ(args.getInt("missing", 7), 7);
-    EXPECT_DOUBLE_EQ(args.getDouble("missing", 2.5), 2.5);
 }
 
 TEST(ArgParser, InvalidNumbersFallBack)
 {
     const ArgParser args = parse({"--chips", "four", "--ratio", "x.y"});
     EXPECT_EQ(args.getInt("chips", -1), -1);
-    EXPECT_DOUBLE_EQ(args.getDouble("ratio", -1.0), -1.0);
 }
 
 TEST(ArgParser, LastOccurrenceWins)

@@ -25,25 +25,6 @@ TEST(Table, PadsShortRows)
     t.setHeader({"a", "b", "c"});
     t.addRow({"only-one"});
     EXPECT_NO_THROW({ const auto s = t.str(); (void)s; });
-    EXPECT_EQ(t.rowCount(), 1u);
-}
-
-TEST(Table, CsvEscapesSpecialCharacters)
-{
-    Table t;
-    t.setHeader({"x", "y"});
-    t.addRow({"a,b", "quote\"inside"});
-    const std::string csv = t.csv();
-    EXPECT_NE(csv.find("\"a,b\""), std::string::npos);
-    EXPECT_NE(csv.find("\"quote\"\"inside\""), std::string::npos);
-}
-
-TEST(Table, CsvRoundTripSimple)
-{
-    Table t;
-    t.setHeader({"model", "tflops"});
-    t.addRow({"5B", "238.92"});
-    EXPECT_EQ(t.csv(), "model,tflops\n5B,238.92\n");
 }
 
 TEST(Table, NumFormatsFixedPoint)

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "runtime/result_json.h"
+
 namespace so::core {
 namespace {
 
@@ -52,7 +54,7 @@ TEST(ReportJson, IterationResultStandalone)
 {
     SuperOffloadSystem sys;
     const auto res = sys.run(setupFor("5B"));
-    const std::string json = toJson(res);
+    const std::string json = runtime::toJson(res);
     EXPECT_NE(json.find("\"iter_time_s\":"), std::string::npos);
     EXPECT_NE(json.find("\"gpu_utilization\":"), std::string::npos);
     // No NVMe section when the system does not use the tier.
@@ -64,7 +66,7 @@ TEST(ReportJson, NotesSurviveSerialization)
     SuperOffloadSystem sys;
     const auto res = sys.run(setupFor("5B"));
     ASSERT_TRUE(res.feasible);
-    const std::string json = toJson(res);
+    const std::string json = runtime::toJson(res);
     EXPECT_NE(json.find("retained="), std::string::npos);
 }
 

@@ -121,20 +121,6 @@ TEST(MemoryHierarchy, PathTimeMatchesItsLink)
     EXPECT_GT(h2d.transferTime(kGB, false), h2d.transferTime(kGB));
 }
 
-TEST(MemoryHierarchy, AggregateBandwidthSumsConcurrentRoutes)
-{
-    HierarchyOptions opts;
-    opts.gds_paths = true;
-    const MemoryHierarchy staged = gh200Hierarchy();
-    const MemoryHierarchy multi = gh200Hierarchy(opts);
-    const double one = staged.aggregateBandwidth(kTierNvme, kTierDdr);
-    EXPECT_GT(one, 0.0);
-    // GDS adds an NVMe->HBM route without touching NVMe->DDR.
-    EXPECT_DOUBLE_EQ(multi.aggregateBandwidth(kTierNvme, kTierDdr), one);
-    EXPECT_GT(multi.aggregateBandwidth(kTierNvme, kTierHbm), 0.0);
-    EXPECT_DOUBLE_EQ(staged.aggregateBandwidth(kTierNvme, kTierHbm), 0.0);
-}
-
 TEST(MemoryHierarchy, TierMemTimeIsBandwidthBound)
 {
     MemoryTier tier;

@@ -87,9 +87,6 @@ TEST(PowerModel, OverridesReplaceDerivedValues)
     // Unset fields keep the derived value.
     EXPECT_DOUBLE_EQ(model.find("GPU")->idle_w, kGpuIdleWatts);
     EXPECT_DOUBLE_EQ(model.find("NVMe")->joules_per_byte, 500.0e-12);
-    const ClusterSpec cluster = gh200Single();
-    EXPECT_NEAR(model.backgroundWatts(),
-                cluster.node.superchip.cpu.mem_bytes / kGiB, 1e-9);
 }
 
 TEST(PowerModel, OverridesAnyDetectsEveryField)

@@ -3,9 +3,11 @@
  * bench_sim_kernel CLI contract (satellite of the observability work):
  * the --max-tasks skip notice goes to stderr so stdout stays a clean
  * scrapeable table, --json writes a record that parses cleanly even
- * when sizes were skipped, --trace-dir streams the full artifact set
- * (Chrome trace, profile document, bundle shards) at the requested
- * level of detail, and a bad --detail value is a usage error.
+ * when sizes were skipped and fails when the record cannot be written,
+ * --trace-dir streams the full artifact set (Chrome trace, profile
+ * document, bundle shards) at the detail the graph size picks, an
+ * unknown flag is a usage error, and an unusable --tolerance is
+ * rejected.
  */
 #include <gtest/gtest.h>
 
@@ -77,6 +79,14 @@ TEST(BenchSimKernelCli, SkipNoticeStaysOffStdoutAndJsonParses)
     EXPECT_LE(sizes[0].at("tasks").number(), 2000.0);
     EXPECT_GT(sizes[0].at("total_tasks_per_s").number(), 0.0);
 
+    // A record that cannot be written in full fails the run.
+    EXPECT_EQ(runBench("--max-tasks 1000 --json /dev/full",
+                       dir / "stdout.txt", dir / "stderr.txt"),
+              1);
+    EXPECT_NE(slurp(dir / "stderr.txt").find("cannot write /dev/full"),
+              std::string::npos);
+    EXPECT_EQ(slurp(dir / "stdout.txt").find("wrote"), std::string::npos);
+
     fs::remove_all(dir);
 }
 
@@ -87,19 +97,19 @@ TEST(BenchSimKernelCli, TraceDirStreamsTheArtifactTriple)
     fs::create_directories(dir);
     const fs::path traces = dir / "traces";
 
-    ASSERT_EQ(runBench("--max-tasks 1000 --detail summary --trace-dir " +
-                           traces.string(),
+    ASSERT_EQ(runBench("--max-tasks 1000 --trace-dir " + traces.string(),
                        dir / "stdout.txt", dir / "stderr.txt"),
               0);
-    EXPECT_NE(slurp(dir / "stdout.txt").find("summary detail"),
+    EXPECT_EQ(slurp(dir / "stdout.txt").find("summary detail"),
               std::string::npos);
 
+    // 1000 tasks is below the Summary threshold: full detail.
     JsonValue doc;
     std::string error;
     ASSERT_TRUE(JsonValue::parse(
         slurp(traces / "sim_kernel_1000.profile.json"), doc, &error))
         << error;
-    EXPECT_EQ(doc.at("detail").text(), "summary");
+    EXPECT_EQ(doc.at("detail").text(), "full");
 
     ASSERT_TRUE(JsonValue::parse(
         slurp(traces / "sim_kernel_1000.trace.json"), doc, &error))
@@ -120,11 +130,26 @@ TEST(BenchSimKernelCli, BadDetailIsAUsageError)
     const fs::path dir =
         fs::path(testing::TempDir()) / "bench_cli_usage";
     fs::create_directories(dir);
+    // The profile's detail follows the graph size; --detail is an
+    // unknown flag like any other.
     EXPECT_EQ(runBench("--detail sideways", dir / "stdout.txt",
                        dir / "stderr.txt"),
               2);
-    EXPECT_NE(slurp(dir / "stderr.txt").find("unknown --detail"),
+    EXPECT_NE(slurp(dir / "stderr.txt").find("usage:"),
               std::string::npos);
+
+    // A tolerance that would switch the check off or fail every metric
+    // is an error, not a silent 0.
+    for (const char *tolerance : {"nan", "-1"}) {
+        EXPECT_EQ(runBench(std::string("--max-tasks 1000 --tolerance ") +
+                               tolerance,
+                           dir / "stdout.txt", dir / "stderr.txt"),
+                  1)
+            << tolerance;
+        EXPECT_NE(slurp(dir / "stderr.txt").find("finite number"),
+                  std::string::npos)
+            << tolerance;
+    }
     fs::remove_all(dir);
 }
 

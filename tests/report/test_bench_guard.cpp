@@ -2,9 +2,11 @@
  * @file
  * Harness guard-rail tests: --trace-dir pointing at an existing
  * regular file dies fast with a clear message (before any sweep work),
- * a valid --trace-dir is created up front, and --baseline runs the
- * in-process regression check, writing a machine-readable verdict
- * file while keeping the exit code 0 (warn-only).
+ * a valid --trace-dir is created up front, an unusable --tolerance
+ * dies at parse time, a --json record that cannot be written in full
+ * is fatal, and --baseline runs the in-process regression check,
+ * writing a machine-readable verdict file while keeping the exit code
+ * 0 (warn-only).
  */
 #include "bench_util.h"
 
@@ -67,6 +69,20 @@ TEST(HarnessGuard, TraceDirIsCreatedUpFront)
         EXPECT_TRUE(fs::is_directory(dir));
     }
     fs::remove_all(tempPath("so_trace_dir_ok"));
+}
+
+TEST(HarnessGuard, UnusableToleranceDiesFast)
+{
+    for (const char *tolerance : {"nan", "inf", "abc", "-1"})
+        EXPECT_EXIT(makeHarness({"--tolerance", tolerance}),
+                    ::testing::ExitedWithCode(1), "finite number")
+            << tolerance;
+}
+
+TEST(HarnessGuard, JsonOnAFullDeviceIsFatal)
+{
+    EXPECT_EXIT(makeHarness({"--json", "/dev/full"}).finish(),
+                ::testing::ExitedWithCode(1), "cannot write /dev/full");
 }
 
 TEST(HarnessGuard, BaselineCheckIsWarnOnlyAndWritesVerdict)

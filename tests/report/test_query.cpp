@@ -5,9 +5,10 @@
  * filters and top-N ranking, plus the `so-report` CLI contract — the
  * query subcommand answers over real artifacts, an unknown subcommand
  * exits with the distinct usage status listing the valid ones, query
- * and check reject an unusable window or --tol value with exit 1, top
- * and diff reject malformed documents with exit 1, and the query and
- * selftrace readers treat out-of-range numbers as absent.
+ * and check reject an unusable window or --tolerance/--tol value with
+ * exit 1, html and check fail when their --out file cannot be written,
+ * top and diff reject malformed documents with exit 1, and the query
+ * and selftrace readers treat out-of-range numbers as absent.
  */
 #include "report/query.h"
 
@@ -343,6 +344,42 @@ TEST(Query, CliCheckRejectsUnusableTolerance)
         EXPECT_NE(output.find("finite number"), std::string::npos)
             << output;
     }
+    // The default tolerance follows the same rule: nan and inf would
+    // pass every metric, a negative value would fail every one, and
+    // text that is not a number would silently keep the default.
+    for (const char *tolerance : {"nan", "inf", "abc", "-1"}) {
+        EXPECT_EQ(runReport("check " + record + " --baseline " + record +
+                                " --tolerance " + tolerance,
+                            output),
+                  1)
+            << tolerance << ": " << output;
+        EXPECT_NE(output.find("finite number"), std::string::npos)
+            << tolerance << ": " << output;
+    }
+}
+
+TEST(Query, CliWritersFailOnAFullDevice)
+{
+    // A write that fails after the open (ENOSPC surfaces at the flush)
+    // is an error, not a success message.
+    const std::string record =
+        writeFile("full_device_record.json", R"({"v_per_s":1})");
+    std::string output;
+    EXPECT_EQ(runReport("html " + record + " --out /dev/full", output), 1)
+        << output;
+    EXPECT_NE(output.find("cannot write /dev/full"), std::string::npos)
+        << output;
+    EXPECT_EQ(output.find("report written"), std::string::npos) << output;
+
+    EXPECT_EQ(runReport("check " + record + " --baseline " + record +
+                            " --out /dev/full",
+                        output),
+              1)
+        << output;
+    EXPECT_NE(output.find("cannot write /dev/full"), std::string::npos)
+        << output;
+    EXPECT_EQ(output.find("verdict written"), std::string::npos)
+        << output;
 }
 
 TEST(Query, CliTopAndDiffRejectMalformedDocuments)

@@ -208,7 +208,6 @@ TEST(Scheduler, UtilizationAndIdleFractions)
     const Schedule s = Scheduler().run(g);
     EXPECT_DOUBLE_EQ(s.makespan, 2.0);
     EXPECT_DOUBLE_EQ(s.utilization(gpu), 0.5);
-    EXPECT_DOUBLE_EQ(s.idleFraction(gpu), 0.5);
     EXPECT_DOUBLE_EQ(s.utilization(cpu), 0.5);
 }
 

@@ -74,16 +74,6 @@ TEST(Timeline, ZeroLengthIntervalIgnored)
     EXPECT_TRUE(t.empty());
 }
 
-TEST(Timeline, FirstStartAndLastEnd)
-{
-    Timeline t;
-    t.add(3.0, 4.0, 0);
-    t.add(1.0, 2.0, 1);
-    t.add(5.0, 9.0, 2);
-    EXPECT_DOUBLE_EQ(t.firstStart(), 1.0);
-    EXPECT_DOUBLE_EQ(t.lastEnd(), 9.0);
-}
-
 TEST(Timeline, EmptyWindowReturnsZero)
 {
     Timeline t;

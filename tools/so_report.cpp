@@ -55,6 +55,7 @@
 #include <vector>
 
 #include "common/argparse.h"
+#include "common/file.h"
 #include "common/json.h"
 #include "common/metrics.h"
 #include "common/schema.h"
@@ -241,7 +242,14 @@ cmdCheck(const ArgParser &args)
         return 1;
 
     report::CheckOptions options;
-    options.tolerance = args.getDouble("tolerance", options.tolerance);
+    if (args.has("tolerance") &&
+        !report::parseTolerance(args.get("tolerance"), options.tolerance)) {
+        std::fprintf(stderr,
+                     "so-report: --tolerance %s: must be a finite number "
+                     ">= 0\n",
+                     args.get("tolerance").c_str());
+        return 1;
+    }
     if (args.has("tol")) {
         const std::string spec = args.get("tol");
         const std::size_t eq = spec.rfind('=');
@@ -251,11 +259,10 @@ cmdCheck(const ArgParser &args)
             return 1;
         }
         double tolerance = 0.0;
-        if (!parseNumber(spec.substr(eq + 1), tolerance) ||
-            !std::isfinite(tolerance)) {
+        if (!report::parseTolerance(spec.substr(eq + 1), tolerance)) {
             std::fprintf(stderr,
                          "so-report: --tol %s: TOLERANCE must be a finite "
-                         "number\n",
+                         "number >= 0\n",
                          spec.c_str());
             return 1;
         }
@@ -269,13 +276,11 @@ cmdCheck(const ArgParser &args)
 
     if (args.has("out")) {
         const std::string out_path = args.get("out");
-        std::ofstream out(out_path);
-        if (!out) {
+        if (!writeFile(out_path, {verdict.json(), "\n"})) {
             std::fprintf(stderr, "so-report: cannot write %s\n",
                          out_path.c_str());
             return 1;
         }
-        out << verdict.json() << '\n';
         std::printf("verdict written to %s\n", out_path.c_str());
     }
     if (args.has("history")) {
@@ -782,14 +787,11 @@ cmdHtml(const ArgParser &args)
     }
 
     const std::string out_path = args.get("out", "report.html");
-    std::ofstream out(out_path, std::ios::binary);
-    if (!out) {
+    if (!writeFile(out_path, {report::renderHtmlReport(page)})) {
         std::fprintf(stderr, "so-report: cannot write %s\n",
                      out_path.c_str());
         return 1;
     }
-    out << report::renderHtmlReport(page);
-    out.close();
     std::printf("report written to %s\n", out_path.c_str());
     return 0;
 }
