@@ -10,9 +10,9 @@
  * phase (discrete-event run over a reused workspace). The 1M/10M sizes
  * exist to hold the schedule phase flat at scale (docs/PERF.md, "Event
  * queue at scale"): the slot-bounded event heap, bucketed ready sets,
- * and the graph-cached dependents CSR are all sized for them. Both
- * phases also publish into a private MetricsRegistry so the JSON record
- * carries the full histograms alongside the derived tasks/sec numbers.
+ * and the graph-cached dependents CSR are all sized for them. The JSON
+ * record carries, per size, the rep count, the mean seconds of each
+ * phase and the tasks/sec derived from them.
  *
  * Run with --json [path] to write BENCH_sim_kernel.json (default path);
  * CI's perf-smoke step records the numbers without gating on them,
@@ -37,7 +37,6 @@
 
 #include "common/file.h"
 #include "common/json.h"
-#include "common/metrics.h"
 #include "common/trace.h"
 #include "report/history.h"
 #include "sim/graph.h"
@@ -113,7 +112,7 @@ struct SizeResult
 };
 
 SizeResult
-measure(std::size_t target_tasks, so::MetricsRegistry &metrics)
+measure(std::size_t target_tasks)
 {
     using clock = std::chrono::steady_clock;
     // Repeat until the measurement is comfortably above timer noise.
@@ -136,22 +135,12 @@ measure(std::size_t target_tasks, so::MetricsRegistry &metrics)
     SizeResult out;
     double build_total = 0.0;
     double schedule_total = 0.0;
-    const std::string suffix = std::to_string(target_tasks);
     while (out.reps < kMinReps ||
            build_total + schedule_total < kMinSeconds) {
         const auto t0 = clock::now();
-        TaskGraph g;
-        {
-            so::ScopedTimer timer(metrics,
-                                  "sim_kernel.build_s." + suffix);
-            g = buildGraph(target_tasks);
-        }
+        const TaskGraph g = buildGraph(target_tasks);
         const auto t1 = clock::now();
-        {
-            so::ScopedTimer timer(metrics,
-                                  "sim_kernel.schedule_s." + suffix);
-            Scheduler().run(g, ws, sched);
-        }
+        Scheduler().run(g, ws, sched);
         const auto t2 = clock::now();
         if (sched.makespan <= 0.0) {
             std::fprintf(stderr, "bogus schedule (makespan 0)\n");
@@ -285,7 +274,6 @@ main(int argc, char **argv)
                 "build ms", "schedule ms", "build tasks/s",
                 "sched tasks/s");
 
-    so::MetricsRegistry metrics; // Private: only this bench's timers.
     const std::size_t sizes[] = {1000, 10000, 100000, 1'000'000,
                                  10'000'000};
     std::vector<SizeResult> results;
@@ -297,7 +285,7 @@ main(int argc, char **argv)
                          size, max_tasks);
             continue;
         }
-        const SizeResult r = measure(size, metrics);
+        const SizeResult r = measure(size);
         const double n = static_cast<double>(r.tasks);
         std::printf("%10zu %6zu %14.3f %14.3f %16.0f %16.0f\n", r.tasks,
                     r.reps, r.build_s * 1e3, r.schedule_s * 1e3,
@@ -330,8 +318,6 @@ main(int argc, char **argv)
             json.endObject();
         }
         json.endArray();
-        json.key("metrics");
-        metrics.snapshot().write(json);
         json.endObject();
 
         const std::string doc = json.str();

@@ -11,7 +11,6 @@
 #include "common/file.h"
 #include "common/json.h"
 #include "common/logging.h"
-#include "common/metrics.h"
 #include "common/schema.h"
 #include "common/trace.h"
 #include "report/history.h"
@@ -281,7 +280,8 @@ Harness::finish()
     if (!selftrace_path_.empty()) {
         const trace::CollectedTrace collected = trace::collect();
         self_profile_json = trace::selfProfileJson(collected);
-        trace::writeExport(selftrace_path_);
+        if (!trace::writeExport(selftrace_path_))
+            SO_FATAL("cannot write ", selftrace_path_);
         std::printf("wrote %s (%zu span(s), %llu dropped)\n",
                     selftrace_path_.c_str(), collected.spans.size(),
                     static_cast<unsigned long long>(collected.dropped));
@@ -304,11 +304,9 @@ Harness::finish()
     json.endArray();
     json.key("cells");
     engine_->writeCells(json);
-    json.key("metrics");
-    MetricsRegistry::global().snapshot().write(json);
-    // Provenance subtree. Like `metrics`, the regression guard skips
-    // everything under `meta`: a record must not "regress" because it
-    // was produced on a different host or commit.
+    // Provenance subtree. The regression guard skips everything under
+    // `meta`: a record must not "regress" because it was produced on a
+    // different host or commit.
     json.key("meta").beginObject();
     json.field("schema_version", kSchemaVersion);
     json.field("git_sha", SO_GIT_SHA);

@@ -108,10 +108,12 @@ class Harness
 
     /**
      * Finish the bench: write per-cell trace/profile/bundle files when
-     * --trace-dir was given, and BENCH_<id>.json (tables, cells, a
-     * metrics-registry snapshot, and a `meta` subtree — schema version,
-     * git SHA, hostname, argv — that the regression guard skips like
-     * `metrics`) when --json was given. When --baseline FILE was
+     * --trace-dir was given, the host self-trace and its summary when
+     * --self-trace was given, and BENCH_<id>.json (job and cache
+     * counters, tables, cells, and a `meta` subtree — schema version,
+     * git SHA, hostname, argv — that the regression guard skips) when
+     * --json was given. A file that cannot be written in full is
+     * fatal, naming its path (exit 1). When --baseline FILE was
      * given, additionally check the fresh record against that baseline
      * (report::checkAgainstBaseline), print the verdict, and write it
      * next to the record as BENCH_<id>.verdict.json. The check is

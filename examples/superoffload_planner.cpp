@@ -15,12 +15,12 @@
  *                        [--explain-html explain.html] [--list-models]
  */
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "common/argparse.h"
 #include "common/config_file.h"
+#include "common/file.h"
 #include "common/table.h"
 #include "common/units.h"
 #include "core/engine.h"
@@ -214,18 +214,15 @@ main(int argc, char **argv)
     if (args.has("trace") && report.feasible) {
         const std::string path =
             args.get("trace", "superoffload_trace.json");
-        if (std::FILE *f = std::fopen(path.c_str(), "w")) {
-            std::fwrite(report.iteration.trace_json.data(), 1,
-                        report.iteration.trace_json.size(), f);
-            std::fclose(f);
-            std::fprintf(stderr,
-                         "schedule trace written to %s "
-                         "(open in chrome://tracing or Perfetto)\n",
-                         path.c_str());
-        } else {
+        if (!writeFile(path, {report.iteration.trace_json})) {
             std::fprintf(stderr, "cannot write trace to %s\n",
                          path.c_str());
+            return 1;
         }
+        std::fprintf(stderr,
+                     "schedule trace written to %s "
+                     "(open in chrome://tracing or Perfetto)\n",
+                     path.c_str());
     }
     if (args.has("json")) {
         std::printf("%s\n", core::toJson(report, setup).c_str());
@@ -317,14 +314,13 @@ main(int argc, char **argv)
                     page.profiles.emplace_back(
                         "SuperOffload", report.iteration.profile_json);
                     page.diff_json = so::report::diffToJson(diff);
-                    std::ofstream out(html_path, std::ios::binary);
-                    if (!out) {
+                    if (!writeFile(html_path,
+                                   {so::report::renderHtmlReport(page)})) {
                         std::fprintf(stderr,
                                      "cannot write %s\n",
                                      html_path.c_str());
                         return 1;
                     }
-                    out << so::report::renderHtmlReport(page);
                     std::fprintf(stderr,
                                  "explorer page written to %s\n",
                                  html_path.c_str());

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/metrics.h"
 #include "common/trace.h"
 
 namespace so {
@@ -61,8 +60,6 @@ ThreadPool::popLocked()
 void
 ThreadPool::submit(std::function<void()> task)
 {
-    MetricsRegistry::global().add("pool.tasks_submitted", 1,
-                                  MetricScope::Execution);
     in_flight_.fetch_add(1, std::memory_order_relaxed);
     bool need_notify;
     {
@@ -99,10 +96,6 @@ ThreadPool::parallelFor(
 {
     if (n == 0)
         return;
-    // Counts elements, not chunks: the value is identical no matter how
-    // the range ends up split across workers (or run inline).
-    MetricsRegistry::global().add("pool.parallel_for_items",
-                                  static_cast<std::int64_t>(n));
     const std::size_t workers = threadCount();
     // Below this size, dispatch overhead dominates: run inline.
     constexpr std::size_t kInlineThreshold = 4096;
@@ -147,14 +140,12 @@ ThreadPool::workerLoop()
                 continue; // A sibling won the race; re-evaluate.
             job = popLocked();
         }
-        MetricsRegistry &metrics = MetricsRegistry::global();
-        const auto dequeued = std::chrono::steady_clock::now();
         const double queue_wait =
-            std::chrono::duration<double>(dequeued - job.enqueued).count();
-        metrics.observe("pool.queue_wait_s", queue_wait);
+            std::chrono::duration<double>(
+                std::chrono::steady_clock::now() - job.enqueued)
+                .count();
         std::exception_ptr err;
         try {
-            ScopedTimer run_timer(metrics, "pool.task_run_s");
             trace::Span span(trace::Category::Pool, "job");
             span.arg("queue_wait_s", queue_wait);
             job.fn();

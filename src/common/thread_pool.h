@@ -24,12 +24,10 @@ namespace so {
 /**
  * Fixed-size worker pool; tasks are std::function<void()>.
  *
- * Every pool publishes into MetricsRegistry::global():
- *   - pool.tasks_submitted (counter, Execution scope): submit() calls;
- *   - pool.parallel_for_items (counter, Stable): elements covered by
- *     parallelFor(), independent of how they were chunked;
- *   - pool.queue_wait_s (histogram): submit-to-dequeue latency;
- *   - pool.task_run_s (histogram): task execution time.
+ * Every job runs inside a so::trace "job" span (category pool) whose
+ * queue_wait_s arg is its submit-to-dequeue latency; the self-profile
+ * derives per-worker busy time and queue-wait percentiles from those
+ * spans (docs/SELFTRACE.md).
  */
 class ThreadPool
 {
@@ -63,7 +61,7 @@ class ThreadPool
                      const std::function<void(std::size_t, std::size_t)> &fn);
 
   private:
-    /** A submitted task plus its enqueue time (queue-wait metric). */
+    /** A submitted task plus its enqueue time (the span's queue wait). */
     struct Job
     {
         std::function<void()> fn;

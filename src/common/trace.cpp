@@ -14,7 +14,6 @@
 #include "common/file.h"
 #include "common/json.h"
 #include "common/logging.h"
-#include "common/metrics.h"
 #include "common/schema.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -224,8 +223,8 @@ struct HeartbeatRunner
         for (;;) {
             const std::string p = path;
             lock.unlock();
-            // Sampling outside the lock: heartbeatJson() snapshots the
-            // metrics registry and every trace buffer.
+            // Sampling outside the lock: heartbeatJson() snapshots
+            // every trace buffer.
             if (!writeAtomically(p, heartbeatJson()))
                 warn("heartbeat: cannot write ", p);
             lock.lock();
@@ -249,11 +248,6 @@ struct HeartbeatRunner
 HeartbeatRunner &
 heartbeatRunner()
 {
-    // Touch the metrics registry first: its function-local static must
-    // complete construction before the runner's, so static destruction
-    // (reverse completion order) tears the runner down while the
-    // registry — which the final heartbeat write reads — still lives.
-    MetricsRegistry::global();
     static HeartbeatRunner runner;
     return runner;
 }
@@ -446,12 +440,10 @@ clearAll()
     }
 }
 
-namespace {
-
-/** Shared body of the buffering and streaming host-trace exports. */
-void
-writeHostTraceDoc(JsonWriter &json, const CollectedTrace &trace)
+std::string
+toChromeTrace(const CollectedTrace &trace)
 {
+    JsonWriter json;
     json.beginObject();
     json.key("traceEvents").beginArray();
     // Process metadata: one host pid, distinct from the simulated
@@ -522,24 +514,25 @@ writeHostTraceDoc(JsonWriter &json, const CollectedTrace &trace)
     }
     json.endArray();
     json.endObject();
-}
-
-} // namespace
-
-
-std::string
-toChromeTrace(const CollectedTrace &trace)
-{
-    JsonWriter json;
-    writeHostTraceDoc(json, trace);
     return json.str();
 }
 
-void
-streamChromeTrace(std::ostream &os, const CollectedTrace &trace)
+double
+quantile(std::vector<double> values, double q)
 {
-    JsonWriter json(os);
-    writeHostTraceDoc(json, trace);
+    if (values.empty())
+        return 0.0;
+    const double pos = std::min(1.0, std::max(0.0, q)) *
+                       static_cast<double>(values.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const auto nth = values.begin() + static_cast<std::ptrdiff_t>(lo);
+    std::nth_element(values.begin(), nth, values.end());
+    if (lo + 1 == values.size())
+        return *nth;
+    // Everything after nth is >= *nth, so the next order statistic is
+    // the least of the rest.
+    const double next = *std::min_element(nth + 1, values.end());
+    return *nth + (pos - static_cast<double>(lo)) * (next - *nth);
 }
 
 std::string
@@ -557,10 +550,9 @@ selfProfileJson(const CollectedTrace &trace, double wall_s)
     const double wall =
         wall_s > 0.0 ? wall_s : std::max(0.0, t_max - t_min);
 
-    // Queue-wait and cache-probe splits come off the retained spans;
-    // the percentiles reuse the MetricsRegistry reservoir machinery
-    // rather than growing a second quantile implementation.
-    MetricsRegistry local;
+    // Queue-wait and cache-probe splits come off the retained spans.
+    std::vector<double> waits;
+    double wait_sum = 0.0;
     std::uint64_t hits = 0, misses = 0;
     double hit_s = 0.0, miss_s = 0.0;
     for (const SpanRecord &span : trace.spans) {
@@ -568,8 +560,10 @@ selfProfileJson(const CollectedTrace &trace, double wall_s)
             std::strcmp(span.name, "job") == 0) {
             for (auto i = 0; i < 2; ++i)
                 if (span.arg_key[i] != nullptr &&
-                    std::strcmp(span.arg_key[i], "queue_wait_s") == 0)
-                    local.observe("queue_wait_s", span.arg_val[i]);
+                    std::strcmp(span.arg_key[i], "queue_wait_s") == 0) {
+                    waits.push_back(span.arg_val[i]);
+                    wait_sum += span.arg_val[i];
+                }
         } else if (span.category == Category::Sweep &&
                    std::strcmp(span.name, "cache-probe") == 0) {
             bool hit = false;
@@ -581,8 +575,6 @@ selfProfileJson(const CollectedTrace &trace, double wall_s)
             (hit ? hit_s : miss_s) += span.t1 - span.t0;
         }
     }
-    const MetricsSnapshot snap = local.snapshot();
-    const HistogramValue *wait = snap.histogram("queue_wait_s");
 
     JsonWriter json;
     json.beginObject();
@@ -617,11 +609,13 @@ selfProfileJson(const CollectedTrace &trace, double wall_s)
     json.endArray();
 
     json.key("queue_wait").beginObject();
-    json.field("count",
-               static_cast<std::uint64_t>(wait ? wait->count : 0));
-    json.field("mean_s", wait ? wait->mean() : 0.0);
-    json.field("p50_s", wait ? wait->quantile(0.50) : 0.0);
-    json.field("p95_s", wait ? wait->quantile(0.95) : 0.0);
+    json.field("count", static_cast<std::uint64_t>(waits.size()));
+    json.field("mean_s",
+               waits.empty()
+                   ? 0.0
+                   : wait_sum / static_cast<double>(waits.size()));
+    json.field("p50_s", quantile(waits, 0.50));
+    json.field("p95_s", quantile(std::move(waits), 0.95));
     json.endObject();
 
     json.key("cache").beginObject();
@@ -741,9 +735,6 @@ heartbeatJson()
         json.endObject();
     }
     json.endArray();
-
-    json.key("metrics");
-    MetricsRegistry::global().snapshot().write(json);
     json.endObject();
     return json.str();
 }
@@ -780,13 +771,13 @@ rssBytes()
 #endif
 }
 
-void
+bool
 writeExport(const std::string &path)
 {
     const CollectedTrace trace = collect();
     if (!writeAtomically(path, toChromeTrace(trace))) {
         warn("self-trace: cannot write ", path);
-        return;
+        return false;
     }
     std::string summary_path = path;
     const std::string suffix = ".json";
@@ -795,8 +786,11 @@ writeExport(const std::string &path)
                              suffix.size(), suffix) == 0)
         summary_path.resize(summary_path.size() - suffix.size());
     summary_path += ".selfprofile.json";
-    if (!writeAtomically(summary_path, selfProfileJson(trace)))
+    if (!writeAtomically(summary_path, selfProfileJson(trace))) {
         warn("self-trace: cannot write ", summary_path);
+        return false;
+    }
+    return true;
 }
 
 void

@@ -31,11 +31,13 @@
  *    selfProfileJson() summarizes wall time by category, per-worker
  *    busy fractions, queue-wait percentiles, and the cache hit/miss
  *    latency split (schema-stamped like every other JSON artifact).
+ *    This is the one store of host timing: nothing else in the
+ *    library times the engine.
  *  - Live heartbeat: SO_HEARTBEAT=<path>[:interval_ms] spawns a
  *    sampler thread that atomically (write-temp-then-rename) rewrites
- *    a small status JSON — metrics snapshot, in-flight spans, sweep
- *    progress/ETA, RSS — so an external watcher can monitor a running
- *    sweep without attaching a debugger.
+ *    a small status JSON — in-flight spans, sweep progress/ETA, RSS —
+ *    so an external watcher can monitor a running sweep without
+ *    attaching a debugger.
  *
  * Activation: initFromEnv() reads SO_TRACE ("1"/"true"/"yes"/"on"
  * enables; any other non-empty value enables *and* registers an
@@ -49,7 +51,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <utility>
 #include <vector>
@@ -202,16 +203,20 @@ inline constexpr int kHostTracePid = 9999;
  */
 std::string toChromeTrace(const CollectedTrace &trace);
 
-/** toChromeTrace streamed to @p os: events go out as produced, so the
- *  document never materializes in memory. */
-void streamChromeTrace(std::ostream &os, const CollectedTrace &trace);
+/**
+ * Quantile @p q in [0, 1] of @p values, linearly interpolated between
+ * order statistics, exact over every value given; 0 when @p values is
+ * empty. The one rule behind every queue-wait p50/p95 (the self-profile
+ * and `so-report selftrace` over a Chrome trace).
+ */
+double quantile(std::vector<double> values, double q);
 
 /**
  * Self-profile summary JSON (schema-stamped): wall seconds by
- * category, per-worker busy fraction, queue-wait percentiles (from a
- * MetricsRegistry reservoir over the retained pool spans), and the
- * cache-probe hit/miss latency split. @p wall_s overrides the wall
- * window (<= 0: span extent).
+ * category, per-worker busy fraction, queue-wait mean and percentiles
+ * (quantile() over the retained pool spans), and the cache-probe
+ * hit/miss latency split. @p wall_s overrides the wall window (<= 0:
+ * span extent).
  */
 std::string selfProfileJson(const CollectedTrace &trace,
                             double wall_s = 0.0);
@@ -266,8 +271,7 @@ double etaSeconds(std::uint64_t done, std::uint64_t total,
  * Status document written by the heartbeat (also directly callable —
  * tests pin the schema without spawning the sampler):
  * {schema_version, kind:"heartbeat", pid, uptime_s, rss_bytes,
- *  trace:{enabled, spans, dropped}, progress:{...}, in_flight:[...],
- *  metrics:{...}}.
+ *  trace:{enabled, spans, dropped}, progress:{...}, in_flight:[...]}.
  */
 std::string heartbeatJson();
 
@@ -304,8 +308,12 @@ void initFromEnv();
  */
 void exportOnExit(const std::string &path);
 
-/** Write Chrome trace + summary for @p path now (the at-exit body). */
-void writeExport(const std::string &path);
+/**
+ * Write Chrome trace + summary for @p path now (the at-exit body).
+ * @return whether both files were written in full; a failure is also
+ * logged as a warning naming the file.
+ */
+bool writeExport(const std::string &path);
 
 } // namespace so::trace
 

@@ -86,8 +86,6 @@ class SuperOffloadSystem : public runtime::TrainingSystem
 
     std::string name() const override { return "SuperOffload"; }
 
-    const SuperOffloadOptions &options() const { return opts_; }
-
   protected:
     double gpuBytes(const runtime::TrainSetup &setup,
                     const runtime::SearchCandidate &cand) const override;

@@ -87,9 +87,11 @@ flattenNumericLeaves(const JsonValue &doc, const std::string &prefix,
         break;
     case JsonValue::Kind::Object:
         for (const auto &[key, member] : doc.members()) {
-            // The MetricsRegistry snapshot is wall-clock noise by
-            // design, and the meta subtree is provenance (git SHA,
-            // hostname, argv): neither is part of the gated surface.
+            // `metrics` is the wall-clock telemetry snapshot that
+            // only records from older builds carry (the committed
+            // BENCH_*.json files and BENCH_history.jsonl keep theirs);
+            // `meta` is provenance (git SHA, hostname, argv). Neither
+            // is part of the gated surface.
             if (key == "metrics" || key == "meta")
                 continue;
             flattenNumericLeaves(

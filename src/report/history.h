@@ -10,11 +10,12 @@
  *   - `*_per_s`                 — throughput, higher is better,
  *   - `*_s`, `*_s_mean`, `*_ms` — latency, lower is better,
  *   - anything else             — recorded in the verdict but ungated.
- * The `metrics` subtree of a record (the MetricsRegistry snapshot) is
- * skipped entirely: its histograms are wall-clock observations that
- * vary run to run by design. The `meta` subtree (schema version, git
- * SHA, hostname, argv) is skipped for the same reason — provenance is
- * not a comparable surface.
+ * The `metrics` subtree that records from older builds carry (a
+ * wall-clock telemetry snapshot, kept in the committed BENCH_*.json
+ * files and history) is skipped entirely: its histograms vary run to
+ * run by design. The `meta` subtree (schema version, git SHA,
+ * hostname, argv) is skipped for the same reason — provenance is not a
+ * comparable surface.
  *
  * The verdict is machine-readable JSON so CI can upload it as an
  * artifact and later gate on it; the check itself never exits — policy

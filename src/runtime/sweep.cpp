@@ -11,7 +11,6 @@
 #include "common/json.h"
 #include "common/schema.h"
 #include "common/logging.h"
-#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "hw/memory.h"
@@ -201,9 +200,6 @@ SweepEngine::run()
         return;
     const auto wall_start = std::chrono::steady_clock::now();
     const std::size_t batch_hits_before = hits_;
-    MetricsRegistry &metrics = MetricsRegistry::global();
-    metrics.add("sweep.cells",
-                static_cast<std::int64_t>(cells_.size() - next_unrun_));
 
     // One pending evaluation shared by every batch cell with the same
     // fingerprint. first_cell supplies the (system, setup) to evaluate.
@@ -242,7 +238,6 @@ SweepEngine::run()
                 cell.evaluated = true;
                 cell.from_cache = true;
                 ++hits_;
-                metrics.add("sweep.cache_hits");
                 continue;
             }
         }
@@ -255,7 +250,6 @@ SweepEngine::run()
             pending.push_back(std::move(p));
         } else {
             ++hits_; // Duplicate within this batch: evaluated once.
-            metrics.add("sweep.cache_hits");
         }
         cell_pending[i - next_unrun_] = it->second;
     }
@@ -280,8 +274,6 @@ SweepEngine::run()
         }
         span.arg("units", static_cast<double>(units.size()));
     }
-    metrics.add("sweep.candidates",
-                static_cast<std::int64_t>(units.size()));
 
     if (options_.progress) {
         inform("sweep", options_.name.empty() ? "" : " ",
@@ -297,7 +289,6 @@ SweepEngine::run()
     // worker past it prints (output order is cosmetic, results are not).
     std::atomic<std::int64_t> next_progress_ms{2000};
     auto simulate_unit = [&](const Unit &unit) {
-        ScopedTimer timer(MetricsRegistry::global(), "sweep.sim_s");
         trace::Span span(trace::Category::Sweep, "evaluate");
         Pending &p = pending[unit.pending];
         const SweepCell &cell = cells_[p.first_cell];
@@ -352,7 +343,6 @@ SweepEngine::run()
                                              std::move(p.results));
             cache_.emplace(p.key, p.best);
             ++misses_;
-            metrics.add("sweep.cache_misses");
         }
     }
 
@@ -365,46 +355,20 @@ SweepEngine::run()
     }
     next_unrun_ = cells_.size();
 
-    // Energy gauges (docs/ENERGY.md): engine-lifetime aggregates over
-    // every evaluated feasible cell, recomputed serially in cell order
-    // so the snapshot is independent of worker scheduling.
-    double sweep_iter_j = 0.0;
-    double watt_sum = 0.0;
-    std::int64_t metered = 0;
-    for (const SweepCell &cell : cells_) {
-        if (!cell.evaluated || !cell.result.feasible ||
-            !cell.result.energy.valid)
-            continue;
-        sweep_iter_j += cell.result.energy.iter_j;
-        watt_sum += cell.result.energy.avg_w;
-        ++metered;
-    }
-    if (metered > 0) {
-        metrics.set("sweep.energy_iter_j", sweep_iter_j);
-        metrics.set("sweep.energy_avg_w",
-                    watt_sum / static_cast<double>(metered));
-    }
-
     if (options_.progress) {
         const auto elapsed =
             std::chrono::duration_cast<std::chrono::milliseconds>(
                 std::chrono::steady_clock::now() - wall_start);
-        // Lifetime hit-rate and mean simulation time come from the
-        // metrics registry so the line reflects every engine in the
-        // process, not just this batch.
-        const MetricsSnapshot snap = metrics.snapshot();
-        const std::int64_t reg_hits = snap.counter("sweep.cache_hits");
-        const std::int64_t reg_misses =
-            snap.counter("sweep.cache_misses");
-        const std::int64_t lookups = reg_hits + reg_misses;
-        const HistogramValue *sim = snap.histogram("sweep.sim_s");
+        // The hit-rate is this engine's lifetime; the rate is this
+        // batch's simulations over its elapsed time.
+        const std::size_t lookups = hits_ + misses_;
         char stats[96];
         std::snprintf(stats, sizeof(stats),
-                      "hit-rate %.1f%%, mean sim %.3f ms",
-                      lookups > 0 ? 100.0 * static_cast<double>(reg_hits) /
+                      "hit-rate %.1f%%, %.1f sim/s",
+                      lookups > 0 ? 100.0 * static_cast<double>(hits_) /
                                         static_cast<double>(lookups)
                                   : 0.0,
-                      sim ? sim->mean() * 1e3 : 0.0);
+                      trace::progressSnapshot().rate_per_s);
         inform("sweep", options_.name.empty() ? "" : " ",
                options_.name, ": done in ", elapsed.count(), " ms (",
                hits_ - batch_hits_before, " cached; ", stats, ")");
@@ -419,7 +383,6 @@ SweepEngine::evaluateCell(const TrainingSystem &system,
         system.enumerateCandidates(setup);
     std::vector<IterationResult> results(cands.size());
     auto simulate_one = [&system, &setup, &cands, &results](std::size_t c) {
-        ScopedTimer timer(MetricsRegistry::global(), "sweep.sim_s");
         results[c] = system.evaluateCandidate(setup, cands[c]);
     };
     if (jobs_ <= 1 || cands.size() <= 1) {
@@ -442,12 +405,10 @@ SweepEngine::evaluate(const TrainingSystem &system,
     const auto hit = cache_.find(key);
     if (hit != cache_.end()) {
         ++hits_;
-        MetricsRegistry::global().add("sweep.cache_hits");
         return hit->second;
     }
     IterationResult res = evaluateCell(system, setup);
     ++misses_;
-    MetricsRegistry::global().add("sweep.cache_misses");
     cache_.emplace(std::move(key), res);
     return res;
 }

@@ -109,7 +109,6 @@ class SweepEngine
 
     std::size_t cacheHits() const { return hits_; }
     std::size_t cacheMisses() const { return misses_; }
-    const SweepOptions &options() const { return options_; }
 
     /**
      * The sweep as one JSON document:

@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "common/logging.h"
-#include "common/metrics.h"
 #include "optim/kernels.h"
 
 namespace so::stv {
@@ -92,29 +91,12 @@ TrainerBase::applyLrSchedule()
         adam_.setLearningRate(cfg_.lr_schedule->at(steps_taken_ + 1));
 }
 
-void
-TrainerBase::recordStep(const StepStats &stats) const
-{
-    MetricsRegistry &metrics = MetricsRegistry::global();
-    metrics.add("stv.steps");
-    if (stats.overflowed)
-        metrics.add("stv.overflows");
-    if (stats.clipped)
-        metrics.add("stv.clips");
-    if (stats.rolled_back)
-        metrics.add("stv.rollbacks");
-    metrics.observe("stv.loss", stats.loss);
-    if (!stats.overflowed)
-        metrics.observe("stv.grad_norm", stats.grad_norm);
-}
-
 // ------------------------------------------------------------- SyncTrainer
 
 StepStats
 SyncTrainer::step(const std::uint32_t *inputs, const std::uint32_t *targets,
                   std::size_t count)
 {
-    ScopedTimer timer(MetricsRegistry::global(), "stv.step_s");
     StepStats stats;
     stats.loss = computeGradients(inputs, targets, count);
 
@@ -122,7 +104,6 @@ SyncTrainer::step(const std::uint32_t *inputs, const std::uint32_t *targets,
     if (gradsOverflowed()) {
         stats.overflowed = true;
         updateLossScale(true);
-        recordStep(stats);
         return stats;
     }
 
@@ -143,7 +124,6 @@ SyncTrainer::step(const std::uint32_t *inputs, const std::uint32_t *targets,
     }
     ++steps_taken_;
     updateLossScale(false);
-    recordStep(stats);
     return stats;
 }
 
@@ -223,7 +203,6 @@ StepStats
 StvTrainer::step(const std::uint32_t *inputs, const std::uint32_t *targets,
                  std::size_t count)
 {
-    ScopedTimer timer(MetricsRegistry::global(), "stv.step_s");
     StepStats stats;
     stats.loss = computeGradients(inputs, targets, count);
 
@@ -244,7 +223,6 @@ StvTrainer::step(const std::uint32_t *inputs, const std::uint32_t *targets,
         stats.overflowed = true;
         stats.rolled_back = true;
         updateLossScale(true);
-        recordStep(stats);
         return stats;
     }
 
@@ -262,7 +240,6 @@ StvTrainer::step(const std::uint32_t *inputs, const std::uint32_t *targets,
     }
     ++steps_taken_;
     updateLossScale(false);
-    recordStep(stats);
     return stats;
 }
 

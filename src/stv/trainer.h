@@ -181,14 +181,6 @@ class TrainerBase : public TrainerState
     /** Set the optimizer's rate for the upcoming step (schedule hook). */
     void applyLrSchedule();
 
-    /**
-     * Publish one finished step into the global metrics registry:
-     * stv.steps / stv.overflows / stv.clips / stv.rollbacks counters
-     * plus stv.loss and stv.grad_norm observations. Called by both
-     * schedules on every return path of step().
-     */
-    void recordStep(const StepStats &stats) const;
-
     nn::Model &model_;
     optim::Adam adam_;
 };

@@ -197,13 +197,25 @@ TEST(Trace, SelfProfileJsonIsSchemaStamped)
               static_cast<double>(kSchemaVersion));
     EXPECT_EQ(parsed.at("kind").text(), "self_profile");
     // ThreadPool instrumentation fed the pool category, the per-worker
-    // table, and the queue-wait reservoir percentiles.
+    // table, and the queue-wait percentiles.
     const JsonValue &pool_cat = parsed.at("categories").at("pool");
     EXPECT_EQ(pool_cat.at("count").number(), 8.0);
     EXPECT_FALSE(parsed.at("workers").items().empty());
     EXPECT_EQ(parsed.at("queue_wait").at("count").number(), 8.0);
     EXPECT_GE(parsed.at("queue_wait").at("p95_s").number(),
               parsed.at("queue_wait").at("p50_s").number() - 1e-12);
+}
+
+TEST(Trace, QuantileInterpolatesBetweenOrderStatistics)
+{
+    // Unsorted input; position q * (n - 1) interpolates linearly
+    // between its two neighbouring order statistics.
+    const std::vector<double> values = {4.0, 1.0, 3.0, 2.0};
+    EXPECT_DOUBLE_EQ(quantile(values, 0.0), 1.0);
+    EXPECT_DOUBLE_EQ(quantile(values, 0.50), 2.5);
+    EXPECT_DOUBLE_EQ(quantile(values, 0.95), 3.85);
+    EXPECT_DOUBLE_EQ(quantile(values, 1.0), 4.0);
+    EXPECT_EQ(quantile({}, 0.5), 0.0);
 }
 
 TEST(Trace, EtaClampsUntilMeaningful)
@@ -251,8 +263,14 @@ TEST(Trace, HeartbeatJsonIsCompleteAndStamped)
     EXPECT_EQ(parsed.at("progress").at("total_units").number(), 5.0);
     EXPECT_EQ(parsed.at("progress").at("done_units").number(), 1.0);
     EXPECT_TRUE(parsed.at("in_flight").isArray());
-    EXPECT_TRUE(parsed.at("metrics").isObject());
     EXPECT_GE(parsed.at("uptime_s").number(), 0.0);
+    // The documented shape, member for member (docs/SELFTRACE.md).
+    std::vector<std::string> keys;
+    for (const auto &member : parsed.members())
+        keys.push_back(member.first);
+    EXPECT_EQ(keys, (std::vector<std::string>{
+                        "schema_version", "kind", "pid", "uptime_s",
+                        "rss_bytes", "trace", "progress", "in_flight"}));
 }
 
 TEST(Trace, HeartbeatFileIsAlwaysValidJsonUnderConcurrentRewrite)

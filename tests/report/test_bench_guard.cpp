@@ -3,10 +3,10 @@
  * Harness guard-rail tests: --trace-dir pointing at an existing
  * regular file dies fast with a clear message (before any sweep work),
  * a valid --trace-dir is created up front, an unusable --tolerance
- * dies at parse time, a --json record that cannot be written in full
- * is fatal, and --baseline runs the in-process regression check,
- * writing a machine-readable verdict file while keeping the exit code
- * 0 (warn-only).
+ * dies at parse time, a --json record or --self-trace export that
+ * cannot be written in full is fatal, and --baseline runs the
+ * in-process regression check, writing a machine-readable verdict file
+ * while keeping the exit code 0 (warn-only).
  */
 #include "bench_util.h"
 
@@ -83,6 +83,15 @@ TEST(HarnessGuard, JsonOnAFullDeviceIsFatal)
 {
     EXPECT_EXIT(makeHarness({"--json", "/dev/full"}).finish(),
                 ::testing::ExitedWithCode(1), "cannot write /dev/full");
+}
+
+TEST(HarnessGuard, SelfTraceIntoAMissingDirectoryIsFatal)
+{
+    const fs::path missing = tempPath("so_no_such_dir");
+    fs::remove_all(missing);
+    const std::string path = (missing / "x.json").string();
+    EXPECT_EXIT(makeHarness({"--self-trace", path}).finish(),
+                ::testing::ExitedWithCode(1), "cannot write " + path);
 }
 
 TEST(HarnessGuard, BaselineCheckIsWarnOnlyAndWritesVerdict)

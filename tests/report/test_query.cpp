@@ -7,8 +7,9 @@
  * exits with the distinct usage status listing the valid ones, query
  * and check reject an unusable window or --tolerance/--tol value with
  * exit 1, html and check fail when their --out file cannot be written,
- * top and diff reject malformed documents with exit 1, and the query
- * and selftrace readers treat out-of-range numbers as absent.
+ * top and diff reject malformed documents with exit 1, the query and
+ * selftrace readers treat out-of-range numbers as absent, and selftrace
+ * prints the same queue-wait line for a Chrome trace and its summary.
  */
 #include "report/query.h"
 
@@ -22,6 +23,8 @@
 #include <sys/wait.h>
 
 #include "common/json.h"
+#include "common/thread_pool.h"
+#include "common/trace.h"
 
 namespace so::report {
 namespace {
@@ -451,6 +454,38 @@ TEST(Query, CliReadersTreatOutOfRangeNumbersAsAbsent)
     EXPECT_NE(output.find("0 span(s)"), std::string::npos) << output;
     EXPECT_EQ(output.find("dropped"), std::string::npos) << output;
     EXPECT_EQ(output.find("queue wait"), std::string::npos) << output;
+}
+
+TEST(Query, CliSelftraceQueueWaitAgreesForBothInputShapes)
+{
+    // One export with pool jobs. 21 jobs put p50 and p95 on order
+    // statistics (positions 10 and 19), which the Chrome trace carries
+    // exactly, so both documents must print the same line.
+    trace::clearAll();
+    trace::setEnabled(true);
+    {
+        ThreadPool pool(2);
+        for (int i = 0; i < 21; ++i)
+            pool.submit([] {});
+        pool.wait();
+    }
+    trace::setEnabled(false);
+    const std::string stem = testing::TempDir() + "selftrace_cli";
+    ASSERT_TRUE(trace::writeExport(stem + ".json"));
+    trace::clearAll();
+
+    auto queue_wait_line = [](const std::string &file) {
+        std::string output;
+        EXPECT_EQ(runReport("selftrace " + file, output), 0) << output;
+        const std::size_t at = output.find("queue wait over");
+        return at == std::string::npos
+                   ? std::string()
+                   : output.substr(at, output.find('\n', at) - at);
+    };
+    const std::string from_trace = queue_wait_line(stem + ".json");
+    EXPECT_NE(from_trace.find("21 job(s)"), std::string::npos)
+        << from_trace;
+    EXPECT_EQ(from_trace, queue_wait_line(stem + ".selfprofile.json"));
 }
 
 #endif // SO_REPORT_BIN

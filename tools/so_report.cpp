@@ -57,7 +57,6 @@
 #include "common/argparse.h"
 #include "common/file.h"
 #include "common/json.h"
-#include "common/metrics.h"
 #include "common/schema.h"
 #include "common/trace.h"
 #include "report/diff.h"
@@ -421,9 +420,8 @@ bumpCategory(SelftraceSummary &sum, const std::string &name,
 /**
  * Summarize a host Chrome trace (trace::toChromeTrace output): walk the
  * complete events, fold durations per category and per worker, and
- * feed queue-wait args through a MetricsRegistry histogram so the
- * percentiles reuse the same reservoir machinery as every other p50/p95
- * in the stack.
+ * take the queue-wait mean and percentiles over the jobs' args with
+ * trace::quantile, the rule the self-profile document uses.
  */
 bool
 summarizeChromeTrace(const JsonValue &doc, SelftraceSummary &sum)
@@ -431,7 +429,8 @@ summarizeChromeTrace(const JsonValue &doc, SelftraceSummary &sum)
     const JsonValue *events = doc.find("traceEvents");
     if (!events || !events->isArray())
         return false;
-    MetricsRegistry local;
+    std::vector<double> waits;
+    double wait_sum = 0.0;
     double t_min = 0.0, t_max = 0.0;
     bool seen = false;
     std::map<std::int64_t, SelftraceSummary::Worker> workers;
@@ -478,20 +477,21 @@ summarizeChromeTrace(const JsonValue &doc, SelftraceSummary &sum)
             w.busy_s += len;
             if (args && args->isObject()) {
                 const JsonValue *wait = args->find("queue_wait_s");
-                if (wait && wait->isNumber())
-                    local.observe("queue_wait_s", wait->number());
+                if (wait && wait->isNumber()) {
+                    waits.push_back(wait->number());
+                    wait_sum += wait->number();
+                }
             }
         }
     }
     sum.wall_s = seen ? t_max - t_min : 0.0;
     for (const auto &[tid, worker] : workers)
         sum.workers.push_back(worker);
-    const MetricsSnapshot snap = local.snapshot();
-    if (const HistogramValue *wait = snap.histogram("queue_wait_s")) {
-        sum.wait_count = wait->count;
-        sum.wait_mean = wait->mean();
-        sum.wait_p50 = wait->quantile(0.50);
-        sum.wait_p95 = wait->quantile(0.95);
+    if (!waits.empty()) {
+        sum.wait_count = waits.size();
+        sum.wait_mean = wait_sum / static_cast<double>(waits.size());
+        sum.wait_p50 = trace::quantile(waits, 0.50);
+        sum.wait_p95 = trace::quantile(std::move(waits), 0.95);
     }
     return true;
 }
