@@ -15,17 +15,17 @@
  * phase and the tasks/sec derived from them.
  *
  * Run with --json [path] to write BENCH_sim_kernel.json (default path);
- * CI's perf-smoke step records the numbers without gating on them,
- * using --max-tasks to keep the wall-time budget (the committed
- * baseline still carries every size; missing sizes are reported as
- * missing metrics, not failures). --tolerance T sets the check's
- * relative tolerance, a finite number >= 0. --trace-dir DIR
- * additionally profiles each measured size and streams the Chrome
- * trace, profile document, and chunked bundle shards there; the
- * profile's level of detail follows the graph size (Summary at >= 200k
- * tasks), so even the 1M/10M sizes export under a bounded memory
- * footprint.
+ * `so-report check` guards that record against a committed baseline
+ * (docs/DIFF.md). --max-tasks N, a whole number >= 1, skips every size
+ * above N; CI's perf-smoke step uses it to keep the wall-time budget.
+ * --trace-dir DIR additionally profiles each measured size and streams
+ * the Chrome trace, profile document, and chunked bundle shards there;
+ * the profile's level of detail follows the graph size (Summary at >=
+ * 200k tasks), so even the 1M/10M sizes export under a bounded memory
+ * footprint. Any other argument prints the usage line and exits 2.
  */
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -38,7 +38,6 @@
 #include "common/file.h"
 #include "common/json.h"
 #include "common/trace.h"
-#include "report/history.h"
 #include "sim/graph.h"
 #include "sim/inspect.h"
 #include "sim/profiler.h"
@@ -212,6 +211,26 @@ exportArtifacts(std::size_t target_tasks, const std::string &dir)
     return true;
 }
 
+/**
+ * Parse all of @p text as a task cap into @p out: a whole number >= 1
+ * that fits in size_t. Returns false for anything else — "1e5" would
+ * otherwise cap at 1 and "abc", "0" or "-5" would lift the cap.
+ */
+bool
+parseMaxTasks(const char *text, std::size_t &out)
+{
+    if (!std::isdigit(static_cast<unsigned char>(text[0])))
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long value = std::strtoull(text, &end, 10);
+    if (*end != '\0' || errno == ERANGE || value == 0 ||
+        static_cast<std::size_t>(value) != value)
+        return false;
+    out = static_cast<std::size_t>(value);
+    return true;
+}
+
 } // namespace
 
 int
@@ -221,38 +240,22 @@ main(int argc, char **argv)
     // here: the perf guard's own runs stay observable too.
     so::trace::initFromEnv();
     std::string json_path;
-    std::string baseline_path;
     std::string trace_dir;
-    double tolerance = 0.25;
     std::size_t max_tasks = 0; // 0 = no cap.
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--json") == 0) {
             json_path = (i + 1 < argc && argv[i + 1][0] != '-')
                             ? argv[++i]
                             : "BENCH_sim_kernel.json";
-        } else if (std::strcmp(argv[i], "--baseline") == 0 &&
-                   i + 1 < argc) {
-            baseline_path = argv[++i];
-        } else if (std::strcmp(argv[i], "--tolerance") == 0 &&
-                   i + 1 < argc) {
-            if (!so::report::parseTolerance(argv[++i], tolerance)) {
-                std::fprintf(stderr,
-                             "--tolerance %s: must be a finite number "
-                             ">= 0\n",
-                             argv[i]);
-                return 1;
-            }
         } else if (std::strcmp(argv[i], "--max-tasks") == 0 &&
-                   i + 1 < argc) {
-            max_tasks = static_cast<std::size_t>(
-                std::strtoull(argv[++i], nullptr, 10));
+                   i + 1 < argc && parseMaxTasks(argv[i + 1], max_tasks)) {
+            ++i;
         } else if (std::strcmp(argv[i], "--trace-dir") == 0 &&
                    i + 1 < argc) {
             trace_dir = argv[++i];
         } else {
             std::fprintf(stderr,
-                         "usage: %s [--json [path]] [--baseline FILE]"
-                         " [--tolerance T] [--max-tasks N]"
+                         "usage: %s [--json [path]] [--max-tasks N]"
                          " [--trace-dir DIR]\n",
                          argv[0]);
             return 2;
@@ -299,7 +302,7 @@ main(int argc, char **argv)
             return 1;
     }
 
-    if (!json_path.empty() || !baseline_path.empty()) {
+    if (!json_path.empty()) {
         so::JsonWriter json;
         json.beginObject();
         json.field("bench", "sim_kernel");
@@ -320,49 +323,11 @@ main(int argc, char **argv)
         json.endArray();
         json.endObject();
 
-        const std::string doc = json.str();
-        if (!json_path.empty()) {
-            if (!so::writeFile(json_path, {doc, "\n"})) {
-                std::fprintf(stderr, "cannot write %s\n",
-                             json_path.c_str());
-                return 1;
-            }
-            std::printf("\nwrote %s\n", json_path.c_str());
+        if (!so::writeFile(json_path, {json.str(), "\n"})) {
+            std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+            return 1;
         }
-
-        // Warn-only regression check against a committed baseline
-        // record; `so-report check` is the gating form (docs/DIFF.md).
-        if (!baseline_path.empty()) {
-            std::FILE *f = std::fopen(baseline_path.c_str(), "r");
-            std::string base_text;
-            if (f) {
-                char buf[4096];
-                std::size_t n = 0;
-                while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-                    base_text.append(buf, n);
-                std::fclose(f);
-            }
-            so::JsonValue base_doc, fresh_doc;
-            std::string error;
-            if (!f) {
-                std::fprintf(stderr, "cannot read baseline %s\n",
-                             baseline_path.c_str());
-            } else if (!so::JsonValue::parse(base_text, base_doc,
-                                             &error) ||
-                       !so::JsonValue::parse(doc, fresh_doc, &error)) {
-                std::fprintf(stderr, "baseline check skipped: %s\n",
-                             error.c_str());
-            } else {
-                so::report::CheckOptions options;
-                options.tolerance = tolerance;
-                const so::report::CheckVerdict verdict =
-                    so::report::checkAgainstBaseline(base_doc,
-                                                     fresh_doc,
-                                                     options);
-                std::printf("baseline %s: %s\n", baseline_path.c_str(),
-                            verdict.summary().c_str());
-            }
-        }
+        std::printf("\nwrote %s\n", json_path.c_str());
     }
     return 0;
 }

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <system_error>
 
 #include "common/argparse.h"
@@ -13,8 +11,6 @@
 #include "common/logging.h"
 #include "common/schema.h"
 #include "common/trace.h"
-#include "report/history.h"
-#include "report/html.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -25,6 +21,14 @@
 #endif
 
 namespace so::bench {
+
+namespace {
+
+/** Every flag the Harness reads; any other --flag is fatal. */
+constexpr const char *kFlags[] = {"jobs",    "json",      "progress",
+                                  "profile", "trace-dir", "self-trace"};
+
+} // namespace
 
 std::string
 Harness::sanitizeId(const std::string &id)
@@ -48,12 +52,19 @@ Harness::Harness(int argc, const char *const *argv, std::string id,
     // SO_TRACE / SO_HEARTBEAT work for every bench, not just the ones
     // passing --self-trace (docs/SELFTRACE.md).
     trace::initFromEnv();
+
+    const ArgParser args(argc, argv);
+    // A misspelt or retired flag must not silently do nothing.
+    for (const std::string &key : args.keys()) {
+        if (std::find(std::begin(kFlags), std::end(kFlags), key) ==
+            std::end(kFlags))
+            SO_FATAL("unknown flag --", key);
+    }
     banner(id_, description, paper_expectation);
 
     for (int i = 0; i < argc; ++i)
         argv_.emplace_back(argv[i]);
 
-    const ArgParser args(argc, argv);
     runtime::SweepOptions options;
     options.jobs = static_cast<std::size_t>(std::max(
         0LL,
@@ -83,21 +94,6 @@ Harness::Harness(int argc, const char *const *argv, std::string id,
                      " is not a directory", detail);
         }
     }
-    if (args.has("html")) {
-        html_dir_ = args.get("html");
-        if (html_dir_.empty())
-            html_dir_ = "html";
-        std::error_code ec;
-        std::filesystem::create_directories(html_dir_, ec);
-        if (!std::filesystem::is_directory(html_dir_)) {
-            const std::string detail =
-                ec ? " (" + ec.message() + ")" : std::string();
-            SO_FATAL("--html ", html_dir_, " is not a directory",
-                     detail);
-        }
-    }
-    if (args.has("baseline"))
-        baseline_path_ = args.get("baseline");
     if (args.has("self-trace")) {
         selftrace_path_ = args.get("self-trace");
         if (selftrace_path_.empty())
@@ -105,15 +101,10 @@ Harness::Harness(int argc, const char *const *argv, std::string id,
                 "BENCH_" + sanitizeId(id_) + ".selftrace.json";
         trace::setEnabled(true);
     }
-    if (args.has("tolerance") &&
-        !report::parseTolerance(args.get("tolerance"), tolerance_))
-        SO_FATAL("--tolerance ", args.get("tolerance"),
-                 ": must be a finite number >= 0");
-    // --trace-dir and --html imply profiling so the traces carry
-    // critical-path flow arrows and each cell gets its profile and
-    // inspection-bundle documents.
-    profile_ = args.has("profile") || !trace_dir_.empty() ||
-               !html_dir_.empty();
+    // --trace-dir implies profiling so the traces carry critical-path
+    // flow arrows and each cell gets its profile and inspection-bundle
+    // documents.
+    profile_ = args.has("profile") || !trace_dir_.empty();
 }
 
 std::size_t
@@ -176,110 +167,16 @@ Harness::writeTraceFiles() const
                 trace_dir_.c_str());
 }
 
-std::string
-Harness::checkBaseline(const std::string &doc) const
-{
-    std::ifstream in(baseline_path_, std::ios::binary);
-    if (!in) {
-        std::fprintf(stderr, "baseline check: cannot read %s\n",
-                     baseline_path_.c_str());
-        return "";
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-
-    JsonValue baseline, fresh;
-    std::string error;
-    if (!JsonValue::parse(buf.str(), baseline, &error)) {
-        std::fprintf(stderr, "baseline check: %s: %s\n",
-                     baseline_path_.c_str(), error.c_str());
-        return "";
-    }
-    if (!JsonValue::parse(doc, fresh, &error)) {
-        std::fprintf(stderr, "baseline check: fresh record: %s\n",
-                     error.c_str());
-        return "";
-    }
-    report::CheckOptions options;
-    options.tolerance = tolerance_;
-    const report::CheckVerdict verdict =
-        report::checkAgainstBaseline(baseline, fresh, options);
-    std::printf("baseline %s: %s\n", baseline_path_.c_str(),
-                verdict.summary().c_str());
-
-    // Verdict file next to the record: BENCH_<id>.verdict.json.
-    std::string verdict_path =
-        json_path_.empty() ? "BENCH_" + sanitizeId(id_) + ".json"
-                           : json_path_;
-    const std::string suffix = ".json";
-    if (verdict_path.size() >= suffix.size() &&
-        verdict_path.compare(verdict_path.size() - suffix.size(),
-                             suffix.size(), suffix) == 0)
-        verdict_path.resize(verdict_path.size() - suffix.size());
-    verdict_path += ".verdict.json";
-    const std::string verdict_json = verdict.json();
-    if (!writeFile(verdict_path, {verdict_json, "\n"}))
-        SO_FATAL("cannot write ", verdict_path);
-    std::printf("wrote %s\n", verdict_path.c_str());
-    return verdict_json;
-}
-
-void
-Harness::writeHtmlPages(const std::string &doc,
-                        const std::string &verdict_json,
-                        const std::string &self_profile_json) const
-{
-    auto write_page = [](const std::string &path,
-                         const report::HtmlReport &page) {
-        if (!writeFile(path, {report::renderHtmlReport(page)}))
-            SO_FATAL("cannot write ", path);
-    };
-
-    const std::string stem = sanitizeId(id_);
-    const auto &cells = engine_->cells();
-    std::vector<std::pair<std::string, std::string>> cell_links;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (!cells[i].evaluated ||
-            cells[i].result.bundle_json.empty())
-            continue;
-        const std::string name =
-            stem + "_cell" + std::to_string(i) + ".html";
-        report::HtmlReport page;
-        page.title = id_ + " · cell " + std::to_string(i);
-        page.schedules.push_back(cells[i].result.bundle_json);
-        if (!cells[i].result.profile_json.empty())
-            page.profiles.emplace_back(
-                "cell " + std::to_string(i),
-                cells[i].result.profile_json);
-        page.links.emplace_back("index", "index.html");
-        write_page(html_dir_ + "/" + name, page);
-        cell_links.emplace_back("cell " + std::to_string(i), name);
-    }
-
-    report::HtmlReport index;
-    index.title = id_;
-    index.records.emplace_back(id_, doc);
-    index.verdict_json = verdict_json;
-    index.self_profile_json = self_profile_json;
-    index.links = std::move(cell_links);
-    write_page(html_dir_ + "/index.html", index);
-    std::printf("wrote %zu explorer page(s) to %s\n",
-                index.links.size() + 1, html_dir_.c_str());
-}
-
 int
 Harness::finish()
 {
     trace::Span finish_span(trace::Category::Bench, "finish");
     writeTraceFiles();
 
-    // Host self-trace first, so the export reflects the sweep and the
-    // per-cell serialization — not the report rendering below it. The
-    // summary feeds the Explorer "Engine" tab.
-    std::string self_profile_json;
+    // Host self-trace before the record, so the export reflects the
+    // sweep and the per-cell serialization.
     if (!selftrace_path_.empty()) {
         const trace::CollectedTrace collected = trace::collect();
-        self_profile_json = trace::selfProfileJson(collected);
         if (!trace::writeExport(selftrace_path_))
             SO_FATAL("cannot write ", selftrace_path_);
         std::printf("wrote %s (%zu span(s), %llu dropped)\n",
@@ -287,8 +184,7 @@ Harness::finish()
                     static_cast<unsigned long long>(collected.dropped));
     }
 
-    if (json_path_.empty() && baseline_path_.empty() &&
-        html_dir_.empty())
+    if (json_path_.empty())
         return 0;
     JsonWriter json;
     json.beginObject();
@@ -323,18 +219,9 @@ Harness::finish()
     json.endArray();
     json.endObject();
     json.endObject();
-    const std::string doc = json.str();
-
-    if (!json_path_.empty()) {
-        if (!writeFile(json_path_, {doc, "\n"}))
-            SO_FATAL("cannot write ", json_path_);
-        std::printf("wrote %s\n", json_path_.c_str());
-    }
-    std::string verdict_json;
-    if (!baseline_path_.empty())
-        verdict_json = checkBaseline(doc);
-    if (!html_dir_.empty())
-        writeHtmlPages(doc, verdict_json, self_profile_json);
+    if (!writeFile(json_path_, {json.str(), "\n"}))
+        SO_FATAL("cannot write ", json_path_);
+    std::printf("wrote %s\n", json_path_.c_str());
     return 0;
 }
 

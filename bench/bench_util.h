@@ -7,16 +7,17 @@
  * machine-readable BENCH_<id>.json record, --progress for sweep
  * logging, --profile for schedule profiling, whose level of detail
  * follows the graph size (docs/OBSERVABILITY.md), --trace-dir DIR for
- * per-cell chrome-trace/profile/bundle files, --html DIR for a browsable
- * HTML Schedule Explorer (per-cell pages + an index), --baseline FILE +
- * --tolerance T (a finite number >= 0) for an in-process regression
- * check of the fresh record against a committed BENCH_*.json,
- * --self-trace [PATH] for a host-side engine trace — see
- * docs/SELFTRACE.md), owns the SweepEngine the bench declares its grid
- * into, and collects the rendered tables so the JSON document carries
- * both the formatted tables and the raw per-cell records. Benches keep
- * working with no arguments at all — that is how the ctest smoke tests
- * and CI run them. A file the bench cannot write in full is fatal.
+ * per-cell chrome-trace/profile/bundle files, --self-trace [PATH] for
+ * a host-side engine trace — see docs/SELFTRACE.md; any other --flag
+ * is fatal), owns the SweepEngine the bench declares its grid into,
+ * and collects the rendered tables so the JSON document carries both
+ * the formatted tables and the raw per-cell records. Benches only
+ * write: `so-report check` guards a record against a baseline and
+ * `so-report html` renders records, trace directories and self-traces
+ * as a Schedule Explorer page (docs/DIFF.md, docs/EXPLORER.md).
+ * Benches keep working with no arguments at all — that is how the
+ * ctest smoke tests and CI run them. A file the bench cannot write in
+ * full is fatal.
  */
 #ifndef SO_BENCH_BENCH_UTIL_H
 #define SO_BENCH_BENCH_UTIL_H
@@ -70,7 +71,8 @@ class Harness
 {
   public:
     /**
-     * Parses argv, prints the banner, and sets up the engine.
+     * Parses argv (an unknown --flag is fatal, naming the flag), prints
+     * the banner, and sets up the engine.
      * @p default_jobs applies when --jobs is absent (0 = all cores);
      * most benches default to 1 so smoke runs stay deterministic in
      * load order.
@@ -113,16 +115,7 @@ class Harness
      * counters, tables, cells, and a `meta` subtree — schema version,
      * git SHA, hostname, argv — that the regression guard skips) when
      * --json was given. A file that cannot be written in full is
-     * fatal, naming its path (exit 1). When --baseline FILE was
-     * given, additionally check the fresh record against that baseline
-     * (report::checkAgainstBaseline), print the verdict, and write it
-     * next to the record as BENCH_<id>.verdict.json. The check is
-     * warn-only: the returned exit code stays 0 so smoke runs and CI
-     * keep passing while the guard accumulates history
-     * (`so-report check` gates for real). When --html DIR was given,
-     * additionally render the HTML explorer there: one page per
-     * profiled cell plus an index.html with the record heatmap and the
-     * verdict.
+     * fatal, naming its path (exit 1).
      */
     int finish();
 
@@ -136,29 +129,10 @@ class Harness
      */
     void writeTraceFiles() const;
 
-    /**
-     * Run the --baseline check against @p doc (the fresh record);
-     * returns the verdict JSON ("" when the check could not run).
-     */
-    std::string checkBaseline(const std::string &doc) const;
-
-    /**
-     * Render the --html explorer pages: per-cell pages plus an
-     * index.html embedding @p doc, @p verdict_json, and (when
-     * --self-trace was given) the engine self-profile for the
-     * "Engine" tab.
-     */
-    void writeHtmlPages(const std::string &doc,
-                        const std::string &verdict_json,
-                        const std::string &self_profile_json) const;
-
     std::string id_;
     std::string json_path_;     // Empty: no JSON requested.
     std::string trace_dir_;     // Empty: no trace files requested.
-    std::string html_dir_;      // Empty: no HTML explorer requested.
-    std::string baseline_path_; // Empty: no regression check.
     std::string selftrace_path_; // Empty: no host self-trace export.
-    double tolerance_ = 0.25;
     bool profile_ = false;
     std::vector<std::string> argv_; // For the record's meta subtree.
     std::unique_ptr<runtime::SweepEngine> engine_;

@@ -172,6 +172,8 @@ struct ProgressState
     std::atomic<std::uint64_t> cached{0};
     /** Batch start, nanoseconds since epoch(); <0 = no batch yet. */
     std::atomic<std::int64_t> start_ns{-1};
+    /** Batch end, set by progressEnd(); <0 = batch still running. */
+    std::atomic<std::int64_t> end_ns{-1};
     std::atomic<bool> active{false};
 };
 
@@ -639,6 +641,7 @@ progressBegin(std::uint64_t total_units, std::uint64_t cached_cells)
     g_progress.start_ns.store(
         static_cast<std::int64_t>(nowSeconds() * 1e9),
         std::memory_order_relaxed);
+    g_progress.end_ns.store(-1);
     g_progress.active.store(true, std::memory_order_release);
 }
 
@@ -651,6 +654,8 @@ progressTick()
 void
 progressEnd()
 {
+    g_progress.end_ns.store(
+        static_cast<std::int64_t>(nowSeconds() * 1e9));
     g_progress.active.store(false, std::memory_order_release);
 }
 
@@ -678,10 +683,15 @@ progressSnapshot()
     out.active = g_progress.active.load(std::memory_order_acquire);
     const std::int64_t start_ns =
         g_progress.start_ns.load(std::memory_order_relaxed);
+    const std::int64_t end_ns = g_progress.end_ns.load();
     if (start_ns >= 0) {
+        // An ended batch is measured up to its end, so the snapshot
+        // holds the batch's final rate instead of decaying.
+        const double until = end_ns >= 0
+                                 ? static_cast<double>(end_ns) / 1e9
+                                 : nowSeconds();
         out.elapsed_s =
-            std::max(0.0, nowSeconds() - static_cast<double>(start_ns) /
-                                             1e9);
+            std::max(0.0, until - static_cast<double>(start_ns) / 1e9);
         if (out.elapsed_s > 0.0 && out.done_units > 0)
             out.rate_per_s = static_cast<double>(out.done_units) /
                              out.elapsed_s;

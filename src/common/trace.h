@@ -232,7 +232,10 @@ struct ProgressSnapshot
     std::uint64_t done_units = 0;
     /** Cells served from the fingerprint cache this batch. */
     std::uint64_t cached_cells = 0;
-    /** Seconds since the batch began (0 when no batch started). */
+    /**
+     * Seconds since the batch began, or from its begin to its end once
+     * progressEnd() ran (0 when no batch started).
+     */
     double elapsed_s = 0.0;
     /** Completed simulations per second (0 until one completes). */
     double rate_per_s = 0.0;
@@ -250,7 +253,11 @@ void progressBegin(std::uint64_t total_units, std::uint64_t cached_cells);
 /** Mark one simulation complete (thread-safe). */
 void progressTick();
 
-/** End the active batch (progress keeps reporting the final state). */
+/**
+ * End the active batch. Progress keeps reporting its final state:
+ * elapsed time (and so the rate) stops at this instant until the next
+ * progressBegin().
+ */
 void progressEnd();
 
 /** Current progress; ETA clamped out until it is meaningful. */

@@ -395,61 +395,6 @@ diffProfiles(const ProfileView &before, const ProfileView &after)
     return diff;
 }
 
-bool
-diffSweepCells(const runtime::SweepEngine &engine, std::size_t before,
-               std::size_t after, ProfileDiff &out, std::string *error)
-{
-    const std::vector<runtime::SweepCell> &cells = engine.cells();
-    auto view_of = [&](std::size_t index, ProfileView &view) {
-        if (index >= cells.size()) {
-            if (error)
-                *error = "cell index " + std::to_string(index) +
-                         " out of range";
-            return false;
-        }
-        const runtime::SweepCell &cell = cells[index];
-        if (!cell.evaluated) {
-            if (error)
-                *error = "cell " + std::to_string(index) +
-                         " not evaluated (call run() first)";
-            return false;
-        }
-        if (!cell.result.feasible) {
-            if (error)
-                *error = "cell " + std::to_string(index) +
-                         " is infeasible: " +
-                         cell.result.infeasible_reason;
-            return false;
-        }
-        if (!cell.result.profile.valid) {
-            if (error)
-                *error = "cell " + std::to_string(index) +
-                         " has no profile (set capture_profile)";
-            return false;
-        }
-        std::string label =
-            cell.tag.empty()
-                ? (cell.system ? cell.system->name()
-                               : "cell " + std::to_string(index))
-                : cell.tag;
-        view = viewFromIteration(cell.result, std::move(label));
-        return true;
-    };
-    ProfileView view_before, view_after;
-    if (!view_of(before, view_before) || !view_of(after, view_after))
-        return false;
-    out = diffProfiles(view_before, view_after);
-    return true;
-}
-
-std::vector<PhaseDelta>
-topContributors(const ProfileDiff &diff, std::size_t top_k)
-{
-    const std::size_t n = std::min(top_k, diff.phases.size());
-    return {diff.phases.begin(),
-            diff.phases.begin() + static_cast<std::ptrdiff_t>(n)};
-}
-
 std::string
 diffToText(const ProfileDiff &diff)
 {

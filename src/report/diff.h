@@ -28,11 +28,9 @@
 #ifndef SO_REPORT_DIFF_H
 #define SO_REPORT_DIFF_H
 
-#include <cstddef>
 #include <string>
 #include <vector>
 
-#include "runtime/sweep.h"
 #include "runtime/system.h"
 #include "sim/profiler.h"
 
@@ -179,23 +177,6 @@ struct ProfileDiff
 /** Diff two views: attribution of `after.makespan - before.makespan`. */
 ProfileDiff diffProfiles(const ProfileView &before,
                          const ProfileView &after);
-
-/**
- * Diff two evaluated cells of a sweep (results must carry profiles,
- * i.e. the setups had capture_profile set). Returns false and fills
- * *@p error when either cell is unevaluated, infeasible, or
- * profile-free.
- */
-bool diffSweepCells(const runtime::SweepEngine &engine,
-                    std::size_t before, std::size_t after,
-                    ProfileDiff &out, std::string *error);
-
-/**
- * The (at most @p top_k) phases contributing most to the gap, largest
- * |delta| first (the order `phases` is already in).
- */
-std::vector<PhaseDelta> topContributors(const ProfileDiff &diff,
-                                        std::size_t top_k = 8);
 
 /** The diff as a human-readable multi-line report. */
 std::string diffToText(const ProfileDiff &diff);

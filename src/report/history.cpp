@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "common/json.h"
@@ -278,31 +277,6 @@ BenchHistory::append(const std::string &record_json, std::string *error)
         if (error)
             *error = "write to " + path_ + " failed";
         return false;
-    }
-    return true;
-}
-
-bool
-BenchHistory::load(std::vector<JsonValue> &out, std::string *error) const
-{
-    std::ifstream in(path_);
-    if (!in)
-        return true; // No file yet: an empty history.
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(in, line)) {
-        ++lineno;
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-        JsonValue doc;
-        std::string parse_error;
-        if (!JsonValue::parse(line, doc, &parse_error)) {
-            if (error)
-                *error = path_ + ":" + std::to_string(lineno) + ": " +
-                         parse_error;
-            return false;
-        }
-        out.push_back(std::move(doc));
     }
     return true;
 }

@@ -19,8 +19,8 @@
  *
  * The verdict is machine-readable JSON so CI can upload it as an
  * artifact and later gate on it; the check itself never exits — policy
- * (warn vs fail) belongs to the caller (`so-report check`, the bench
- * Harness's --baseline flag, or the CI step).
+ * (warn vs fail) belongs to the caller. `so-report check` is the one
+ * caller: it exits 1 on a regression unless --warn-only is given.
  */
 #ifndef SO_REPORT_HISTORY_H
 #define SO_REPORT_HISTORY_H
@@ -134,13 +134,6 @@ class BenchHistory
      * input or I/O failure.
      */
     bool append(const std::string &record_json, std::string *error);
-
-    /**
-     * Parse every line into @p out (empty lines skipped). Returns
-     * false and fills *@p error on the first malformed line; a missing
-     * file is an empty history, not an error.
-     */
-    bool load(std::vector<JsonValue> &out, std::string *error) const;
 
   private:
     std::string path_;

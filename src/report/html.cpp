@@ -188,19 +188,6 @@ renderHtmlReport(const HtmlReport &report)
     out += htmlEscape(title);
     out += "</h1>\n<p class=\"so-generator\">Schedule Explorer &middot; "
            "self-contained report, no external resources</p>\n";
-    if (!report.links.empty())
-    {
-        out += "<nav class=\"so-links\">\n";
-        for (const auto &[label, href] : report.links)
-        {
-            out += "<a href=\"";
-            out += htmlEscape(href);
-            out += "\">";
-            out += htmlEscape(label);
-            out += "</a>\n";
-        }
-        out += "</nav>\n";
-    }
     out += "</header>\n<main id=\"app\"></main>\n";
     out += "<script id=\"so-data\" type=\"application/json\">";
     out += escapeJsonForScript(buildDataIsland(report));

@@ -11,8 +11,10 @@
  * The result is shareable from CI and renders the paper's core visual
  * arguments: the Gantt overlap structure of Figs. 3/8, the idle-cause
  * breakdown of Fig. 4, the utilization sweep of Fig. 15, and the A/B
- * phase attribution behind Figs. 10/11. See docs/EXPLORER.md for an
- * annotated walkthrough.
+ * phase attribution behind Figs. 10/11. Bench binaries only write
+ * the artifacts (--json, --trace-dir, --self-trace); `so-report html`
+ * assembles them into a page, and the planner's --explain-html renders
+ * its A/B explainer. See docs/EXPLORER.md for an annotated walkthrough.
  *
  * Safety contract (pinned by tests/report/test_html.cpp): all embedded
  * data is HTML-safe. Task labels are user-controlled strings that may
@@ -47,8 +49,8 @@ inline constexpr std::size_t kDefaultMaxInlineBundleBytes =
 /**
  * Everything one explorer page can embed. All sections are optional:
  * the renderer emits only the views whose inputs are present, so the
- * same function serves `so-report html`, the bench harness's per-cell
- * pages, and the planner's A/B explainer.
+ * same function serves `so-report html` and the planner's
+ * --explain-html page.
  */
 struct HtmlReport
 {
@@ -96,13 +98,6 @@ struct HtmlReport
      * simulated-schedule views above.
      */
     std::string self_profile_json;
-
-    /**
-     * (label, href) pairs rendered as a navigation list — how a bench
-     * index page links its per-cell pages. Hrefs are expected to be
-     * relative; they are escaped but not validated.
-     */
-    std::vector<std::pair<std::string, std::string>> links;
 
     /**
      * Cap on any single inlined schedule bundle, in bytes (0 =

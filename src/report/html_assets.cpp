@@ -90,17 +90,6 @@ body {
 header { margin-bottom: 8px; }
 h1 { font-size: 21px; font-weight: 650; margin: 0 0 2px; }
 .so-generator { color: var(--muted); font-size: 12px; margin: 0; }
-nav.so-links { margin: 10px 0 0; display: flex; flex-wrap: wrap; gap: 8px; }
-nav.so-links a {
-  color: var(--series-1);
-  text-decoration: none;
-  border: 1px solid var(--border);
-  border-radius: 6px;
-  padding: 3px 10px;
-  background: var(--surface);
-  font-size: 13px;
-}
-nav.so-links a:hover { border-color: var(--series-1); }
 section.so-section {
   background: var(--surface);
   border: 1px solid var(--border);

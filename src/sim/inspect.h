@@ -11,7 +11,7 @@
  * dependency edge list, enough to redraw the schedule without the
  * TaskGraph that produced it. It is what the HTML explorer
  * (report/html.h, docs/EXPLORER.md) renders as its interactive Gantt,
- * and what `bench::Harness --html` / `--trace-dir` persist per cell as
+ * and what `bench::Harness --trace-dir` persists per cell as
  * `*.bundle.json`.
  *
  * One writer produces the document: bundleToJson buffers it,

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -244,6 +245,28 @@ TEST(Trace, ProgressSnapshotTracksTicks)
     EXPECT_EQ(snap.cached_cells, 3u);
     progressEnd();
     EXPECT_FALSE(progressSnapshot().active);
+}
+
+TEST(Trace, ProgressHoldsItsFinalStateAfterEnd)
+{
+    progressBegin(10, 0);
+    for (int i = 0; i < 10; ++i)
+        progressTick();
+    progressEnd();
+    const ProgressSnapshot first = progressSnapshot();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const ProgressSnapshot later = progressSnapshot();
+    EXPECT_FALSE(later.active);
+    EXPECT_EQ(later.done_units, 10u);
+    // Elapsed time stopped at progressEnd(), so the rate holds too.
+    EXPECT_EQ(later.elapsed_s, first.elapsed_s);
+    EXPECT_EQ(later.rate_per_s, first.rate_per_s);
+
+    // The next batch measures from its own begin again.
+    progressBegin(1, 0);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_GE(progressSnapshot().elapsed_s, 0.015);
+    progressEnd();
 }
 
 TEST(Trace, HeartbeatJsonIsCompleteAndStamped)

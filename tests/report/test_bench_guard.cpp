@@ -2,22 +2,25 @@
  * @file
  * Harness guard-rail tests: --trace-dir pointing at an existing
  * regular file dies fast with a clear message (before any sweep work),
- * a valid --trace-dir is created up front, an unusable --tolerance
- * dies at parse time, a --json record or --self-trace export that
- * cannot be written in full is fatal, and --baseline runs the
- * in-process regression check, writing a machine-readable verdict file
- * while keeping the exit code 0 (warn-only).
+ * a valid --trace-dir is created up front, a flag the Harness does not
+ * know (a retired one or a typo) dies at parse time naming the flag,
+ * a --json record or --self-trace export that cannot be written in
+ * full is fatal, and a record the Harness writes is one `so-report
+ * check` guards: a vanished baseline metric lands in the verdict while
+ * --warn-only keeps the exit code 0, and a record passes against itself.
  */
 #include "bench_util.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <sys/wait.h>
 
 #include "common/json.h"
 
@@ -71,12 +74,18 @@ TEST(HarnessGuard, TraceDirIsCreatedUpFront)
     fs::remove_all(tempPath("so_trace_dir_ok"));
 }
 
-TEST(HarnessGuard, UnusableToleranceDiesFast)
+TEST(HarnessGuard, RemovedFlagsDieFast)
 {
-    for (const char *tolerance : {"nan", "inf", "abc", "-1"})
-        EXPECT_EXIT(makeHarness({"--tolerance", tolerance}),
-                    ::testing::ExitedWithCode(1), "finite number")
-            << tolerance;
+    // The regression check and the Explorer pages live in so-report;
+    // a bench given their old flags, or a typo, must not silently
+    // ignore them.
+    const std::vector<std::vector<std::string>> cases = {
+        {"--baseline", "f"}, {"--tolerance", "0.5"}, {"--html", "d"},
+        {"--jsn"}};
+    for (const std::vector<std::string> &args : cases)
+        EXPECT_EXIT(makeHarness(args), ::testing::ExitedWithCode(1),
+                    "unknown flag " + args[0])
+            << args[0];
 }
 
 TEST(HarnessGuard, JsonOnAFullDeviceIsFatal)
@@ -94,69 +103,74 @@ TEST(HarnessGuard, SelfTraceIntoAMissingDirectoryIsFatal)
                 ::testing::ExitedWithCode(1), "cannot write " + path);
 }
 
-TEST(HarnessGuard, BaselineCheckIsWarnOnlyAndWritesVerdict)
+#ifdef SO_REPORT_BIN
+
+/**
+ * Run `so-report check RECORD --baseline BASELINE` with @p extra flags,
+ * parse the verdict it writes into @p verdict and return its exit code.
+ */
+int
+checkRecord(const fs::path &record, const fs::path &baseline,
+            const std::string &extra, JsonValue &verdict)
 {
-    const fs::path json_path = tempPath("so_guard_record.json");
-    const fs::path verdict_path =
-        tempPath("so_guard_record.verdict.json");
-    const fs::path baseline_path = tempPath("so_guard_baseline.json");
-    fs::remove(json_path);
+    const fs::path verdict_path = record.string() + ".verdict.json";
     fs::remove(verdict_path);
-
-    // Baseline carries a gated metric the fresh record cannot have:
-    // the check must flag it, yet finish() stays exit-code 0.
-    std::ofstream(baseline_path.string())
-        << R"({"vanished_per_s": 123.0})" << '\n';
-
-    Harness harness = makeHarness(
-        {"--json", json_path.string(), "--baseline",
-         baseline_path.string()});
-    EXPECT_EQ(harness.finish(), 0);
-
-    ASSERT_TRUE(fs::exists(json_path));
-    ASSERT_TRUE(fs::exists(verdict_path));
+    const std::string command =
+        std::string(SO_REPORT_BIN) + " check " + record.string() +
+        " --baseline " + baseline.string() + " --out " +
+        verdict_path.string() + extra;
+    const int status = std::system(command.c_str());
     std::ifstream in(verdict_path.string());
     std::ostringstream buf;
     buf << in.rdbuf();
-    JsonValue verdict;
     std::string error;
-    ASSERT_TRUE(JsonValue::parse(buf.str(), verdict, &error)) << error;
+    EXPECT_TRUE(JsonValue::parse(buf.str(), verdict, &error)) << error;
+    fs::remove(verdict_path);
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(HarnessGuard, BaselineCheckIsWarnOnlyAndWritesVerdict)
+{
+    const fs::path record = tempPath("so_guard_record.json");
+    const fs::path baseline = tempPath("so_guard_baseline.json");
+    fs::remove(record);
+
+    // Baseline carries a gated metric the fresh record cannot have:
+    // the check must flag it, yet --warn-only keeps exit code 0.
+    std::ofstream(baseline.string())
+        << R"({"vanished_per_s": 123.0})" << '\n';
+    EXPECT_EQ(makeHarness({"--json", record.string()}).finish(), 0);
+    ASSERT_TRUE(fs::exists(record));
+
+    JsonValue verdict;
+    EXPECT_EQ(checkRecord(record, baseline, " --warn-only", verdict), 0);
+    ASSERT_TRUE(verdict.isObject());
     EXPECT_FALSE(verdict.at("pass").boolean());
-    EXPECT_EQ(verdict.at("regressions").items().size(), 1u);
+    ASSERT_EQ(verdict.at("regressions").items().size(), 1u);
     EXPECT_EQ(verdict.at("regressions").items()[0].text(),
               "vanished_per_s");
 
-    fs::remove(json_path);
-    fs::remove(verdict_path);
-    fs::remove(baseline_path);
+    fs::remove(record);
+    fs::remove(baseline);
 }
 
 TEST(HarnessGuard, BaselineCheckPassesAgainstOwnRecord)
 {
-    const fs::path json_path = tempPath("so_guard_self.json");
-    const fs::path verdict_path =
-        tempPath("so_guard_self.verdict.json");
-    fs::remove(json_path);
-    fs::remove(verdict_path);
+    const fs::path record = tempPath("so_guard_self.json");
+    fs::remove(record);
 
-    // First run writes the record; second run checks against it.
-    makeHarness({"--json", json_path.string()}).finish();
-    ASSERT_TRUE(fs::exists(json_path));
-    Harness second = makeHarness({"--json", json_path.string(),
-                                  "--baseline", json_path.string()});
-    EXPECT_EQ(second.finish(), 0);
+    EXPECT_EQ(makeHarness({"--json", record.string()}).finish(), 0);
+    ASSERT_TRUE(fs::exists(record));
 
-    std::ifstream in(verdict_path.string());
-    ASSERT_TRUE(in.good());
-    std::ostringstream buf;
-    buf << in.rdbuf();
     JsonValue verdict;
-    ASSERT_TRUE(JsonValue::parse(buf.str(), verdict));
+    EXPECT_EQ(checkRecord(record, record, "", verdict), 0);
+    ASSERT_TRUE(verdict.isObject());
     EXPECT_TRUE(verdict.at("pass").boolean());
 
-    fs::remove(json_path);
-    fs::remove(verdict_path);
+    fs::remove(record);
 }
+
+#endif // SO_REPORT_BIN
 
 } // namespace
 } // namespace so::bench

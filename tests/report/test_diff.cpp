@@ -384,17 +384,18 @@ TEST(ProfileDiff, DiffSweepCellsMatchesDirectDiff)
     const std::size_t ib = engine.add(*b, setup);
     engine.run();
 
-    ProfileDiff diff;
-    std::string error;
-    ASSERT_TRUE(diffSweepCells(engine, ia, ib, diff, &error)) << error;
+    const runtime::IterationResult &ra = engine.result(ia);
+    const runtime::IterationResult &rb = engine.result(ib);
+    ASSERT_TRUE(ra.profile.valid);
+    ASSERT_TRUE(rb.profile.valid);
+    const ProfileDiff diff =
+        diffProfiles(viewFromIteration(ra, a->name()),
+                     viewFromIteration(rb, b->name()));
     EXPECT_EQ(diff.before_label, a->name());
     EXPECT_EQ(diff.after_label, b->name());
+    EXPECT_DOUBLE_EQ(diff.makespan_before, ra.profile.makespan);
+    EXPECT_DOUBLE_EQ(diff.makespan_after, rb.profile.makespan);
     expectDiffInvariants(diff);
-
-    // Out-of-range and profile-free cells are diagnosed, not crashed.
-    ProfileDiff bad;
-    EXPECT_FALSE(diffSweepCells(engine, 99, ib, bad, &error));
-    EXPECT_NE(error.find("out of range"), std::string::npos);
 }
 
 TEST(ProfileDiff, JsonDocumentsRoundTrip)
@@ -477,9 +478,12 @@ TEST(ProfileDiff, TopContributorsTruncates)
     after.makespan = 3.0;
     after.phases = {{"a", 0.5}, {"b", 1.5}, {"c", 1.0}};
     const ProfileDiff diff = diffProfiles(before, after);
-    const std::vector<PhaseDelta> top = topContributors(diff, 2);
-    ASSERT_EQ(top.size(), 2u);
-    EXPECT_EQ(top[0].phase, "c"); // -2.0, the largest magnitude.
+    // Largest |delta| first, so the top contributors are a prefix.
+    ASSERT_EQ(diff.phases.size(), 3u);
+    EXPECT_EQ(diff.phases[0].phase, "c"); // -2.0, the largest magnitude.
+    for (std::size_t i = 1; i < diff.phases.size(); ++i)
+        EXPECT_GE(std::abs(diff.phases[i - 1].delta),
+                  std::abs(diff.phases[i].delta));
 }
 
 } // namespace

@@ -132,8 +132,8 @@ TEST(HtmlReportRender, DataIslandRoundTripsWithEveryTask)
 TEST(HtmlReportRender, DocumentIsSelfContained)
 {
     // Exercise every section at once: schedule, profile, record,
-    // history, verdict, diff, links — then require zero external
-    // resource references in the whole document.
+    // history, verdict, diff — then require zero external resource
+    // references in the whole document.
     HtmlReport report;
     report.title = "full page";
     report.schedules.push_back(hostileBundleJson());
@@ -153,7 +153,6 @@ TEST(HtmlReportRender, DocumentIsSelfContained)
         R"("after":{"label":"b","makespan_s":0.9},)"
         R"("makespan_delta_s":-0.1,"phases":[],"unattributed_s":-0.1,)"
         R"("resources":[]})";
-    report.links.emplace_back("cell 0", "cell0.html");
 
     const std::string html = renderHtmlReport(report);
     EXPECT_EQ(html.find("http://"), std::string::npos);
@@ -170,10 +169,6 @@ TEST(HtmlReportRender, DocumentIsSelfContained)
     EXPECT_TRUE(island.at("verdict").at("pass").boolean());
     EXPECT_DOUBLE_EQ(island.at("diff").at("makespan_delta_s").number(),
                      -0.1);
-
-    // Relative links render escaped but intact.
-    EXPECT_NE(html.find("<a href=\"cell0.html\">cell 0</a>"),
-              std::string::npos);
 }
 
 TEST(HtmlReportRender, MalformedSectionDegradesToNull)

@@ -6,7 +6,10 @@
  * query subcommand answers over real artifacts, an unknown subcommand
  * exits with the distinct usage status listing the valid ones, query
  * and check reject an unusable window or --tolerance/--tol value with
- * exit 1, html and check fail when their --out file cannot be written,
+ * exit 1, check gates on a regression unless --warn-only and writes
+ * the same verdict either way, html --trace-dir embeds bundles and
+ * profiles but not bundle shards, html and check fail when their --out
+ * file cannot be written,
  * top and diff reject malformed documents with exit 1, the query and
  * selftrace readers treat out-of-range numbers as absent, and selftrace
  * prints the same queue-wait line for a Chrome trace and its summary.
@@ -16,7 +19,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -486,6 +491,106 @@ TEST(Query, CliSelftraceQueueWaitAgreesForBothInputShapes)
     EXPECT_NE(from_trace.find("21 job(s)"), std::string::npos)
         << from_trace;
     EXPECT_EQ(from_trace, queue_wait_line(stem + ".selfprofile.json"));
+}
+
+TEST(Query, CliCheckGatesUnlessWarnOnlyAndWritesVerdict)
+{
+    // The baseline carries a gated metric the fresh record lacks: a
+    // vanished metric is a regression.
+    const std::string record =
+        writeFile("check_fresh.json", R"({"bench":"guard","jobs":1})");
+    const std::string baseline =
+        writeFile("check_vanished.json", R"({"vanished_per_s":123.0})");
+    const std::string verdict_path = testing::TempDir() + "verdict.json";
+    auto regressions = [&] {
+        std::ifstream in(verdict_path);
+        std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+        JsonValue verdict;
+        std::vector<std::string> out;
+        EXPECT_TRUE(JsonValue::parse(text, verdict)) << text;
+        if (verdict.isObject())
+            for (const JsonValue &path : verdict.at("regressions").items())
+                out.push_back(path.text());
+        return out;
+    };
+    const std::vector<std::string> vanished = {"vanished_per_s"};
+
+    std::string output;
+    std::remove(verdict_path.c_str());
+    EXPECT_EQ(runReport("check " + record + " --baseline " + baseline +
+                            " --out " + verdict_path,
+                        output),
+              1)
+        << output;
+    EXPECT_EQ(regressions(), vanished);
+
+    std::remove(verdict_path.c_str());
+    EXPECT_EQ(runReport("check " + record + " --baseline " + baseline +
+                            " --out " + verdict_path + " --warn-only",
+                        output),
+              0)
+        << output;
+    EXPECT_EQ(regressions(), vanished);
+
+    // A record checked against itself passes.
+    std::remove(verdict_path.c_str());
+    EXPECT_EQ(runReport("check " + record + " --baseline " + record +
+                            " --out " + verdict_path,
+                        output),
+              0)
+        << output;
+    EXPECT_TRUE(regressions().empty());
+}
+
+TEST(Query, CliHtmlTraceDirSkipsBundleShards)
+{
+    // One file of each kind a trace directory holds. Only the bundle
+    // and the profile belong on the page; the shard file is what
+    // `so-report query` reads, not history.
+    const std::string dir = testing::TempDir() + "html_trace_dir";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    auto put = [&](const std::string &name, const std::string &text) {
+        std::ofstream(dir + "/" + name, std::ios::binary) << text;
+    };
+    put("x_cell0.bundle.json",
+        R"({"kind":"inspection_bundle","label":"cell 0"})");
+    put("x_cell0.profile.json",
+        R"({"makespan_s":1.0,"critical_path":{"length_s":1.0,)"
+        R"("phases":[{"phase":"fwd","seconds":1.0}]},"resources":[]})");
+    put("x_cell0.trace.json", R"({"traceEvents":[]})");
+    put("x_1000.bundle.jsonl",
+        R"({"kind":"bundle_shard_header","label":"x","task_count":0})"
+        "\n"
+        R"({"kind":"bundle_tasks","tasks":[]})"
+        "\n");
+
+    const std::string page = dir + "/page.html";
+    std::string output;
+    ASSERT_EQ(runReport("html --trace-dir " + dir + " --out " + page,
+                        output),
+              0)
+        << output;
+    std::ifstream in(page);
+    const std::string html((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    const std::string open =
+        "<script id=\"so-data\" type=\"application/json\">";
+    const std::size_t begin = html.find(open);
+    ASSERT_NE(begin, std::string::npos);
+    const std::size_t start = begin + open.size();
+    const std::size_t end = html.find("</script>", start);
+    ASSERT_NE(end, std::string::npos);
+    JsonValue island;
+    std::string error;
+    ASSERT_TRUE(JsonValue::parse(html.substr(start, end - start), island,
+                                 &error))
+        << error;
+    EXPECT_EQ(island.at("schedules").items().size(), 1u);
+    EXPECT_EQ(island.at("profiles").items().size(), 1u);
+    EXPECT_TRUE(island.at("history").items().empty());
+    std::filesystem::remove_all(dir);
 }
 
 #endif // SO_REPORT_BIN

@@ -692,8 +692,7 @@ classifyInput(const std::string &path, report::HtmlReport &page)
     std::string text;
     if (!readFile(path, text))
         return false;
-    if (path.size() > 6 &&
-        path.compare(path.size() - 6, 6, ".jsonl") == 0) {
+    if (path.ends_with(".jsonl")) {
         page.history_jsonl += text;
         if (!text.empty() && text.back() != '\n')
             page.history_jsonl += '\n';
@@ -765,12 +764,12 @@ cmdHtml(const ArgParser &args)
         }
         // Sorted so cell ordering is deterministic across platforms.
         std::sort(found.begin(), found.end());
+        // Exact suffixes: a `.bundle.jsonl` shard file would otherwise
+        // match `.bundle.json` and land in the history as JSONL.
         for (const std::string &path : found) {
-            const bool bundle =
-                path.find(".bundle.json") != std::string::npos;
-            const bool profile =
-                path.find(".profile.json") != std::string::npos;
-            if ((bundle || profile) && !classifyInput(path, page))
+            if ((path.ends_with(".bundle.json") ||
+                 path.ends_with(".profile.json")) &&
+                !classifyInput(path, page))
                 return 1;
         }
     }
