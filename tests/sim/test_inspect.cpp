@@ -3,14 +3,18 @@
  * Inspection-bundle tests: the bundleToJson document flattens exactly
  * the schedule it was given (every task id, every dependency edge, the
  * profiler's slack/critical/idle data, the energy profile's watts), as
- * read back through the JSON parser.
+ * read back through the JSON parser. The shard writer's bytes are
+ * pinned on a small metered graph.
  */
 #include "sim/inspect.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 
 #include "common/json.h"
@@ -230,6 +234,69 @@ TEST(BundleJson, ZeroDurationTasksKeepTheirSpans)
     EXPECT_DOUBLE_EQ(tasks[0].at("end_s").number() -
                          tasks[0].at("start_s").number(),
                      0.0);
+}
+
+/** "<bytes>:<FNV-1a 64 hex>" of one written artifact. */
+std::string
+artifactPin(const std::string &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const char c : bytes) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ULL;
+    }
+    char buf[48];
+    std::snprintf(buf, sizeof(buf), "%zu:%016llx", bytes.size(),
+                  static_cast<unsigned long long>(h));
+    return buf;
+}
+
+TEST(BundleShardPin, MeteredShardBytesIdentical)
+{
+    // Three resources, zero-duration barriers, priorities -1/0/1, a CPU
+    // that queues its optimizer steps and a metered energy profile,
+    // written in chunks of 8: task, edge and critical-path lines all
+    // split across chunks. A refactor
+    // of the shard writer, the scheduler or the profiler must leave
+    // these bytes untouched.
+    TaskGraph g;
+    const ResourceId gpu = g.addResource("GPU");
+    const ResourceId d2h = g.addResource("D2H");
+    const ResourceId cpu = g.addResource("CPU");
+    TaskId prev = g.addTask(gpu, 0.0, "barrier enter");
+    std::vector<TaskId> steps;
+    for (int l = 0; l < 6; ++l) {
+        const std::string layer = std::to_string(l);
+        prev = g.addTask(gpu, 0.004 + 0.001 * l, "bwd L" + layer, {prev});
+        const TaskId moved = g.addTask(d2h, 0.003, "d2h bucket " + layer,
+                                       {prev}, l % 2 == 0 ? 1 : -1);
+        steps.push_back(g.addTask(cpu, 0.007, "adam b" + layer, {moved},
+                                  l % 3 - 1));
+    }
+    const TaskId leave = g.addTask(gpu, 0.0, "barrier exit", steps, 1);
+    g.addTask(d2h, 0.002, "h2d params", {leave}, 0);
+    const Schedule s = Scheduler().run(g);
+    const ScheduleProfile prof = profileSchedule(g, s);
+
+    EnergyInputs inputs;
+    inputs.resources = {{700.0, 75.0, 0.0}, {15.0, 5.0, 1e-11},
+                        {250.0, 40.0, 0.0}};
+    inputs.task_bytes.assign(g.taskCount(), 0.0);
+    for (TaskId id = 0; id < g.taskCount(); ++id)
+        if (g.taskResource(id) == d2h)
+            inputs.task_bytes[id] = 2.5e8 * (1 + id % 3);
+    inputs.background.emplace_back("DDR refresh", 20.0);
+    const EnergyProfile energy = attributeEnergy(g, s, prof, inputs);
+    ASSERT_TRUE(energy.valid);
+
+    const std::string path =
+        ::testing::TempDir() + "pin_metered.bundle.jsonl";
+    ASSERT_TRUE(writeBundleShards(path, g, s, prof, "pin", &energy, 8));
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    std::remove(path.c_str());
+    EXPECT_EQ(artifactPin(bytes.str()), "3433:41f101a836cc79f8");
 }
 
 } // namespace
