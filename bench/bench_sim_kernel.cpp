@@ -6,10 +6,10 @@
  * This is the inner loop every sweep cell pays, isolated from the
  * hardware model: an offload-shaped graph (GPU chain + D2H swap-outs +
  * CPU optimizer tail) at 1k .. 10M tasks, timed separately for the
- * build phase (addTask/addDep into the SoA pools) and the schedule
- * phase (discrete-event run over a reused workspace). The 1M/10M sizes
- * exist to hold the schedule phase flat at scale (docs/PERF.md, "Event
- * queue at scale"): the slot-bounded event heap, bucketed ready sets,
+ * build phase (addTask into the SoA pools) and the schedule phase
+ * (discrete-event run over a reused workspace). The 1M/10M sizes exist
+ * to hold the schedule phase flat at scale (docs/PERF.md, "Event queue
+ * at scale"): the resource-bounded event heap, bucketed ready sets,
  * and the graph-cached dependents CSR are all sized for them. The JSON
  * record carries, per size, the rep count, the mean seconds of each
  * phase and the tasks/sec derived from them.

@@ -21,13 +21,13 @@ IterBuilder::IterBuilder(const TrainSetup &setup, hw::HierarchyOptions opts)
     // The standard seven resources, in an order pinned by tests (and by
     // stored schedules): the hierarchy's canonical channels map onto
     // them by name, so the default hierarchy adds no resources.
-    gpu_ = graph_.addResource("GPU", 1);
-    cpu_ = graph_.addResource("CPU", 1);
-    cpu_bg_ = graph_.addResource("CPU-bg", 1);
-    h2d_ = graph_.addResource("H2D", 1);
-    d2h_ = graph_.addResource("D2H", 1);
-    nic_ = graph_.addResource("NIC", 1);
-    nvme_ = graph_.addResource("NVMe", 1);
+    gpu_ = graph_.addResource("GPU");
+    cpu_ = graph_.addResource("CPU");
+    cpu_bg_ = graph_.addResource("CPU-bg");
+    h2d_ = graph_.addResource("H2D");
+    d2h_ = graph_.addResource("D2H");
+    nic_ = graph_.addResource("NIC");
+    nvme_ = graph_.addResource("NVMe");
 
     channels_.emplace_back(std::string(hw::kChannelH2d), h2d_);
     channels_.emplace_back(std::string(hw::kChannelD2h), d2h_);
@@ -38,7 +38,7 @@ IterBuilder::IterBuilder(const TrainSetup &setup, hw::HierarchyOptions opts)
             known = known || chan.first == path.channel;
         if (!known)
             channels_.emplace_back(path.channel,
-                                   graph_.addResource(path.channel, 1));
+                                   graph_.addResource(path.channel));
     }
     path_bytes_.assign(hier_.paths().size(), 0.0);
 }

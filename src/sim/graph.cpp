@@ -24,10 +24,9 @@ hashBytes(std::string_view text)
 } // namespace
 
 ResourceId
-TaskGraph::addResource(std::string name, std::uint32_t slots)
+TaskGraph::addResource(std::string name)
 {
-    SO_ASSERT(slots >= 1, "resource needs at least one slot");
-    resources_.push_back(Resource{std::move(name), slots});
+    resources_.push_back(Resource{std::move(name)});
     return static_cast<ResourceId>(resources_.size() - 1);
 }
 
@@ -72,13 +71,15 @@ TaskGraph::addTask(ResourceId resource, double duration,
                   "dependency must be an already-added task (got ", dep,
                   " for task ", id, ")");
     }
-    if (durations_.empty()) {
-        min_priority_ = priority;
-        max_priority_ = priority;
-    } else {
-        min_priority_ = std::min(min_priority_, priority);
-        max_priority_ = std::max(max_priority_, priority);
-    }
+    const std::int32_t lo =
+        durations_.empty() ? priority : std::min(min_priority_, priority);
+    const std::int32_t hi =
+        durations_.empty() ? priority : std::max(max_priority_, priority);
+    SO_ASSERT(std::int64_t{hi} - lo < kMaxPrioritySpan, "task ", id,
+              " priority ", priority, " widens the graph's priorities to ",
+              lo, "..", hi, ", beyond the limit of ", kMaxPrioritySpan);
+    min_priority_ = lo;
+    max_priority_ = hi;
     durations_.push_back(duration);
     task_resource_.push_back(resource);
     priorities_.push_back(priority);
@@ -89,36 +90,7 @@ TaskGraph::addTask(ResourceId resource, double duration,
     ref.count = static_cast<std::uint32_t>(deps.size());
     edges_.insert(edges_.end(), deps.begin(), deps.end());
     dep_refs_.push_back(ref);
-    live_edges_ += deps.size();
     return id;
-}
-
-void
-TaskGraph::addDep(TaskId before, TaskId after)
-{
-    SO_ASSERT(before < taskCount() && after < taskCount(),
-              "addDep on unknown task");
-    SO_ASSERT(before != after, "task ", before,
-              " cannot depend on itself");
-    // Edges may be wired in any order; the scheduler diagnoses actual
-    // cycles with the labels of the unreachable tasks.
-    DepRef &ref = dep_refs_[after];
-    if (ref.count != 0 && ref.begin + ref.count != edges_.size()) {
-        // The task's run is not at the pool tail (another task's deps
-        // were appended since): relocate it to the tail so the run
-        // stays contiguous. The old entries become dead pool space.
-        const std::uint32_t new_begin =
-            static_cast<std::uint32_t>(edges_.size());
-        edges_.insert(edges_.end(), edges_.begin() + ref.begin,
-                      edges_.begin() + ref.begin + ref.count);
-        ref.begin = new_begin;
-    } else if (ref.count == 0) {
-        ref.begin = static_cast<std::uint32_t>(edges_.size());
-    }
-    edges_.push_back(before);
-    ++ref.count;
-    ++live_edges_;
-    dependents_valid_ = false;
 }
 
 void
@@ -133,7 +105,7 @@ TaskGraph::finalizeDependents() const
             ++dependent_offsets_[dep + 1];
     for (std::size_t i = 1; i <= n; ++i)
         dependent_offsets_[i] += dependent_offsets_[i - 1];
-    dependents_.resize(live_edges_);
+    dependents_.resize(edges_.size());
     // Fill using offsets[dep] as the write cursor: each task id lands
     // in ascending order within its dependency's run. Afterwards
     // offsets[d] has advanced to the start of d+1, so one backward

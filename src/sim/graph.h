@@ -4,12 +4,14 @@
  *
  * Every training system in this library (§5 of the paper compares eight
  * of them) is expressed as a directed acyclic graph of tasks. A task
- * occupies one slot of one resource (GPU compute stream, CPU cores, one
- * direction of the C2C link, a NIC, ...) for a fixed duration. Edges are
- * happens-before dependencies. The scheduler (scheduler.h) then derives
- * start/finish times, the makespan, and per-resource busy timelines —
- * which is exactly the information the paper's throughput and idle-time
- * figures are built from.
+ * occupies one resource (GPU compute stream, CPU cores, one direction
+ * of the C2C link, a NIC, ...) for a fixed duration, and a resource runs
+ * one task at a time: the serialized lanes of the paper's Figs. 3 and 8.
+ * Edges are happens-before dependencies, and a task may depend only on
+ * tasks added before it, so every graph is acyclic by construction. The
+ * scheduler (scheduler.h) then derives start/finish times, the makespan,
+ * and per-resource busy timelines — which is exactly the information the
+ * paper's throughput and idle-time figures are built from.
  *
  * Storage layout: tasks are kept structure-of-arrays. Durations,
  * resource bindings, and priorities live in parallel vectors; labels are
@@ -43,12 +45,17 @@ using TaskId = std::uint32_t;
 inline constexpr TaskId kInvalidTask =
     std::numeric_limits<TaskId>::max();
 
-/** An execution resource with one or more identical slots. */
+/**
+ * How many distinct priorities one graph may span (max - min + 1). The
+ * scheduler keeps one ready bucket per priority in the span; builders
+ * use -1, 0 and 1.
+ */
+inline constexpr std::int64_t kMaxPrioritySpan = 4096;
+
+/** An execution resource; it runs one task at a time. */
 struct Resource
 {
     std::string name;
-    /** Number of tasks the resource can run concurrently. */
-    std::uint32_t slots = 1;
 };
 
 /**
@@ -100,19 +107,15 @@ class TaskGraph
 {
   public:
     /** Register a resource; returns its id. */
-    ResourceId addResource(std::string name, std::uint32_t slots = 1);
+    ResourceId addResource(std::string name);
 
-    /** Add a task; @p deps must reference previously added tasks. */
+    /**
+     * Add a task; @p deps must reference previously added tasks, and
+     * the graph's priorities must stay within kMaxPrioritySpan.
+     */
     TaskId addTask(ResourceId resource, double duration,
                    std::string_view label, DepView deps = {},
                    std::int32_t priority = 0);
-
-    /**
-     * Add the edge @p before -> @p after. Edges may be wired in any
-     * order (self-loops excepted); a graph that ends up cyclic is
-     * diagnosed by the scheduler with the unreachable tasks' labels.
-     */
-    void addDep(TaskId before, TaskId after);
 
     /**
      * Pre-size the task arrays for @p count tasks (builders know the
@@ -140,7 +143,7 @@ class TaskGraph
     /** Execution time in seconds; may be zero (pure ordering point). */
     double duration(TaskId id) const;
 
-    /** The resource the task occupies one slot of. */
+    /** The resource the task occupies. */
     ResourceId taskResource(TaskId id) const;
 
     /**
@@ -152,7 +155,7 @@ class TaskGraph
     /**
      * IDs of tasks that must finish before this one may start, in the
      * order they were added. The span aliases the shared edge pool: it
-     * is invalidated by the next addTask()/addDep() call.
+     * is invalidated by the next addTask() call.
      */
     std::span<const TaskId> deps(TaskId id) const;
 
@@ -164,7 +167,7 @@ class TaskGraph
      * last mutation and cached with the graph, so every scheduler run
      * over the same graph reuses one build — sweeps used to pay this
      * rebuild per run (docs/PERF.md). The span aliases the cache: it is
-     * invalidated by the next addTask()/addDep() call.
+     * invalidated by the next addTask() call.
      */
     std::span<const TaskId> dependents(TaskId id) const;
 
@@ -180,12 +183,12 @@ class TaskGraph
     std::size_t taskCount() const { return durations_.size(); }
     std::size_t resourceCount() const { return resources_.size(); }
 
-    /** Number of live dependency edges across all tasks. */
-    std::size_t edgeCount() const { return live_edges_; }
+    /** Number of dependency edges across all tasks. */
+    std::size_t edgeCount() const { return edges_.size(); }
 
     /**
      * Smallest/largest task priority in the graph (0/0 when empty).
-     * Builders use small dense priority ranges, which is what lets the
+     * Their span is at most kMaxPrioritySpan, which is what lets the
      * scheduler keep O(1) priority-bucketed ready sets.
      */
     std::int32_t minPriority() const
@@ -195,12 +198,6 @@ class TaskGraph
     std::int32_t maxPriority() const
     {
         return durations_.empty() ? 0 : max_priority_;
-    }
-
-    /** All task priorities, indexed by TaskId (SoA column). */
-    std::span<const std::int32_t> priorities() const
-    {
-        return priorities_;
     }
 
     /** Bytes currently held by the label arena (diagnostics). */
@@ -242,12 +239,9 @@ class TaskGraph
     std::string label_arena_;
     std::unordered_map<std::uint64_t, LabelRef> label_intern_;
 
-    // Shared dependency pool. Each task's deps occupy one contiguous
-    // run; appending to a task whose run is not at the pool tail (rare
-    // addDep() wiring into older tasks) relocates that run to the tail,
-    // leaving a small dead gap behind.
+    // Shared dependency pool: each task's deps occupy one contiguous
+    // run, appended when the task is added.
     std::vector<TaskId> edges_;
-    std::size_t live_edges_ = 0;
 
     // Reverse-edge CSR cache: offsets (n+1) into one dependents array,
     // built on first use after a mutation and reused across scheduler

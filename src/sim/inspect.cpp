@@ -14,6 +14,13 @@ namespace so::sim {
 
 namespace {
 
+/**
+ * The lane fields of the bundle format: every resource runs one task at
+ * a time, so each has one slot and every span runs on slot 0.
+ */
+constexpr std::uint32_t kSlots = 1;
+constexpr std::uint32_t kSlot = 0;
+
 /** Shared body of bundleToJson / streamBundleJson. */
 void
 writeBundleDoc(JsonWriter &json, const TaskGraph &graph,
@@ -29,12 +36,8 @@ writeBundleDoc(JsonWriter &json, const TaskGraph &graph,
     const bool metered = energy != nullptr && energy->valid;
     const bool has_task_j = metered && energy->task_j.size() == n;
 
-    // Slot lanes and critical membership come from O(V) scratch that
-    // is small next to the document itself.
-    std::vector<std::uint32_t> slot_of(n, 0);
-    for (ResourceId r = 0; r < graph.resourceCount(); ++r)
-        for (const Interval &iv : schedule.timelines[r].intervals())
-            slot_of[iv.task] = iv.slot;
+    // Critical membership comes from O(V) scratch that is small next
+    // to the document itself.
     std::vector<char> on_path(n, 0);
     for (const CriticalStep &step : profile.critical_path)
         on_path[step.task] = 1;
@@ -52,7 +55,7 @@ writeBundleDoc(JsonWriter &json, const TaskGraph &graph,
         const ResourceProfile &rp = profile.resources[r];
         json.beginObject();
         json.field("resource", graph.resource(r).name);
-        json.field("slots", graph.resource(r).slots);
+        json.field("slots", kSlots);
         json.field("busy_s", rp.busy);
         json.field("idle_dependency_s", rp.idle_dependency);
         json.field("idle_contention_s", rp.idle_contention);
@@ -95,7 +98,7 @@ writeBundleDoc(JsonWriter &json, const TaskGraph &graph,
         json.field("label", graph.label(id));
         json.field("phase", phaseKey(graph.label(id)));
         json.field("resource", graph.taskResource(id));
-        json.field("slot", slot_of[id]);
+        json.field("slot", kSlot);
         json.field("start_s", start);
         json.field("end_s", end);
         json.field("slack_s", has_slack ? profile.slack[id] : 0.0);
@@ -186,7 +189,7 @@ writeBundleShards(const std::string &path, const TaskGraph &graph,
             const ResourceProfile &rp = profile.resources[r];
             json.beginObject();
             json.field("resource", graph.resource(r).name);
-            json.field("slots", graph.resource(r).slots);
+            json.field("slots", kSlots);
             json.field("busy_s", rp.busy);
             json.field("idle_dependency_s", rp.idle_dependency);
             json.field("idle_contention_s", rp.idle_contention);
@@ -230,7 +233,7 @@ writeBundleShards(const std::string &path, const TaskGraph &graph,
             line->field("label", graph.label(id));
             line->field("phase", phaseKey(graph.label(id)));
             line->field("resource", r);
-            line->field("slot", iv.slot);
+            line->field("slot", kSlot);
             line->field("start_s", iv.start);
             line->field("end_s", iv.end);
             if (has_slack)

@@ -3,13 +3,15 @@
  * Per-task inspection bundle of one simulated schedule.
  *
  * ScheduleProfile (profiler.h) computes everything a human needs to
- * reason about a schedule — start/finish times, slot assignments,
- * slack, critical-path membership, idle-gap causes — but its JSON
- * export (profileToJson) serializes only the aggregates. The inspection
- * bundle is the missing per-task view: one flattened span per task
- * (start/end/resource/slot/slack/critical flag) plus the full
- * dependency edge list, enough to redraw the schedule without the
- * TaskGraph that produced it. It is what the HTML explorer
+ * reason about a schedule — start/finish times, slack, critical-path
+ * membership, idle-gap causes — but its JSON export (profileToJson)
+ * serializes only the aggregates. The inspection bundle is the missing
+ * per-task view: one flattened span per task (start/end/resource/
+ * slack/critical flag) plus the full dependency edge list, enough to
+ * redraw the schedule without the TaskGraph that produced it. Every
+ * span and resource also carries `"slot":0` and `"slots":1`, which
+ * stored bundles and their readers still expect: a resource runs one
+ * task at a time. It is what the HTML explorer
  * (report/html.h, docs/EXPLORER.md) renders as its interactive Gantt,
  * and what `bench::Harness --trace-dir` persists per cell as
  * `*.bundle.json`.

@@ -204,10 +204,10 @@ profileSchedule(const TaskGraph &graph, const Schedule &schedule,
     // ---------------------------------------------------- critical path
     // Walk backwards from the last-finishing task. Each step asks "why
     // did this task start exactly when it did?" — either a dependency
-    // finished at that instant, or a task on the same resource freed
-    // the slot at that instant. The greedy scheduler starts tasks the
-    // moment both constraints clear, so one of the two always holds and
-    // the chain is contiguous from the makespan back to time 0.
+    // finished at that instant, or the task before it on the same
+    // resource finished at that instant. The greedy scheduler starts
+    // tasks the moment both constraints clear, so one of the two always
+    // holds and the chain is contiguous from the makespan back to time 0.
     TaskId end_task = 0;
     for (TaskId id = 1; id < n; ++id)
         if (schedule.finish[id] > schedule.finish[end_task])
@@ -231,7 +231,7 @@ profileSchedule(const TaskGraph &graph, const Schedule &schedule,
             on_path[cur] = 1;
             continue;
         }
-        // Resource hand-off: the task holding the slot until s.
+        // Resource hand-off: the task holding the resource until s.
         TaskId holder = kInvalidTask;
         for (const Interval &iv :
              schedule.timelines[graph.taskResource(cur)].intervals()) {
@@ -276,23 +276,19 @@ profileSchedule(const TaskGraph &graph, const Schedule &schedule,
 
     // ------------------------------------------------------------ slack
     // Local slack: how far a finish could slip before bumping into the
-    // earliest dependent, the next occupant of the same resource slot,
-    // or the end of the iteration.
+    // earliest dependent, the next occupant of the same resource, or
+    // the end of the iteration.
     std::vector<double> limit(n, prof.makespan);
     for (TaskId id = 0; id < n; ++id)
         for (TaskId dep : graph.deps(id))
             limit[dep] = std::min(limit[dep], schedule.start[id]);
     for (ResourceId r = 0; r < graph.resourceCount(); ++r) {
-        // Successor on the same slot: intervals are recorded in start
-        // order, so a per-slot "previous task" sweep finds each pair.
-        std::map<std::uint32_t, TaskId> prev_on_slot;
-        for (const Interval &iv : schedule.timelines[r].intervals()) {
-            const auto it = prev_on_slot.find(iv.slot);
-            if (it != prev_on_slot.end())
-                limit[it->second] =
-                    std::min(limit[it->second], iv.start);
-            prev_on_slot[iv.slot] = iv.task;
-        }
+        // Successor on the same resource: intervals are recorded in
+        // start order, so each one bounds the interval before it.
+        const std::vector<Interval> &ivs = schedule.timelines[r].intervals();
+        for (std::size_t i = 1; i < ivs.size(); ++i)
+            limit[ivs[i - 1].task] =
+                std::min(limit[ivs[i - 1].task], ivs[i].start);
     }
     // The slack array is transient in Summary mode: the top-K lists
     // below retain everything a bounded profile answers with, in the
@@ -336,8 +332,8 @@ profileSchedule(const TaskGraph &graph, const Schedule &schedule,
         auto classify = [&](TaskId next) {
             const double r_next = ready[next];
             if (r_next < schedule.start[next] - eps) {
-                // Ready before it ran: only possible when the slot
-                // bookkeeping (not a dependency) held it back.
+                // Ready before it ran: only possible when the resource
+                // was busy (not a dependency) and held it back.
                 return IdleCause::ResourceContention;
             }
             // The gap waited on the latest-finishing dependency. If
@@ -471,8 +467,8 @@ attributeEnergy(const TaskGraph &graph, const Schedule &schedule,
               "profile does not match graph");
 
     // Per-resource view: busy joules on the union busy time (equal to
-    // the per-task sum on the capacity-1 resources every builder
-    // creates), transfer joules on the bytes the resource's tasks
+    // the per-task sum, since a resource runs one task at a time),
+    // transfer joules on the bytes the resource's tasks
     // moved, idle joules partitioned by the profiler's own idle-cause
     // attribution.
     EnergyProfile energy;

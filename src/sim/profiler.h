@@ -121,7 +121,7 @@ struct IdleGap
 /** Busy/idle accounting of one resource over [0, makespan). */
 struct ResourceProfile
 {
-    /** Union busy time (at least one slot occupied). */
+    /** Busy time: the union of the resource's intervals. */
     double busy = 0.0;
     /** makespan - busy; equals the sum of the gap lengths. */
     double idle = 0.0;
@@ -137,7 +137,7 @@ enum class CriticalLink
     Start,
     /** Started the instant a dependency finished. */
     Dependency,
-    /** Started the instant its resource freed a slot. */
+    /** Started the instant its resource finished the task before. */
     Resource,
 };
 
@@ -203,7 +203,7 @@ struct ScheduleProfile : ProfileTotals
     /**
      * Per-task local slack: how far the task's finish could slip —
      * holding everything else fixed — before it would delay a
-     * dependent, the next task sharing its resource slot, or the
+     * dependent, the next task on its resource, or the
      * makespan. Critical-path tasks have zero slack. Empty in Summary
      * mode — use top_slack / top_zero_slack instead.
      */
@@ -342,8 +342,8 @@ struct EnergyTotals
 /**
  * Joule attribution of one profiled schedule: the totals plus the
  * per-task view. Beyond the EnergyTotals invariants, the per-phase
- * energies sum to active_j (on the capacity-1 resources every builder
- * creates, per-task busy seconds sum to union busy time) and per
+ * energies sum to active_j (a resource runs one task at a time, so
+ * per-task busy seconds sum to union busy time) and per
  * resource the idle-cause joules partition idle_j.
  */
 struct EnergyProfile : EnergyTotals

@@ -4,17 +4,18 @@
  *
  * Given a TaskGraph, the scheduler computes when each task starts and
  * finishes under the constraints that (a) a task starts only after all
- * its dependencies finish, and (b) a resource runs at most `slots` tasks
- * concurrently. Ties are broken by task priority, then insertion order,
- * so results are bit-for-bit reproducible.
+ * its dependencies finish, and (b) a resource runs one task at a time.
+ * Ties are broken by task priority, then insertion order, so results
+ * are bit-for-bit reproducible. Every dependency is an earlier task, so
+ * every task becomes ready and runs.
  *
  * The hot machinery is sized for 10M-task graphs (docs/PERF.md, "Event
  * queue at scale"): completion events live in a binary heap whose size
- * is bounded by the graph's slot count, not its task count (one event
- * per running task), ready tasks live in per-resource priority buckets
- * (priorities are small dense ints in every builder, so mark-ready and
- * pop are O(1)), and the reverse-edge CSR is cached on the TaskGraph —
- * built once per graph, not once per run.
+ * is bounded by the graph's resource count, not its task count (one
+ * event per busy resource), ready tasks live in per-resource priority
+ * buckets (the graph's priority span is at most kMaxPrioritySpan, so
+ * mark-ready and pop are O(1)), and the reverse-edge CSR is cached on
+ * the TaskGraph — built once per graph, not once per run.
  */
 #ifndef SO_SIM_SCHEDULER_H
 #define SO_SIM_SCHEDULER_H
@@ -69,15 +70,9 @@ class Scheduler
      */
     struct Workspace
     {
-        /** A resource slot; min-heap by (free time, slot index). */
-        struct Slot
-        {
-            double free_time;
-            std::uint32_t slot;
-        };
-
         /**
-         * Ready tasks of one resource, bucketed by priority rank. Each
+         * Ready tasks of one resource, bucketed by rank (priority minus
+         * the graph's lowest priority). Each
          * bucket keeps its pending ids ascending in [cursor, end), so
          * pop-min is "advance the cursor of the lowest live bucket" —
          * O(1) — and mark-ready is an append whenever ids arrive in
@@ -107,29 +102,19 @@ class Scheduler
         };
 
         std::vector<std::uint32_t> pending_deps;
-        /** Per-resource ready sets and slot-free heaps. */
+        /** Per-resource ready sets, indexed by ResourceId. */
         std::vector<ReadySet> ready;
-        std::vector<std::vector<Slot>> slot_free;
+        /** Whether each resource is running a task. */
+        std::vector<char> busy;
         /**
          * Pending completion events, a binary min-heap by (time, id):
-         * one event per running task, so never more than the graph's
-         * total slot count.
+         * one event per busy resource, so never more than the graph's
+         * resource count.
          */
         std::vector<SimEvent> events;
-        /** Sorted unique priorities, for graphs with sparse ranges. */
-        std::vector<std::int32_t> rank_values;
-        /** Slot index each running/finished task occupies. */
-        std::vector<std::uint32_t> task_slot;
-        std::vector<char> done;
-        std::vector<char> touched;
-        std::vector<TaskId> finished;
     };
 
-    /**
-     * Simulate @p graph from time 0 using stack-local scratch.
-     * Fails (exits with a diagnostic naming the unreachable tasks'
-     * labels) if the graph contains a dependency cycle.
-     */
+    /** Simulate @p graph from time 0 using stack-local scratch. */
     Schedule run(const TaskGraph &graph) const;
 
     /** Like run(graph), reusing @p ws for all scratch storage. */

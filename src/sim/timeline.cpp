@@ -44,14 +44,14 @@ mergedBusy(std::span<const Interval> intervals, double begin, double end)
 } // namespace
 
 void
-Timeline::add(double start, double end, TaskId task, std::uint32_t slot)
+Timeline::add(double start, double end, TaskId task)
 {
     SO_ASSERT(end >= start, "interval ends before it starts");
     if (end == start)
         return; // Zero-length tasks do not occupy the resource.
     if (!intervals_.empty() && start < intervals_.back().start)
         start_ordered_ = false;
-    intervals_.push_back(Interval{start, end, task, slot});
+    intervals_.push_back(Interval{start, end, task});
 }
 
 double
@@ -83,15 +83,6 @@ Timeline::utilization(double begin, double end) const
     if (end <= begin)
         return 0.0;
     return busyTime(begin, end) / (end - begin);
-}
-
-double
-Timeline::totalSlotSeconds() const
-{
-    double total = 0.0;
-    for (const Interval &iv : intervals_)
-        total += iv.end - iv.start;
-    return total;
 }
 
 } // namespace so::sim

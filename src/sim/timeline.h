@@ -9,34 +9,32 @@
 #ifndef SO_SIM_TIMELINE_H
 #define SO_SIM_TIMELINE_H
 
-#include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/graph.h"
 
 namespace so::sim {
 
-/** One busy interval on a resource slot. */
+/** One busy interval on a resource. */
 struct Interval
 {
     double start = 0.0;
     double end = 0.0;
     TaskId task = kInvalidTask;
-    std::uint32_t slot = 0;
 };
 
 /**
  * Record of the busy intervals of one resource, in the order they were
- * added. The scheduler adds them in start order; the union queries
- * merge such a timeline in place and only sort a copy of one that was
- * filled out of order.
+ * added. The scheduler adds them in start order, one task at a time, so
+ * its timelines never overlap; a timeline filled by hand may. The union
+ * queries merge a timeline in start order in place and only sort a copy
+ * of one that was filled out of order.
  */
 class Timeline
 {
   public:
-    /** Record a busy interval; intervals may overlap across slots. */
-    void add(double start, double end, TaskId task, std::uint32_t slot = 0);
+    /** Record a busy interval; intervals may overlap. */
+    void add(double start, double end, TaskId task);
 
     /** Drop all intervals but keep the capacity (recycling support). */
     void
@@ -49,9 +47,9 @@ class Timeline
     const std::vector<Interval> &intervals() const { return intervals_; }
 
     /**
-     * Time inside [begin, end) during which at least one slot is busy
-     * (union of intervals, clamped to the window). One merge pass over
-     * a timeline in start order; otherwise over a sorted copy.
+     * Time inside [begin, end) covered by at least one interval (their
+     * union, clamped to the window). One merge pass over a timeline in
+     * start order; otherwise over a sorted copy.
      */
     double busyTime(double begin, double end) const;
 
@@ -60,9 +58,6 @@ class Timeline
 
     /** busyTime / window length; 0 for an empty window. */
     double utilization(double begin, double end) const;
-
-    /** Sum of slot-seconds (no union), for work accounting. */
-    double totalSlotSeconds() const;
 
     bool empty() const { return intervals_.empty(); }
 

@@ -19,12 +19,6 @@ void
 writeProfileEvents(std::ostream &os, const TaskGraph &graph,
                    const Schedule &schedule, const ScheduleProfile &profile)
 {
-    // Which slot each task ran on, for flow-event thread ids.
-    std::vector<std::uint32_t> slot_of(graph.taskCount(), 0);
-    for (ResourceId r = 0; r < graph.resourceCount(); ++r)
-        for (const Interval &iv : schedule.timelines[r].intervals())
-            slot_of[iv.task] = iv.slot;
-
     // Flow arrows between consecutive critical-path tasks: an "s"
     // event at the predecessor's finish, a matching "f" (bind to
     // enclosing slice) at the successor's start.
@@ -33,17 +27,15 @@ writeProfileEvents(std::ostream &os, const TaskGraph &graph,
         const TaskId b = profile.critical_path[i + 1].task;
         os << ",{\"name\":\"critical\",\"cat\":\"critical\","
            << "\"ph\":\"s\",\"id\":" << i
-           << ",\"pid\":" << graph.taskResource(a)
-           << ",\"tid\":" << slot_of[a]
+           << ",\"pid\":" << graph.taskResource(a) << ",\"tid\":0"
            << ",\"ts\":" << schedule.finish[a] * 1e6 << "}";
         os << ",{\"name\":\"critical\",\"cat\":\"critical\","
            << "\"ph\":\"f\",\"bp\":\"e\",\"id\":" << i
-           << ",\"pid\":" << graph.taskResource(b)
-           << ",\"tid\":" << slot_of[b]
+           << ",\"pid\":" << graph.taskResource(b) << ",\"tid\":0"
            << ",\"ts\":" << schedule.start[b] * 1e6 << "}";
     }
 
-    // Occupancy counter per resource: busy-slot count at every
+    // Occupancy counter per resource: busy (1) or idle (0) at every
     // interval boundary (step function readable in the trace viewer).
     for (ResourceId r = 0; r < graph.resourceCount(); ++r) {
         std::map<double, int> delta;
@@ -99,7 +91,7 @@ streamChromeTrace(std::ostream &os, const TaskGraph &graph,
             os << "{\"name\":\""
                << JsonWriter::escape(graph.label(iv.task))
                << "\",\"ph\":\"X\",\"pid\":" << r
-               << ",\"tid\":" << iv.slot
+               << ",\"tid\":0"
                << ",\"ts\":" << iv.start * 1e6
                << ",\"dur\":" << (iv.end - iv.start) * 1e6 << "}";
         }

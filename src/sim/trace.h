@@ -2,11 +2,12 @@
  * @file
  * Chrome-trace (about://tracing, Perfetto) export of a Schedule.
  *
- * Each resource becomes a "process", each slot a "thread", each task a
- * complete event — handy for eyeballing overlap structure of a schedule
- * (the visual analogue of the paper's Figs. 3 and 8). Given a profile,
- * the trace also draws flow arrows along the critical path and a
- * per-resource occupancy counter track.
+ * Each resource becomes a "process" with one "thread" (tid 0, since a
+ * resource runs one task at a time), each task a complete event — handy
+ * for eyeballing overlap structure of a schedule (the visual analogue
+ * of the paper's Figs. 3 and 8). Given a profile, the trace also draws
+ * flow arrows along the critical path and a per-resource occupancy
+ * counter track.
  */
 #ifndef SO_SIM_TRACE_H
 #define SO_SIM_TRACE_H
@@ -27,7 +28,7 @@ struct ScheduleProfile;
  * When @p profile (from profileSchedule() over the same pair) is given,
  * the trace also carries flow events ("s"/"f" pairs) linking
  * consecutive critical-path tasks and one "occupancy" counter track per
- * resource (number of busy slots over time). A Summary profile has no
+ * resource (1 while it runs a task, else 0). A Summary profile has no
  * retained critical path, so its flow arrows are simply absent.
  */
 std::string toChromeTrace(const TaskGraph &graph, const Schedule &schedule,

@@ -42,16 +42,16 @@ DataParallelTrainer::DataParallelTrainer(const ReplicaFactory &factory,
     }
     const std::size_t n = replicas_[0]->paramCount();
     reduced_grads_.assign(n, 0.0f);
-    slot_of_bucket_.assign(ranks_, {});
+    adam_slot_.assign(ranks_, {});
     for (std::uint32_t r = 0; r < ranks_; ++r)
-        slot_of_bucket_[r].assign(cfg_.buckets, 0);
+        adam_slot_[r].assign(cfg_.buckets, 0);
     for (std::uint32_t b = 0; b < cfg_.buckets; ++b) {
         std::size_t begin, end;
         bucketRange(n, cfg_.buckets, b, begin, end);
         // Only the owner holds optimizer state for this shard: the
         // ZeRO-2 memory saving, for real.
         const std::uint32_t owner = ownerOf(b);
-        slot_of_bucket_[owner][b] =
+        adam_slot_[owner][b] =
             optimizers_[owner]->addParameter(end - begin);
     }
 }
@@ -131,7 +131,7 @@ DataParallelTrainer::step(const std::uint32_t *inputs,
             adam.setLearningRate(
                 cfg_.lr_schedule->at(steps_taken_ + 1));
         }
-        adam.step(slot_of_bucket_[owner][b],
+        adam.step(adam_slot_[owner][b],
                   replicas_[owner]->params() + begin,
                   reduced_grads_.data() + begin);
         for (std::uint32_t r = 0; r < ranks_; ++r) {

@@ -75,7 +75,7 @@ class DataParallelTrainer : public TrainerState
     /** One optimizer per rank, holding only that rank's shards. */
     std::vector<std::unique_ptr<optim::Adam>> optimizers_;
     /** Per rank: bucket index -> slot id in that rank's optimizer. */
-    std::vector<std::vector<std::size_t>> slot_of_bucket_;
+    std::vector<std::vector<std::size_t>> adam_slot_;
     std::vector<float> reduced_grads_;
 };
 

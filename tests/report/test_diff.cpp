@@ -188,9 +188,10 @@ TEST(ProfileDiff, SumInvariantUnderRandomizedGraphs)
     auto random_view = [&](int tag) {
         sim::TaskGraph g;
         const sim::ResourceId gpu = g.addResource("GPU");
-        const sim::ResourceId cpu = g.addResource("CPU", 2);
+        const sim::ResourceId cpu = g.addResource("CPU");
+        const sim::ResourceId cpu_b = g.addResource("CPU-b");
         const sim::ResourceId link = g.addResource("D2H");
-        const sim::ResourceId resources[] = {gpu, cpu, link};
+        const sim::ResourceId resources[] = {gpu, cpu, cpu_b, link};
         const std::uint32_t n =
             8 + static_cast<std::uint32_t>(rng.next() % 40);
         std::vector<sim::TaskId> ids;
@@ -201,7 +202,7 @@ TEST(ProfileDiff, SumInvariantUnderRandomizedGraphs)
                     deps.push_back(id);
             const char *phase = kPhases[rng.next() % 6];
             ids.push_back(g.addTask(
-                resources[rng.next() % 3],
+                resources[rng.next() % 4],
                 0.001 + 0.02 * rng.uniform(),
                 std::string(phase) + " t" + std::to_string(i), deps));
         }

@@ -1,8 +1,7 @@
 #include "reference_scheduler.h"
 
+#include <algorithm>
 #include <limits>
-
-#include "common/logging.h"
 
 namespace so::sim::testing {
 
@@ -19,18 +18,11 @@ referenceSchedule(const TaskGraph &graph)
 
     std::vector<char> started(n, 0);
     std::vector<char> done(n, 0);
-    // A slot is free only while it has no occupant; an occupant holds
-    // it until its completion *retires* — a zero-duration task blocks
-    // its slot for the rest of the start phase it began in, exactly
-    // like an event-queue completion that hasn't drained yet.
-    // slot_vacated records when the slot last became free (the slot
-    // pick prefers the earliest-vacated, ties to the lowest index).
-    std::vector<std::vector<TaskId>> slot_occupant(nres);
-    std::vector<std::vector<double>> slot_vacated(nres);
-    for (ResourceId r = 0; r < nres; ++r) {
-        slot_occupant[r].assign(graph.resource(r).slots, kInvalidTask);
-        slot_vacated[r].assign(graph.resource(r).slots, 0.0);
-    }
+    // The task each resource runs, until its completion *retires* — a
+    // zero-duration task blocks its resource for the rest of the start
+    // phase it began in, exactly like an event-queue completion that
+    // hasn't drained yet.
+    std::vector<TaskId> running(nres, kInvalidTask);
 
     const auto deps_done = [&](TaskId id) {
         for (TaskId dep : graph.deps(id))
@@ -39,49 +31,34 @@ referenceSchedule(const TaskGraph &graph)
         return true;
     };
 
-    std::size_t completed = 0;
     double now = 0.0;
     for (;;) {
-        // Start phase: each resource greedily starts ready tasks in
-        // ascending (priority, id) order onto the slot that freed
-        // earliest (ties toward the lowest slot index) — every pick a
-        // fresh linear scan.
+        // Start phase: each idle resource starts its lowest
+        // (priority, id) ready task — every pick a fresh linear scan.
         for (ResourceId r = 0; r < nres; ++r) {
-            for (;;) {
-                std::vector<TaskId> &occupant = slot_occupant[r];
-                std::vector<double> &vacated = slot_vacated[r];
-                std::size_t slot = occupant.size();
-                for (std::size_t s = 0; s < occupant.size(); ++s)
-                    if (occupant[s] == kInvalidTask &&
-                        (slot == occupant.size() ||
-                         vacated[s] < vacated[slot]))
-                        slot = s;
-                if (slot == occupant.size())
-                    break;
-                TaskId pick = kInvalidTask;
-                for (TaskId id = 0; id < n; ++id) {
-                    if (started[id] || graph.taskResource(id) != r)
-                        continue;
-                    if (!deps_done(id))
-                        continue;
-                    if (pick == kInvalidTask ||
-                        graph.priority(id) < graph.priority(pick))
-                        pick = id;
-                }
-                if (pick == kInvalidTask)
-                    break;
-                started[pick] = 1;
-                schedule.start[pick] = now;
-                schedule.finish[pick] = now + graph.duration(pick);
-                occupant[slot] = pick;
-                schedule.timelines[r].add(now, schedule.finish[pick],
-                                          pick,
-                                          static_cast<std::uint32_t>(slot));
+            if (running[r] != kInvalidTask)
+                continue;
+            TaskId pick = kInvalidTask;
+            for (TaskId id = 0; id < n; ++id) {
+                if (started[id] || graph.taskResource(id) != r)
+                    continue;
+                if (!deps_done(id))
+                    continue;
+                if (pick == kInvalidTask ||
+                    graph.priority(id) < graph.priority(pick))
+                    pick = id;
             }
+            if (pick == kInvalidTask)
+                continue;
+            started[pick] = 1;
+            schedule.start[pick] = now;
+            schedule.finish[pick] = now + graph.duration(pick);
+            running[r] = pick;
+            schedule.timelines[r].add(now, schedule.finish[pick], pick);
         }
 
         // Advance to the earliest unfinished completion and retire
-        // everything that finishes at that instant (ascending id).
+        // everything that finishes at that instant.
         double next = std::numeric_limits<double>::infinity();
         for (TaskId id = 0; id < n; ++id)
             if (started[id] && !done[id])
@@ -92,22 +69,11 @@ referenceSchedule(const TaskGraph &graph)
         for (TaskId id = 0; id < n; ++id) {
             if (started[id] && !done[id] && schedule.finish[id] == now) {
                 done[id] = 1;
-                ++completed;
-                const ResourceId r = graph.taskResource(id);
-                for (std::size_t s = 0; s < slot_occupant[r].size(); ++s)
-                    if (slot_occupant[r][s] == id) {
-                        slot_occupant[r][s] = kInvalidTask;
-                        slot_vacated[r][s] = now;
-                        break;
-                    }
+                running[graph.taskResource(id)] = kInvalidTask;
             }
         }
         schedule.makespan = now;
     }
-
-    SO_ASSERT(completed == n,
-              "reference scheduler: graph has a cycle (", n - completed,
-              " task(s) unreachable)");
     return schedule;
 }
 

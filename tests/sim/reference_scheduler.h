@@ -4,22 +4,20 @@
  *
  * A deliberately simple re-implementation of the list-scheduling
  * semantics in src/sim/scheduler.h: no event queue, no ready heaps, no
- * CSR — every decision is a fresh linear scan over tasks, dependencies,
- * and slots. It is the executable specification the optimized
+ * CSR — every decision is a fresh linear scan over tasks and their
+ * dependencies. It is the executable specification the optimized
  * discrete-event path is differential-tested against (the ROADMAP item
- * 5 oracle): on any DAG, both must produce bit-identical start/finish
- * times, slot assignments, and makespan.
+ * 5 oracle): on any graph, both must produce bit-identical start/finish
+ * times, timelines, and makespan.
  *
  * Semantics (must match src/sim/scheduler.cpp exactly):
  *  - time advances to the earliest unfinished completion;
  *  - all completions at that instant retire before anything starts;
- *  - a freed resource starts ready tasks in ascending (priority, id)
- *    order while it has a vacant slot;
- *  - the slot chosen is the one that vacated earliest (ties toward the
- *    lowest slot index);
- *  - a slot stays occupied until its task's completion retires: a
- *    zero-duration task started at t blocks its slot until the next
- *    retire step at t, just like a completion event that hasn't
+ *  - whenever a resource is idle, it starts its lowest (priority, id)
+ *    ready task;
+ *  - a resource stays busy until its task's completion retires: a
+ *    zero-duration task started at t blocks its resource until the
+ *    next retire step at t, just like a completion event that hasn't
  *    drained from the event queue yet.
  *
  * Keep this file free of scheduler internals: it may only use the
@@ -33,11 +31,7 @@
 
 namespace so::sim::testing {
 
-/**
- * Schedule @p graph with the naive reference algorithm. The graph must
- * be acyclic (cycles fail the calling test via ADD_FAILURE semantics:
- * the function asserts every task completes).
- */
+/** Schedule @p graph with the naive reference algorithm. */
 Schedule referenceSchedule(const TaskGraph &graph);
 
 } // namespace so::sim::testing

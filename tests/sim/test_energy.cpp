@@ -4,7 +4,7 @@
  * joules sum to the active joules, per-resource idle-cause joules
  * partition the idle joules, busy/idle joules reproduce watts × time,
  * and the grand total splits exactly into active + idle + background —
- * on handmade graphs and randomized capacity-1 graphs, all to 1e-9
+ * on handmade graphs and randomized graphs, all to 1e-9
  * relative. The profile-free meter reproduces the attributed totals.
  * The JSON export carries the energy subtree and parses back.
  */
@@ -32,10 +32,9 @@ expectNear(double actual, double expected, double scale)
 }
 
 /**
- * Capacity-1 random graphs: union busy time equals the sum of task
- * durations per resource, so task-attributed joules and busy-time
- * joules must agree exactly. (Every resource the runtime builder
- * creates is capacity 1, so this is the deployed regime.)
+ * Random graphs: a resource runs one task at a time, so union busy time
+ * equals the sum of task durations per resource, and task-attributed
+ * joules and busy-time joules must agree exactly.
  */
 TaskGraph
 randomUnitCapacityGraph(std::uint64_t seed, std::size_t n_resources,
@@ -44,7 +43,7 @@ randomUnitCapacityGraph(std::uint64_t seed, std::size_t n_resources,
     Rng rng(seed);
     TaskGraph g;
     for (std::size_t r = 0; r < n_resources; ++r)
-        g.addResource("R" + std::to_string(r), 1);
+        g.addResource("R" + std::to_string(r));
     static const char *kPhases[] = {"fwd", "bwd", "adam", "d2h",
                                     "h2d", "cast"};
     for (std::size_t t = 0; t < n_tasks; ++t) {
@@ -114,8 +113,8 @@ expectEnergyInvariants(const TaskGraph &g, const Schedule &s,
         task_sum += e.task_j[t];
     }
 
-    // Phase joules are a regrouping of the task joules, and on
-    // capacity-1 resources both equal the active joules.
+    // Phase joules are a regrouping of the task joules, and both
+    // equal the active joules.
     double phase_sum = 0.0;
     for (const auto &[phase, joules] : e.phases)
         phase_sum += joules;

@@ -17,10 +17,10 @@ TEST(TaskGraph, AddResourceAssignsSequentialIds)
 {
     TaskGraph g;
     EXPECT_EQ(g.addResource("GPU"), 0u);
-    EXPECT_EQ(g.addResource("CPU", 2), 1u);
+    EXPECT_EQ(g.addResource("CPU"), 1u);
     EXPECT_EQ(g.resourceCount(), 2u);
     EXPECT_EQ(g.resource(0).name, "GPU");
-    EXPECT_EQ(g.resource(1).slots, 2u);
+    EXPECT_EQ(g.resource(1).name, "CPU");
 }
 
 TEST(TaskGraph, AddTaskStoresFields)
@@ -36,45 +36,6 @@ TEST(TaskGraph, AddTaskStoresFields)
     ASSERT_EQ(g.depCount(b), 1u);
     EXPECT_EQ(g.deps(b)[0], a);
     EXPECT_EQ(g.priority(b), 3);
-}
-
-TEST(TaskGraph, AddDepAppends)
-{
-    TaskGraph g;
-    const ResourceId r = g.addResource("GPU");
-    const TaskId a = g.addTask(r, 1.0, "a");
-    const TaskId b = g.addTask(r, 1.0, "b");
-    g.addDep(a, b);
-    ASSERT_EQ(g.depCount(b), 1u);
-    EXPECT_EQ(g.deps(b)[0], a);
-}
-
-TEST(TaskGraph, AddDepAfterLaterTasksRelocatesRun)
-{
-    // Appending a dep to a task whose dependency run is no longer at the
-    // tail of the edge pool must relocate the run, not corrupt its
-    // neighbours.
-    TaskGraph g;
-    const ResourceId r = g.addResource("GPU");
-    const TaskId a = g.addTask(r, 1.0, "a");
-    const TaskId b = g.addTask(r, 1.0, "b", {a});
-    const TaskId c = g.addTask(r, 1.0, "c", {a, b});
-    const TaskId d = g.addTask(r, 1.0, "d");
-    g.addDep(a, d); // d's run starts fresh at the tail.
-    g.addDep(b, d); // still at the tail: extends in place.
-    g.addDep(c, b); // b's run is interior: relocated.
-    g.addDep(a, c); // c's run is interior: relocated.
-    ASSERT_EQ(g.depCount(b), 2u);
-    EXPECT_EQ(g.deps(b)[0], a);
-    EXPECT_EQ(g.deps(b)[1], c);
-    ASSERT_EQ(g.depCount(c), 3u);
-    EXPECT_EQ(g.deps(c)[0], a);
-    EXPECT_EQ(g.deps(c)[1], b);
-    EXPECT_EQ(g.deps(c)[2], a);
-    ASSERT_EQ(g.depCount(d), 2u);
-    EXPECT_EQ(g.deps(d)[0], a);
-    EXPECT_EQ(g.deps(d)[1], b);
-    EXPECT_EQ(g.edgeCount(), 7u); // Live entries only, not dead pool space.
 }
 
 TEST(TaskGraph, DepsAcceptVectorSpanAndBraces)
@@ -255,34 +216,14 @@ TEST(TaskGraphDependents, InvalidatedByAddTaskAndAddDep)
     const TaskId a = g.addTask(r, 1.0, "a");
     const TaskId b = g.addTask(r, 1.0, "b", {a});
     EXPECT_EQ(g.dependents(a).size(), 1u); // Builds the cache.
+    EXPECT_TRUE(g.dependents(b).empty());
 
-    const TaskId c = g.addTask(r, 1.0, "c", {a});
+    const TaskId c = g.addTask(r, 1.0, "c", {a, b});
     ASSERT_EQ(g.dependents(a).size(), 2u); // Rebuilt after addTask.
     EXPECT_EQ(g.dependents(a)[1], c);
-
-    g.addDep(b, c);
-    ASSERT_EQ(g.dependents(b).size(), 1u); // Rebuilt after addDep.
+    ASSERT_EQ(g.dependents(b).size(), 1u);
     EXPECT_EQ(g.dependents(b)[0], c);
-}
-
-TEST(TaskGraphDependents, RelocatedDepRunsStayConsistent)
-{
-    // The edge pool leaves dead gaps behind when addDep relocates an
-    // interior run; the CSR must index live edges only.
-    TaskGraph g;
-    const ResourceId r = g.addResource("GPU");
-    const TaskId a = g.addTask(r, 1.0, "a");
-    const TaskId b = g.addTask(r, 1.0, "b", {a});
-    const TaskId c = g.addTask(r, 1.0, "c", {a, b});
-    g.addDep(a, b); // Duplicate edge, relocates b's interior run.
-    ASSERT_EQ(g.dependents(a).size(), 3u);
-    EXPECT_EQ(g.dependents(a)[0], b);
-    EXPECT_EQ(g.dependents(a)[1], b); // Duplicate preserved.
-    EXPECT_EQ(g.dependents(a)[2], c);
-    std::size_t total = 0;
-    for (TaskId id = 0; id < g.taskCount(); ++id)
-        total += g.dependents(id).size();
-    EXPECT_EQ(total, g.edgeCount());
+    EXPECT_EQ(g.edgeCount(), 3u);
 }
 
 TEST(TaskGraphDependents, FinalizeIsIdempotent)
@@ -318,10 +259,9 @@ TEST(TaskGraphPriorities, RangeTracksMinAndMax)
     g.addTask(r, 1.0, "c", {}, 2);
     EXPECT_EQ(g.minPriority(), -3);
     EXPECT_EQ(g.maxPriority(), 5);
-    ASSERT_EQ(g.priorities().size(), 3u);
-    EXPECT_EQ(g.priorities()[0], 5);
-    EXPECT_EQ(g.priorities()[1], -3);
-    EXPECT_EQ(g.priorities()[2], 2);
+    EXPECT_EQ(g.priority(0), 5);
+    EXPECT_EQ(g.priority(1), -3);
+    EXPECT_EQ(g.priority(2), 2);
 }
 
 // ---------------------------------------------------------------------
@@ -350,10 +290,25 @@ TEST(TaskGraphDeath, RejectsNegativeDuration)
     EXPECT_DEATH(g.addTask(r, -1.0, "bad"), "negative");
 }
 
-TEST(TaskGraphDeath, RejectsZeroSlotResource)
+TEST(TaskGraphDeath, RejectsPrioritySpanBeyondLimit)
 {
+    // -2048..2047 is the widest span the limit admits, and the
+    // scheduler runs it; 0 and 4096 span one priority more.
+    TaskGraph widest;
+    const ResourceId r = widest.addResource("GPU");
+    const TaskId low = widest.addTask(r, 1.0, "low", {}, 2047);
+    const TaskId high = widest.addTask(r, 1.0, "high", {}, -2048);
+    EXPECT_EQ(widest.maxPriority() - widest.minPriority() + 1,
+              kMaxPrioritySpan);
+    const Schedule s = Scheduler().run(widest);
+    EXPECT_DOUBLE_EQ(s.start[high], 0.0);
+    EXPECT_DOUBLE_EQ(s.start[low], 1.0);
+
     TaskGraph g;
-    EXPECT_DEATH(g.addResource("bad", 0), "at least one slot");
+    const ResourceId gpu = g.addResource("GPU");
+    g.addTask(gpu, 1.0, "a", {}, 0);
+    EXPECT_DEATH(g.addTask(gpu, 1.0, "b", {}, 4096), "limit of 4096");
+    EXPECT_DEATH(g.addTask(gpu, 1.0, "b", {}, -4096), "limit of 4096");
 }
 
 } // namespace

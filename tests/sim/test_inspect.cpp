@@ -31,19 +31,20 @@ namespace {
 // under a tenth of a second, so a printed time is within 1e-13 of it.
 constexpr double kTol = 1e-12;
 
-/** Two-resource pipeline with a fan-in, enough to exercise slots. */
+/** GPU pipeline draining over two links with a fan-in. */
 TaskGraph
 pipelineGraph()
 {
     TaskGraph g;
     const ResourceId gpu = g.addResource("GPU");
-    const ResourceId d2h = g.addResource("D2H", 2);
+    const ResourceId d2h = g.addResource("D2H");
+    const ResourceId d2h_b = g.addResource("D2H-b");
     const TaskId f0 = g.addTask(gpu, 0.010, "fwd L0", {});
     const TaskId f1 = g.addTask(gpu, 0.010, "fwd L1", {f0});
     const TaskId b1 = g.addTask(gpu, 0.020, "bwd L1", {f1});
     const TaskId b0 = g.addTask(gpu, 0.020, "bwd L0", {b1});
     const TaskId g1 = g.addTask(d2h, 0.015, "d2h bucket 1", {b1});
-    const TaskId g0 = g.addTask(d2h, 0.015, "d2h bucket 0", {b0});
+    const TaskId g0 = g.addTask(d2h_b, 0.015, "d2h bucket 0", {b0});
     g.addTask(gpu, 0.005, "cast params", {g0, g1});
     return g;
 }
@@ -108,7 +109,8 @@ TEST(BundleJson, FlattensScheduleExactly)
                     kTol);
         EXPECT_NEAR(span.at("slack_s").number(), b.profile.slack[id],
                     kTol);
-        // Slot lanes stay within each resource's declared slot count.
+        // Every resource runs one task at a time: one lane, slot 0.
+        EXPECT_EQ(span.at("slot").number(), 0.0);
         EXPECT_LT(span.at("slot").number(),
                   resources[b.graph.taskResource(id)].at("slots").number());
     }
@@ -145,7 +147,7 @@ TEST(BundleJson, FlattensScheduleExactly)
         const JsonValue &res = resources[r];
         const ResourceProfile &rp = b.profile.resources[r];
         EXPECT_EQ(res.at("resource").text(), b.graph.resource(r).name);
-        EXPECT_EQ(res.at("slots").number(), b.graph.resource(r).slots);
+        EXPECT_EQ(res.at("slots").number(), 1.0);
         EXPECT_NEAR(res.at("busy_s").number(), rp.busy, kTol);
         EXPECT_NEAR(res.at("idle_dependency_s").number(),
                     rp.idle_dependency, kTol);
@@ -172,7 +174,8 @@ TEST(BundleJson, MeteredBundleRoundTripsWattFields)
     // watts, per-span draw, and the energy totals.
     const Built b = buildPipeline();
     EnergyInputs inputs;
-    inputs.resources = {{700.0, 75.0, 0.0}, {15.0, 5.0, 1e-11}};
+    inputs.resources = {
+        {700.0, 75.0, 0.0}, {15.0, 5.0, 1e-11}, {15.0, 5.0, 1e-11}};
     inputs.task_bytes.assign(b.graph.taskCount(), 0.0);
     inputs.task_bytes[4] = 1e9; // "d2h bucket 1" moves a gigabyte.
     inputs.background.emplace_back("DDR refresh", 20.0);

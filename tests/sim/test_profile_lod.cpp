@@ -46,7 +46,7 @@ randomGraph(std::uint64_t seed, std::size_t n_resources,
     Rng rng(seed);
     TaskGraph g;
     for (std::size_t r = 0; r < n_resources; ++r)
-        g.addResource("R" + std::to_string(r), 1);
+        g.addResource("R" + std::to_string(r));
     static const char *kPhases[] = {"fwd", "bwd", "adam", "d2h",
                                     "h2d", "cast"};
     for (std::size_t t = 0; t < n_tasks; ++t) {

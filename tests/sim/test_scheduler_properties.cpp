@@ -16,24 +16,14 @@
 namespace so::sim {
 namespace {
 
-struct RandomGraph
-{
-    TaskGraph graph;
-    std::vector<std::uint32_t> slots;
-};
-
-RandomGraph
+TaskGraph
 makeRandomGraph(std::uint64_t seed, std::size_t n_resources,
                 std::size_t n_tasks)
 {
     Rng rng(seed);
-    RandomGraph out;
-    for (std::size_t r = 0; r < n_resources; ++r) {
-        const auto s =
-            static_cast<std::uint32_t>(1 + rng.below(3));
-        out.slots.push_back(s);
-        out.graph.addResource("R" + std::to_string(r), s);
-    }
+    TaskGraph graph;
+    for (std::size_t r = 0; r < n_resources; ++r)
+        graph.addResource("R" + std::to_string(r));
     for (std::size_t t = 0; t < n_tasks; ++t) {
         std::vector<TaskId> deps;
         // Up to 3 backward dependencies.
@@ -49,10 +39,10 @@ makeRandomGraph(std::uint64_t seed, std::size_t n_resources,
             rng.bernoulli(0.1) ? 0.0 : rng.uniform(0.01, 1.0);
         const auto priority =
             static_cast<std::int32_t>(rng.below(5)) - 2;
-        out.graph.addTask(resource, duration, "t" + std::to_string(t),
-                          std::move(deps), priority);
+        graph.addTask(resource, duration, "t" + std::to_string(t),
+                      std::move(deps), priority);
     }
-    return out;
+    return graph;
 }
 
 class SchedulerPropertyTest
@@ -62,71 +52,41 @@ class SchedulerPropertyTest
 
 TEST_P(SchedulerPropertyTest, ScheduleSatisfiesAllInvariants)
 {
-    const RandomGraph rg = makeRandomGraph(GetParam(), 4, 200);
-    const Schedule sched = Scheduler().run(rg.graph);
+    const TaskGraph graph = makeRandomGraph(GetParam(), 8, 200);
+    const Schedule sched = Scheduler().run(graph);
 
     double latest_finish = 0.0;
-    for (TaskId id = 0; id < rg.graph.taskCount(); ++id) {
+    for (TaskId id = 0; id < graph.taskCount(); ++id) {
         // Duration honored.
         ASSERT_NEAR(sched.finish[id] - sched.start[id],
-                    rg.graph.duration(id), 1e-12);
+                    graph.duration(id), 1e-12);
         ASSERT_GE(sched.start[id], 0.0);
         latest_finish = std::max(latest_finish, sched.finish[id]);
         // Dependencies strictly precede.
-        for (TaskId dep : rg.graph.deps(id))
+        for (TaskId dep : graph.deps(id))
             ASSERT_GE(sched.start[id], sched.finish[dep] - 1e-12)
                 << "task " << id << " started before dep " << dep;
     }
     // Makespan is exactly the last finish.
     ASSERT_NEAR(sched.makespan, latest_finish, 1e-12);
 
-    // Resource concurrency never exceeds the slot count: sweep each
-    // resource's intervals.
-    for (ResourceId r = 0; r < rg.graph.resourceCount(); ++r) {
-        std::vector<std::pair<double, int>> events;
-        for (const Interval &iv : sched.timelines[r].intervals()) {
-            events.emplace_back(iv.start, +1);
-            events.emplace_back(iv.end, -1);
-        }
-        std::sort(events.begin(), events.end(),
-                  [](const auto &a, const auto &b) {
-                      if (a.first != b.first)
-                          return a.first < b.first;
-                      return a.second < b.second; // Ends before starts.
-                  });
-        int live = 0;
-        for (const auto &[time, delta] : events) {
-            (void)time;
-            live += delta;
-            ASSERT_LE(live, static_cast<int>(rg.slots[r]))
-                << "resource " << r << " oversubscribed";
-        }
+    // A resource runs one task at a time: no two of its intervals
+    // overlap, whatever order they were recorded in.
+    for (ResourceId r = 0; r < graph.resourceCount(); ++r) {
+        std::vector<std::pair<double, double>> intervals;
+        for (const Interval &iv : sched.timelines[r].intervals())
+            intervals.emplace_back(iv.start, iv.end);
+        std::sort(intervals.begin(), intervals.end());
+        for (std::size_t i = 1; i < intervals.size(); ++i)
+            ASSERT_LE(intervals[i - 1].second, intervals[i].first + 1e-12)
+                << "resource " << r << " runs two tasks at once";
     }
 
-    // Work conservation: total busy slot-seconds equals the summed
-    // durations of the tasks bound to each resource.
-    for (ResourceId r = 0; r < rg.graph.resourceCount(); ++r) {
-        ASSERT_NEAR(sched.timelines[r].totalSlotSeconds(),
-                    rg.graph.totalWork(r), 1e-9);
-    }
-
-    // Slot assignments are physical: intervals sharing a slot index
-    // never overlap in time, and indices stay below the slot count.
-    for (ResourceId r = 0; r < rg.graph.resourceCount(); ++r) {
-        std::vector<std::vector<std::pair<double, double>>> by_slot(
-            rg.slots[r]);
-        for (const Interval &iv : sched.timelines[r].intervals()) {
-            ASSERT_LT(iv.slot, rg.slots[r]);
-            if (iv.end > iv.start)
-                by_slot[iv.slot].emplace_back(iv.start, iv.end);
-        }
-        for (auto &intervals : by_slot) {
-            std::sort(intervals.begin(), intervals.end());
-            for (std::size_t i = 1; i < intervals.size(); ++i)
-                ASSERT_LE(intervals[i - 1].second,
-                          intervals[i].first + 1e-12)
-                    << "resource " << r << " double-books a slot";
-        }
+    // Work conservation: each resource's busy time equals the summed
+    // durations of the tasks bound to it.
+    for (ResourceId r = 0; r < graph.resourceCount(); ++r) {
+        ASSERT_NEAR(sched.timelines[r].busyTime(0.0, sched.makespan),
+                    graph.totalWork(r), 1e-9);
     }
 }
 
@@ -137,22 +97,21 @@ TEST_P(SchedulerPropertyTest, SharedWorkspaceIsBitwiseIdentical)
     // bit for bit.
     Scheduler::Workspace ws;
     for (std::uint64_t salt = 0; salt < 4; ++salt) {
-        const RandomGraph rg =
-            makeRandomGraph(GetParam() ^ (salt * 0x9e3779b9), 4, 150);
-        const Schedule fresh = Scheduler().run(rg.graph);
-        const Schedule reused = Scheduler().run(rg.graph, ws);
+        const TaskGraph graph =
+            makeRandomGraph(GetParam() ^ (salt * 0x9e3779b9), 8, 150);
+        const Schedule fresh = Scheduler().run(graph);
+        const Schedule reused = Scheduler().run(graph, ws);
         ASSERT_EQ(fresh.start.size(), reused.start.size());
         for (std::size_t i = 0; i < fresh.start.size(); ++i) {
             ASSERT_EQ(fresh.start[i], reused.start[i]);
             ASSERT_EQ(fresh.finish[i], reused.finish[i]);
         }
-        for (ResourceId r = 0; r < rg.graph.resourceCount(); ++r) {
+        for (ResourceId r = 0; r < graph.resourceCount(); ++r) {
             const auto &fi = fresh.timelines[r].intervals();
             const auto &ri = reused.timelines[r].intervals();
             ASSERT_EQ(fi.size(), ri.size());
             for (std::size_t i = 0; i < fi.size(); ++i) {
                 ASSERT_EQ(fi[i].task, ri[i].task);
-                ASSERT_EQ(fi[i].slot, ri[i].slot);
                 ASSERT_EQ(fi[i].start, ri[i].start);
                 ASSERT_EQ(fi[i].end, ri[i].end);
             }
@@ -162,9 +121,9 @@ TEST_P(SchedulerPropertyTest, SharedWorkspaceIsBitwiseIdentical)
 
 TEST_P(SchedulerPropertyTest, ReRunIsBitwiseIdentical)
 {
-    const RandomGraph rg = makeRandomGraph(GetParam() ^ 0xabcd, 3, 120);
-    const Schedule a = Scheduler().run(rg.graph);
-    const Schedule b = Scheduler().run(rg.graph);
+    const TaskGraph graph = makeRandomGraph(GetParam() ^ 0xabcd, 6, 120);
+    const Schedule a = Scheduler().run(graph);
+    const Schedule b = Scheduler().run(graph);
     for (std::size_t i = 0; i < a.start.size(); ++i) {
         ASSERT_EQ(a.start[i], b.start[i]);
         ASSERT_EQ(a.finish[i], b.finish[i]);
@@ -173,23 +132,23 @@ TEST_P(SchedulerPropertyTest, ReRunIsBitwiseIdentical)
 
 TEST_P(SchedulerPropertyTest, MakespanAtLeastCriticalPath)
 {
-    const RandomGraph rg = makeRandomGraph(GetParam() ^ 0x1234, 5, 150);
-    const Schedule sched = Scheduler().run(rg.graph);
+    const TaskGraph graph = makeRandomGraph(GetParam() ^ 0x1234, 10, 150);
+    const Schedule sched = Scheduler().run(graph);
     // Longest dependency chain is a lower bound on the makespan.
-    std::vector<double> chain(rg.graph.taskCount(), 0.0);
+    std::vector<double> chain(graph.taskCount(), 0.0);
     double critical = 0.0;
-    for (TaskId id = 0; id < rg.graph.taskCount(); ++id) {
+    for (TaskId id = 0; id < graph.taskCount(); ++id) {
         double ready = 0.0;
-        for (TaskId dep : rg.graph.deps(id))
+        for (TaskId dep : graph.deps(id))
             ready = std::max(ready, chain[dep]);
-        chain[id] = ready + rg.graph.duration(id);
+        chain[id] = ready + graph.duration(id);
         critical = std::max(critical, chain[id]);
     }
     EXPECT_GE(sched.makespan + 1e-12, critical);
     // And no worse than fully serial execution.
     double total = 0.0;
-    for (TaskId id = 0; id < rg.graph.taskCount(); ++id)
-        total += rg.graph.duration(id);
+    for (TaskId id = 0; id < graph.taskCount(); ++id)
+        total += graph.duration(id);
     EXPECT_LE(sched.makespan, total + 1e-9);
 }
 

@@ -44,10 +44,9 @@ TEST(Timeline, ClampsToWindow)
 TEST(Timeline, OverlappingIntervalsCountOnce)
 {
     Timeline t;
-    t.add(0.0, 4.0, 0, 0);
-    t.add(2.0, 6.0, 1, 1); // Second slot overlaps.
+    t.add(0.0, 4.0, 0);
+    t.add(2.0, 6.0, 1); // Overlaps the first.
     EXPECT_DOUBLE_EQ(t.busyTime(0.0, 10.0), 6.0);
-    EXPECT_DOUBLE_EQ(t.totalSlotSeconds(), 8.0);
 }
 
 TEST(Timeline, DisjointIntervals)
@@ -143,19 +142,18 @@ expectMatchesCopySortMerge(const Timeline &timeline,
 }
 
 /**
- * A random DAG on multi-slot resources (up to 6 slots) whose durations
- * mix a discrete ladder, so intervals share starts and ends exactly,
- * with continuous draws and zero-duration barriers.
+ * A random DAG on 2 to 13 resources whose durations mix a discrete
+ * ladder, so intervals share starts and ends exactly, with continuous
+ * draws and zero-duration barriers.
  */
 TaskGraph
-makeMultiSlotGraph(std::uint64_t seed)
+makeLadderGraph(std::uint64_t seed)
 {
     Rng rng(seed);
     TaskGraph graph;
-    const std::size_t n_resources = 2 + rng.below(3);
+    const std::size_t n_resources = 2 + rng.below(12);
     for (std::size_t r = 0; r < n_resources; ++r)
-        graph.addResource("R" + std::to_string(r),
-                          static_cast<std::uint32_t>(1 + rng.below(6)));
+        graph.addResource("R" + std::to_string(r));
     const double ladder[] = {0.0, 0.125, 0.25, 0.25, 1.0};
     const std::size_t n_tasks = 100 + rng.below(300);
     for (std::size_t t = 0; t < n_tasks; ++t) {
@@ -181,13 +179,32 @@ class TimelineBusyPin : public ::testing::TestWithParam<std::uint64_t>
 
 TEST_P(TimelineBusyPin, SchedulerTimelinesMatchCopySortMerge)
 {
-    const TaskGraph graph = makeMultiSlotGraph(GetParam());
+    const TaskGraph graph = makeLadderGraph(GetParam());
     const Schedule sched = Scheduler().run(graph);
     ASSERT_GT(sched.makespan, 0.0);
     Rng rng(GetParam() + 1000);
 
-    for (ResourceId r = 0; r < graph.resourceCount(); ++r) {
-        const Timeline &timeline = sched.timelines[r];
+    // Each resource's timeline, plus one timeline filled by hand with
+    // every resource's intervals in start order: the resources run
+    // concurrently, so its intervals overlap.
+    std::vector<Interval> every;
+    for (const Timeline &timeline : sched.timelines)
+        every.insert(every.end(), timeline.intervals().begin(),
+                     timeline.intervals().end());
+    std::stable_sort(every.begin(), every.end(),
+                     [](const Interval &a, const Interval &b) {
+                         return a.start < b.start;
+                     });
+    Timeline overlapping;
+    for (const Interval &iv : every)
+        overlapping.add(iv.start, iv.end, iv.task);
+    std::vector<const Timeline *> timelines;
+    for (const Timeline &timeline : sched.timelines)
+        timelines.push_back(&timeline);
+    timelines.push_back(&overlapping);
+
+    for (std::size_t r = 0; r < timelines.size(); ++r) {
+        const Timeline &timeline = *timelines[r];
         const std::vector<Interval> &intervals = timeline.intervals();
 
         // The scheduler appends every interval at the current event
@@ -197,7 +214,7 @@ TEST_P(TimelineBusyPin, SchedulerTimelinesMatchCopySortMerge)
                                       const Interval &b) {
                                        return a.start < b.start;
                                    }))
-            << "resource " << r;
+            << "timeline " << r;
 
         // The same intervals added in shuffled order.
         std::vector<Interval> shuffled = intervals;
@@ -205,7 +222,7 @@ TEST_P(TimelineBusyPin, SchedulerTimelinesMatchCopySortMerge)
             std::swap(shuffled[i - 1], shuffled[rng.below(i)]);
         Timeline readded;
         for (const Interval &iv : shuffled)
-            readded.add(iv.start, iv.end, iv.task, iv.slot);
+            readded.add(iv.start, iv.end, iv.task);
 
         // The whole makespan, windows that clip intervals (random
         // interior points and exact interval edges), windows that reach
@@ -244,7 +261,7 @@ TEST_P(TimelineBusyPin, SchedulerTimelinesMatchCopySortMerge)
         // still reports the same union.
         readded.clear();
         for (const Interval &iv : intervals)
-            readded.add(iv.start, iv.end, iv.task, iv.slot);
+            readded.add(iv.start, iv.end, iv.task);
         for (const auto &[begin, end] : windows)
             expectMatchesCopySortMerge(readded, intervals, begin, end);
     }

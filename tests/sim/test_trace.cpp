@@ -51,12 +51,11 @@ TEST(Trace, AsciiGanttBusyFractionRoughlyMatches)
 {
     TaskGraph g;
     const ResourceId gpu = g.addResource("GPU");
-    g.addTask(gpu, 1.0, "a");
-    const TaskId b = g.addTask(gpu, 0.0, "zero");
-    g.addDep(0, b);
+    const TaskId a = g.addTask(gpu, 1.0, "a");
+    g.addTask(gpu, 0.0, "zero", {a});
     // Add an idle tail via another resource.
     const ResourceId cpu = g.addResource("CPU");
-    g.addTask(cpu, 1.0, "c", {0});
+    g.addTask(cpu, 1.0, "c", {a});
     const Schedule s = Scheduler().run(g);
     const std::string gantt = toAsciiGantt(g, s, 100);
     // The GPU row should be roughly half busy.
