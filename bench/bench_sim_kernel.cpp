@@ -24,8 +24,6 @@
  * 200k tasks), so even the 1M/10M sizes export under a bounded memory
  * footprint. Any other argument prints the usage line and exits 2.
  */
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -35,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/file.h"
 #include "common/json.h"
 #include "common/trace.h"
@@ -211,26 +210,6 @@ exportArtifacts(std::size_t target_tasks, const std::string &dir)
     return true;
 }
 
-/**
- * Parse all of @p text as a task cap into @p out: a whole number >= 1
- * that fits in size_t. Returns false for anything else — "1e5" would
- * otherwise cap at 1 and "abc", "0" or "-5" would lift the cap.
- */
-bool
-parseMaxTasks(const char *text, std::size_t &out)
-{
-    if (!std::isdigit(static_cast<unsigned char>(text[0])))
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long value = std::strtoull(text, &end, 10);
-    if (*end != '\0' || errno == ERANGE || value == 0 ||
-        static_cast<std::size_t>(value) != value)
-        return false;
-    out = static_cast<std::size_t>(value);
-    return true;
-}
-
 } // namespace
 
 int
@@ -248,7 +227,9 @@ main(int argc, char **argv)
                             ? argv[++i]
                             : "BENCH_sim_kernel.json";
         } else if (std::strcmp(argv[i], "--max-tasks") == 0 &&
-                   i + 1 < argc && parseMaxTasks(argv[i + 1], max_tasks)) {
+                   i + 1 < argc &&
+                   so::bench::parseWholeNumber(argv[i + 1], max_tasks) &&
+                   max_tasks >= 1) {
             ++i;
         } else if (std::strcmp(argv[i], "--trace-dir") == 0 &&
                    i + 1 < argc) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cstdlib>
 #include <filesystem>
 #include <system_error>
 
@@ -30,6 +32,21 @@ constexpr const char *kFlags[] = {"jobs",    "json",      "progress",
 
 } // namespace
 
+bool
+parseWholeNumber(const std::string &text, std::size_t &out)
+{
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+    if (*end != '\0' || errno == ERANGE ||
+        static_cast<std::size_t>(value) != value)
+        return false;
+    out = static_cast<std::size_t>(value);
+    return true;
+}
+
 std::string
 Harness::sanitizeId(const std::string &id)
 {
@@ -54,21 +71,33 @@ Harness::Harness(int argc, const char *const *argv, std::string id,
     trace::initFromEnv();
 
     const ArgParser args(argc, argv);
-    // A misspelt or retired flag must not silently do nothing.
+    // A misspelt or retired flag, a stray argument (a --json without
+    // its flag) or a value given to a switch must not silently do
+    // nothing.
     for (const std::string &key : args.keys()) {
         if (std::find(std::begin(kFlags), std::end(kFlags), key) ==
             std::end(kFlags))
             SO_FATAL("unknown flag --", key);
     }
+    if (!args.positional().empty())
+        SO_FATAL("unexpected argument ", args.positional().front(),
+                 " (every option is a --flag)");
+    for (const char *flag : {"progress", "profile"}) {
+        if (!args.get(flag).empty())
+            SO_FATAL("--", flag, " takes no value (got ", args.get(flag),
+                     ")");
+    }
+    std::size_t jobs = default_jobs;
+    if (args.has("jobs") && !parseWholeNumber(args.get("jobs"), jobs))
+        SO_FATAL("--jobs must be a whole number >= 0 (got '",
+                 args.get("jobs"), "')");
     banner(id_, description, paper_expectation);
 
     for (int i = 0; i < argc; ++i)
         argv_.emplace_back(argv[i]);
 
     runtime::SweepOptions options;
-    options.jobs = static_cast<std::size_t>(std::max(
-        0LL,
-        args.getInt("jobs", static_cast<long long>(default_jobs))));
+    options.jobs = jobs;
     options.progress = args.has("progress");
     options.name = id_;
     engine_ = std::make_unique<runtime::SweepEngine>(options);

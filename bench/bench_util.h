@@ -3,15 +3,17 @@
  * Shared helpers for the table/figure reproduction binaries.
  *
  * Every bench builds on the Harness: it parses the shared command line
- * (--jobs N for parallel evaluation, --json [path] for a
- * machine-readable BENCH_<id>.json record, --progress for sweep
+ * (--jobs N for parallel evaluation, a whole number >= 0, --json [path]
+ * for a machine-readable BENCH_<id>.json record, --progress for sweep
  * logging, --profile for schedule profiling, whose level of detail
  * follows the graph size (docs/OBSERVABILITY.md), --trace-dir DIR for
  * per-cell chrome-trace/profile/bundle files, --self-trace [PATH] for
- * a host-side engine trace — see docs/SELFTRACE.md; any other --flag
- * is fatal), owns the SweepEngine the bench declares its grid into,
- * and collects the rendered tables so the JSON document carries both
- * the formatted tables and the raw per-cell records. Benches only
+ * a host-side engine trace — see docs/SELFTRACE.md; any other --flag,
+ * any argument that is not a flag or its value, a value given to
+ * --progress or --profile, and a malformed --jobs are fatal), owns the
+ * SweepEngine the bench declares its grid into, and collects the
+ * rendered tables so the JSON document carries both the formatted
+ * tables and the raw per-cell records. Benches only
  * write: `so-report check` guards a record against a baseline and
  * `so-report html` renders records, trace directories and self-traces
  * as a Schedule Explorer page (docs/DIFF.md, docs/EXPLORER.md).
@@ -31,6 +33,13 @@
 #include "runtime/sweep.h"
 
 namespace so::bench {
+
+/**
+ * Parse all of @p text as a whole number >= 0 that fits in size_t into
+ * @p out. Returns false for anything else ("abc", "-3", "1.5", "1e5",
+ * ""), which a lenient parse would read as some other count.
+ */
+bool parseWholeNumber(const std::string &text, std::size_t &out);
 
 /** Print the standard banner naming the experiment being reproduced. */
 inline void
@@ -71,8 +80,10 @@ class Harness
 {
   public:
     /**
-     * Parses argv (an unknown --flag is fatal, naming the flag), prints
-     * the banner, and sets up the engine.
+     * Parses argv (an unknown --flag, a stray argument, a value on
+     * --progress or --profile, or a --jobs that is not a whole number
+     * >= 0 is fatal, naming the flag or token), prints the banner, and
+     * sets up the engine.
      * @p default_jobs applies when --jobs is absent (0 = all cores);
      * most benches default to 1 so smoke runs stay deterministic in
      * load order.

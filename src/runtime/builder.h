@@ -5,10 +5,11 @@
  * IterBuilder standardizes the resources every training system schedules
  * onto — the Hopper GPU stream, the Grace CPU (plus a background
  * resource for STV validation), the two C2C directions, and the
- * collective fabric; each runs one task at a time — and owns the cost model they share: a search candidate's
- * pass times and iteration FLOPs, task durations for work descriptions
- * (bytes, parameter counts) from the hardware model, and the measured
- * window of the finished schedule. Strategies then express only their
+ * collective fabric; each runs one task at a time — and owns the cost
+ * model they share: a search candidate's pass times and iteration
+ * FLOPs, task durations for work descriptions (bytes, parameter
+ * counts) from the hardware model, and the measured window of the
+ * finished schedule. Strategies then express only their
  * schedule structure (plus any cost of their own, such as Megatron's
  * tensor-parallel GEMM penalty). The result's profile and energy
  * totals come from sim (profileSchedule, attributeEnergy,

@@ -468,9 +468,8 @@ attributeEnergy(const TaskGraph &graph, const Schedule &schedule,
 
     // Per-resource view: busy joules on the union busy time (equal to
     // the per-task sum, since a resource runs one task at a time),
-    // transfer joules on the bytes the resource's tasks
-    // moved, idle joules partitioned by the profiler's own idle-cause
-    // attribution.
+    // transfer joules on the bytes the resource's tasks moved, idle
+    // joules partitioned by the profiler's own idle-cause attribution.
     EnergyProfile energy;
     static_cast<EnergyTotals &>(energy) = meterResources(
         graph, inputs, profile.resources, profile.makespan);

@@ -3,9 +3,10 @@
  * Harness guard-rail tests: --trace-dir pointing at an existing
  * regular file dies fast with a clear message (before any sweep work),
  * a valid --trace-dir is created up front, a flag the Harness does not
- * know (a retired one or a typo) dies at parse time naming the flag,
- * a --json record or --self-trace export that cannot be written in
- * full is fatal, and a record the Harness writes is one `so-report
+ * know (a retired one or a typo), a stray argument, a value given to
+ * --progress or --profile and a --jobs that is not a whole number >= 0
+ * die at parse time naming the flag or token, a --json record or
+ * --self-trace export that cannot be written in full is fatal, and a record the Harness writes is one `so-report
  * check` guards: a vanished baseline metric lands in the verdict while
  * --warn-only keeps the exit code 0, and a record passes against itself.
  */
@@ -86,6 +87,43 @@ TEST(HarnessGuard, RemovedFlagsDieFast)
         EXPECT_EXIT(makeHarness(args), ::testing::ExitedWithCode(1),
                     "unknown flag " + args[0])
             << args[0];
+}
+
+TEST(HarnessGuard, MalformedJobsDiesFast)
+{
+    // Text, a negative count, a fraction or a missing value must not
+    // run at the default or on all cores.
+    const std::vector<std::vector<std::string>> cases = {
+        {"--jobs", "abc"}, {"--jobs", "-3"}, {"--jobs", "1.5"}, {"--jobs"}};
+    for (const std::vector<std::string> &args : cases) {
+        const std::string value = args.size() > 1 ? args[1] : "";
+        EXPECT_EXIT(makeHarness(args), ::testing::ExitedWithCode(1),
+                    "--jobs must be a whole number >= 0 .got '" + value +
+                        "'")
+            << value;
+    }
+}
+
+TEST(HarnessGuard, WholeNumberJobsRun)
+{
+    EXPECT_EQ(makeHarness({"--jobs", "2"}).jobs(), 2u);
+    EXPECT_GE(makeHarness({"--jobs", "0"}).jobs(), 1u); // All cores.
+    EXPECT_EQ(makeHarness({}).jobs(), 1u);              // The default.
+}
+
+TEST(HarnessGuard, StrayArgumentsDieFast)
+{
+    // A path without its --json, or read as the value of a switch,
+    // must not be dropped silently.
+    EXPECT_EXIT(makeHarness({"out.json"}), ::testing::ExitedWithCode(1),
+                "unexpected argument out.json");
+    EXPECT_EXIT(makeHarness({"--json", "j.json", "extra"}),
+                ::testing::ExitedWithCode(1), "unexpected argument extra");
+    for (const std::string flag : {"--progress", "--profile"})
+        EXPECT_EXIT(makeHarness({flag, "out.json"}),
+                    ::testing::ExitedWithCode(1),
+                    flag + " takes no value .got out.json")
+            << flag;
 }
 
 TEST(HarnessGuard, JsonOnAFullDeviceIsFatal)

@@ -184,9 +184,9 @@ TEST(Scheduler, ConcurrentRunsAreIndependentAndIdentical)
     auto build = [] {
         TaskGraph g;
         const ResourceId gpu = g.addResource("GPU");
-        ResourceId cpus[4];
-        for (ResourceId &cpu : cpus)
-            cpu = g.addResource("CPU");
+        const ResourceId cpus[] = {
+            g.addResource("CPU0"), g.addResource("CPU1"),
+            g.addResource("CPU2"), g.addResource("CPU3")};
         const ResourceId link = g.addResource("link");
         TaskId prev = kInvalidTask;
         for (int i = 0; i < 800; ++i) {
