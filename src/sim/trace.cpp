@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
-#include <vector>
 
 #include "common/json.h"
 #include "common/logging.h"
@@ -91,8 +90,7 @@ streamChromeTrace(std::ostream &os, const TaskGraph &graph,
             os << "{\"name\":\""
                << JsonWriter::escape(graph.label(iv.task))
                << "\",\"ph\":\"X\",\"pid\":" << r
-               << ",\"tid\":0"
-               << ",\"ts\":" << iv.start * 1e6
+               << ",\"tid\":0,\"ts\":" << iv.start * 1e6
                << ",\"dur\":" << (iv.end - iv.start) * 1e6 << "}";
         }
     }

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
 #include <thread>
 #include <vector>
 
