@@ -71,9 +71,9 @@ Harness::Harness(int argc, const char *const *argv, std::string id,
     trace::initFromEnv();
 
     const ArgParser args(argc, argv);
-    // A misspelt or retired flag, a stray argument (a --json without
-    // its flag) or a value given to a switch must not silently do
-    // nothing.
+    // A misspelt or retired flag, a stray argument (a path whose
+    // --json was forgotten) or a value given to a switch must not
+    // silently do nothing.
     for (const std::string &key : args.keys()) {
         if (std::find(std::begin(kFlags), std::end(kFlags), key) ==
             std::end(kFlags))

@@ -26,12 +26,12 @@ writeProfileEvents(std::ostream &os, const TaskGraph &graph,
         const TaskId b = profile.critical_path[i + 1].task;
         os << ",{\"name\":\"critical\",\"cat\":\"critical\","
            << "\"ph\":\"s\",\"id\":" << i
-           << ",\"pid\":" << graph.taskResource(a) << ",\"tid\":0"
-           << ",\"ts\":" << schedule.finish[a] * 1e6 << "}";
+           << ",\"pid\":" << graph.taskResource(a)
+           << ",\"tid\":0,\"ts\":" << schedule.finish[a] * 1e6 << "}";
         os << ",{\"name\":\"critical\",\"cat\":\"critical\","
            << "\"ph\":\"f\",\"bp\":\"e\",\"id\":" << i
-           << ",\"pid\":" << graph.taskResource(b) << ",\"tid\":0"
-           << ",\"ts\":" << schedule.start[b] * 1e6 << "}";
+           << ",\"pid\":" << graph.taskResource(b)
+           << ",\"tid\":0,\"ts\":" << schedule.start[b] * 1e6 << "}";
     }
 
     // Occupancy counter per resource: busy (1) or idle (0) at every
