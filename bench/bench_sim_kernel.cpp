@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/argparse.h"
 #include "common/file.h"
 #include "common/json.h"
 #include "common/trace.h"
@@ -228,7 +229,7 @@ main(int argc, char **argv)
                             : "BENCH_sim_kernel.json";
         } else if (std::strcmp(argv[i], "--max-tasks") == 0 &&
                    i + 1 < argc &&
-                   so::bench::parseWholeNumber(argv[i + 1], max_tasks) &&
+                   so::parseWholeNumber(argv[i + 1], max_tasks) &&
                    max_tasks >= 1) {
             ++i;
         } else if (std::strcmp(argv[i], "--trace-dir") == 0 &&

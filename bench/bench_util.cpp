@@ -1,9 +1,6 @@
 #include "bench_util.h"
 
-#include <algorithm>
 #include <cctype>
-#include <cerrno>
-#include <cstdlib>
 #include <filesystem>
 #include <system_error>
 
@@ -27,25 +24,11 @@ namespace so::bench {
 namespace {
 
 /** Every flag the Harness reads; any other --flag is fatal. */
-constexpr const char *kFlags[] = {"jobs",    "json",      "progress",
-                                  "profile", "trace-dir", "self-trace"};
+constexpr const char *kSwitches[] = {"progress", "profile"};
+constexpr const char *kValued[] = {"jobs", "json", "trace-dir",
+                                   "self-trace"};
 
 } // namespace
-
-bool
-parseWholeNumber(const std::string &text, std::size_t &out)
-{
-    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-    if (*end != '\0' || errno == ERANGE ||
-        static_cast<std::size_t>(value) != value)
-        return false;
-    out = static_cast<std::size_t>(value);
-    return true;
-}
 
 std::string
 Harness::sanitizeId(const std::string &id)
@@ -74,19 +57,9 @@ Harness::Harness(int argc, const char *const *argv, std::string id,
     // A misspelt or retired flag, a stray argument (a path whose
     // --json was forgotten) or a value given to a switch must not
     // silently do nothing.
-    for (const std::string &key : args.keys()) {
-        if (std::find(std::begin(kFlags), std::end(kFlags), key) ==
-            std::end(kFlags))
-            SO_FATAL("unknown flag --", key);
-    }
-    if (!args.positional().empty())
-        SO_FATAL("unexpected argument ", args.positional().front(),
-                 " (every option is a --flag)");
-    for (const char *flag : {"progress", "profile"}) {
-        if (!args.get(flag).empty())
-            SO_FATAL("--", flag, " takes no value (got ", args.get(flag),
-                     ")");
-    }
+    const std::string misuse = args.misuse(kSwitches, kValued);
+    if (!misuse.empty())
+        SO_FATAL(misuse);
     std::size_t jobs = default_jobs;
     if (args.has("jobs") && !parseWholeNumber(args.get("jobs"), jobs))
         SO_FATAL("--jobs must be a whole number >= 0 (got '",

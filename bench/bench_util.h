@@ -34,13 +34,6 @@
 
 namespace so::bench {
 
-/**
- * Parse all of @p text as a whole number >= 0 that fits in size_t into
- * @p out. Returns false for anything else ("abc", "-3", "1.5", "1e5",
- * ""), which a lenient parse would read as some other count.
- */
-bool parseWholeNumber(const std::string &text, std::size_t &out);
-
 /** Print the standard banner naming the experiment being reproduced. */
 inline void
 banner(const std::string &id, const std::string &description,

@@ -13,6 +13,12 @@
  *                        [--no-repartition] [--compare]
  *                        [--explain [baseline]]
  *                        [--explain-html explain.html] [--list-models]
+ *                        [--jobs N] [--json] [--trace t.json]
+ *                        [--config job.conf]
+ *
+ * The bench Harness's argv rules hold: an unknown flag, a positional
+ * argument, a value on a switch, or a --jobs that is not a whole number
+ * >= 0 exits 1 with a message naming the token.
  */
 #include <cstdio>
 #include <string>
@@ -33,6 +39,16 @@
 #include "runtime/sweep.h"
 
 namespace {
+
+/** Flags that take a value (possibly empty: --explain, --trace). */
+constexpr const char *kValued[] = {
+    "model", "chips",   "batch", "seq",   "binding",      "placement",
+    "jobs",  "explain", "trace", "config", "explain-html"};
+
+/** Flags that take none. */
+constexpr const char *kSwitches[] = {
+    "help",          "list-models",    "no-stv",  "no-sac",
+    "no-grace-adam", "no-repartition", "compare", "json"};
 
 int
 listModels()
@@ -56,6 +72,18 @@ main(int argc, char **argv)
 {
     using namespace so;
     const ArgParser args(argc, argv);
+    const std::string misuse = args.misuse(kSwitches, kValued);
+    if (!misuse.empty()) {
+        std::fprintf(stderr, "%s\n", misuse.c_str());
+        return 1;
+    }
+    std::size_t jobs = 1;
+    if (args.has("jobs") && !parseWholeNumber(args.get("jobs"), jobs)) {
+        std::fprintf(stderr,
+                     "--jobs must be a whole number >= 0 (got '%s')\n",
+                     args.get("jobs").c_str());
+        return 1;
+    }
 
     if (args.has("help")) {
         std::printf(
@@ -232,8 +260,7 @@ main(int argc, char **argv)
 
     if (args.has("compare") || explain) {
         runtime::SweepOptions sweep_opts;
-        sweep_opts.jobs = static_cast<std::size_t>(
-            std::max(0LL, args.getInt("jobs", 1)));
+        sweep_opts.jobs = jobs;
         sweep_opts.name = "compare";
         runtime::SweepEngine sweep(sweep_opts);
         std::vector<runtime::SystemPtr> baselines;

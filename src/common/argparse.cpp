@@ -1,8 +1,26 @@
 #include "common/argparse.h"
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 namespace so {
+
+bool
+parseWholeNumber(const std::string &text, std::size_t &out)
+{
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+    if (*end != '\0' || errno == ERANGE ||
+        static_cast<std::size_t>(value) != value)
+        return false;
+    out = static_cast<std::size_t>(value);
+    return true;
+}
 
 ArgParser::ArgParser(int argc, const char *const *argv)
 {
@@ -62,6 +80,30 @@ ArgParser::keys() const
         out.push_back(key);
     }
     return out;
+}
+
+std::string
+ArgParser::misuse(std::span<const char *const> switches,
+                  std::span<const char *const> valued) const
+{
+    const auto declared = [](std::span<const char *const> names,
+                             const std::string &key) {
+        return std::find(names.begin(), names.end(), key) != names.end();
+    };
+    for (const auto &[key, value] : options_) {
+        (void)value;
+        if (!declared(switches, key) && !declared(valued, key))
+            return "unknown flag --" + key;
+    }
+    if (!positional_.empty())
+        return "unexpected argument " + positional_.front() +
+               " (every option is a --flag)";
+    for (const char *flag : switches) {
+        if (!get(flag).empty())
+            return std::string("--") + flag + " takes no value (got " +
+                   get(flag) + ")";
+    }
+    return "";
 }
 
 } // namespace so

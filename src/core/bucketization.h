@@ -8,7 +8,9 @@
  * straggler, the optimizer states of the *last few* buckets produced by
  * the backward pass are repartitioned onto the GPU, subject to the
  * overlap inequality of eqs. (4)-(5); the exact retained count is then
- * grid-searched by simulation.
+ * grid-searched by simulation. SuperOffloadSystem's expansion hook
+ * enumerates the grid, one search candidate per count, so the sweep
+ * engine simulates the counts as independent units.
  */
 #ifndef SO_CORE_BUCKETIZATION_H
 #define SO_CORE_BUCKETIZATION_H

@@ -102,15 +102,20 @@ SuperOffloadSystem::cpuBytes(const TrainSetup &setup,
     return bytes;
 }
 
-IterationResult
-SuperOffloadSystem::simulate(const TrainSetup &setup,
-                             const SearchCandidate &cand) const
+BucketPlan
+SuperOffloadSystem::bucketPlan(const TrainSetup &setup) const
 {
-    const double n_ranks = setup.cluster.totalSuperchips();
-    const double shard = setup.model.params() / n_ranks;
-    const BucketPlan plan =
-        planBuckets(shard, kMaxBuckets, opts_.bucket_bytes);
-    const hw::SuperchipSpec &chip = setup.cluster.node.superchip;
+    const double shard =
+        setup.model.params() / setup.cluster.totalSuperchips();
+    return planBuckets(shard, kMaxBuckets, opts_.bucket_bytes);
+}
+
+void
+SuperOffloadSystem::expandCandidate(const TrainSetup &setup,
+                                    const SearchCandidate &cand,
+                                    std::vector<SearchCandidate> &out) const
+{
+    const BucketPlan plan = bucketPlan(setup);
 
     // Retained-bucket grid (§4.3). The analytic bound seeds the grid;
     // memory slack caps it.
@@ -131,42 +136,48 @@ SuperOffloadSystem::simulate(const TrainSetup &setup,
         plan.count ? IterBuilder(setup).passTimes(cand, plan.count).bwd
                    : 0.0;
     const std::uint32_t analytic = analyticRetainedBuckets(
-        chip, plan, bwd_chunk,
+        setup.cluster.node.superchip, plan, bwd_chunk,
         opts_.grace_adam ? hw::AdamImpl::GraceAdam : hw::AdamImpl::CpuAdam,
         opts_.sac);
 
-    IterationResult best;
-    std::uint32_t best_n = 0;
     for (std::uint32_t n : retainedCandidates(analytic, n_max)) {
-        IterationResult res = simulateWithRetained(setup, cand, plan, n);
-        if (!best.feasible ||
-            res.flops.modelFlops() / res.iter_time >
-                best.flops.modelFlops() / best.iter_time) {
-            best = std::move(res);
-            best_n = n;
-        }
-        best.feasible = true; // Marker that `best` holds a candidate.
+        SearchCandidate retained = cand;
+        retained.retained_buckets = n;
+        out.push_back(retained);
     }
-    best.feasible = false;    // Base class sets the real flag.
-    const WeightPlacement placement = placementOf(cand);
-    best.notes = std::string(placementName(placement)) + ", retained=" +
-                 std::to_string(best_n) + "/" +
-                 std::to_string(plan.count) + " buckets";
-    best.setExtra("placement", static_cast<double>(
-                                   static_cast<std::uint32_t>(placement)));
-    best.setExtra("retained_buckets", static_cast<double>(best_n));
-    return best;
 }
 
 IterationResult
-SuperOffloadSystem::simulateWithRetained(const TrainSetup &setup,
-                                         const SearchCandidate &cand,
-                                         const BucketPlan &plan,
-                                         std::uint32_t retained) const
+SuperOffloadSystem::simulate(const TrainSetup &setup,
+                             const SearchCandidate &cand) const
 {
+    IterBuilder builder(setup);
+    const std::vector<sim::TaskId> first_tasks =
+        buildGraph(builder, setup, cand);
+    IterationResult res = builder.finishSteadyState(
+        builder.iterationFlops(cand), first_tasks);
+    const WeightPlacement placement = placementOf(cand);
+    res.notes = std::string(placementName(placement)) + ", retained=" +
+                std::to_string(cand.retained_buckets) + "/" +
+                std::to_string(bucketPlan(setup).count) + " buckets";
+    res.setExtra("placement", static_cast<double>(
+                                  static_cast<std::uint32_t>(placement)));
+    res.setExtra("retained_buckets",
+                 static_cast<double>(cand.retained_buckets));
+    return res;
+}
+
+std::vector<sim::TaskId>
+SuperOffloadSystem::buildGraph(IterBuilder &builder,
+                               const TrainSetup &setup,
+                               const SearchCandidate &cand) const
+{
+    const BucketPlan plan = bucketPlan(setup);
+    const std::uint32_t retained = cand.retained_buckets;
+    SO_ASSERT(retained <= plan.count, "retained ", retained,
+              " buckets of ", plan.count);
     const std::uint32_t accum_steps = cand.accum_steps;
 
-    IterBuilder builder(setup);
     const double n_ranks = setup.cluster.totalSuperchips();
     const bool multi = n_ranks > 1;
     const bool flow = placementOf(cand) == WeightPlacement::Flow;
@@ -214,17 +225,38 @@ SuperOffloadSystem::simulateWithRetained(const TrainSetup &setup,
     std::vector<sim::TaskId> iter_first_task(kSteadyStateIterations,
                                              sim::kInvalidTask);
 
-    // Rough upper bound per iteration: each pass touches every bucket
-    // with compute plus up to three companion tasks (fetch / gather /
-    // offload), and the epilogue adds up to five tasks per CPU bucket
-    // plus the norm, validation, and barrier machinery. Deps average
-    // under three per task.
+    // Exact counts of the loop below. Per bucket and pass: the compute
+    // task, a weight fetch when flowing a CPU bucket, an all-gather when
+    // multi-chip. After the last backward: a reduce-scatter when
+    // multi-chip, then two tasks per bucket (cast + GPU Adam, or cast +
+    // move). Per CPU bucket in the optimizer phase: Adam, a validation
+    // under STV, and the return (one cast under flow, else a move and a
+    // cast). The fixed tasks: the STE norm and barrier, or STV's global
+    // check and rollback.
     {
         const auto b = static_cast<std::size_t>(nbuckets);
-        const std::size_t per_iter =
-            static_cast<std::size_t>(accum_steps) * 2 * 4 * b + 6 * b + 4;
-        builder.reserve(kSteadyStateIterations * per_iter,
-                        kSteadyStateIterations * per_iter * 3);
+        const std::size_t cpu_b = b - retained;
+        const std::size_t fetched = flow ? cpu_b : 0;
+        const std::size_t gathered = multi ? b : 0;
+        const std::size_t stv = opts_.stv ? 1 : 0;
+        const std::size_t ste = 1 - stv;
+        const std::size_t back = flow ? 1 : 2;
+        const std::size_t checked = opts_.stv && cpu_b > 0 ? 1 : 0;
+        const std::size_t pass = b + fetched + gathered;
+        const std::size_t steps = accum_steps;
+        const std::size_t tasks = steps * 2 * pass + gathered + 2 * b +
+                                  cpu_b * (1 + stv + back) + 2 * checked +
+                                  2 * ste;
+        // Each pass task waits on its predecessor plus its fetch and
+        // gather; after the first iteration, step 0's forward (and its
+        // fetches) also wait on the previous update of their bucket.
+        const std::size_t edges_per_iter =
+            steps * 2 * pass + gathered + 2 * b +
+            cpu_b * (1 + ste + stv + back) + checked * (cpu_b + 1) +
+            ste * (cpu_b + b);
+        builder.reserve(kSteadyStateIterations * tasks,
+                        kSteadyStateIterations * edges_per_iter +
+                            (kSteadyStateIterations - 1) * (b + fetched));
     }
 
     sim::TaskId prev = sim::kInvalidTask;
@@ -414,8 +446,7 @@ SuperOffloadSystem::simulateWithRetained(const TrainSetup &setup,
         ready_prev = ready;
         iter_first_task[it] = first_fwd;
     }
-    return builder.finishSteadyState(builder.iterationFlops(cand),
-                                     iter_first_task);
+    return iter_first_task;
 }
 
 } // namespace so::core

@@ -15,7 +15,10 @@
  *    with the next forward pass;
  *  - the optimizer states of the last n buckets produced by backward
  *    (= the first layers needed by the next forward) are repartitioned
- *    onto the GPU (§4.3, eqs. 4-5), with n grid-searched by simulation;
+ *    onto the GPU (§4.3, eqs. 4-5), with n grid-searched by simulation:
+ *    the expansion hook turns each screened candidate into one
+ *    candidate per count of the grid, so every count is its own sweep
+ *    unit and simulate() runs exactly one;
  *  - updated parameters return as fp32 and are cast to fp16 on the GPU.
  *
  * Weight-flow mode additionally streams fp16 weights from Grace DRAM
@@ -29,10 +32,17 @@
 #ifndef SO_CORE_SUPEROFFLOAD_H
 #define SO_CORE_SUPEROFFLOAD_H
 
+#include <vector>
+
 #include "core/bucketization.h"
 #include "core/policy.h"
 #include "core/sac.h"
 #include "runtime/system.h"
+#include "sim/graph.h"
+
+namespace so::runtime {
+class IterBuilder;
+} // namespace so::runtime
 
 namespace so::core {
 
@@ -86,6 +96,18 @@ class SuperOffloadSystem : public runtime::TrainingSystem
 
     std::string name() const override { return "SuperOffload"; }
 
+    /**
+     * Emit @p cand's kSteadyStateIterations back-to-back iterations,
+     * with cand.retained_buckets buckets repartitioned onto the GPU,
+     * into @p builder, after reserving exactly the tasks and edges the
+     * emission adds. Returns each iteration's first task. simulate()
+     * schedules what this builds; tests read the graph's pre-sizing.
+     */
+    std::vector<sim::TaskId> buildGraph(runtime::IterBuilder &builder,
+                                        const runtime::TrainSetup &setup,
+                                        const runtime::SearchCandidate &cand)
+        const;
+
   protected:
     double gpuBytes(const runtime::TrainSetup &setup,
                     const runtime::SearchCandidate &cand) const override;
@@ -106,6 +128,18 @@ class SuperOffloadSystem : public runtime::TrainingSystem
     std::vector<std::uint32_t>
     searchVariants(const runtime::TrainSetup &setup) const override;
 
+    /**
+     * The §4.3 grid search as enumeration: one candidate per count of
+     * retainedCandidates(analytic, n_max), in ascending order (fewer
+     * retained buckets win ties), where eqs. 4-5 give the analytic seed
+     * and the GPU slack above gpuBytes gives n_max (0 with
+     * repartitioning off).
+     */
+    void expandCandidate(const runtime::TrainSetup &setup,
+                         const runtime::SearchCandidate &cand,
+                         std::vector<runtime::SearchCandidate> &out)
+        const override;
+
   private:
     /** The candidate's placement (never Auto). */
     static WeightPlacement placementOf(const runtime::SearchCandidate &cand)
@@ -120,12 +154,8 @@ class SuperOffloadSystem : public runtime::TrainingSystem
     double gpuBaseBytes(const runtime::TrainSetup &setup,
                         const runtime::SearchCandidate &cand) const;
 
-    /** Simulate one candidate retained-bucket count. */
-    runtime::IterationResult
-    simulateWithRetained(const runtime::TrainSetup &setup,
-                         const runtime::SearchCandidate &cand,
-                         const BucketPlan &plan,
-                         std::uint32_t retained) const;
+    /** The bucket decomposition of one rank's parameter shard. */
+    BucketPlan bucketPlan(const runtime::TrainSetup &setup) const;
 
     SuperOffloadOptions opts_;
 };

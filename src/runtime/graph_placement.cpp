@@ -113,8 +113,26 @@ IterationResult
 GraphPlacementSystem::simulate(const TrainSetup &setup,
                                const SearchCandidate &cand) const
 {
-    const std::uint32_t accum_steps = cand.accum_steps;
     IterBuilder builder(setup);
+    const Placement place = buildGraph(builder, setup, cand);
+    IterationResult res = builder.finish(builder.iterationFlops(cand));
+    res.notes = "hbm_layers=" + std::to_string(place.hbm_layers) +
+                ", nvme_layers=" + std::to_string(place.nvme_layers);
+    res.setExtra("hbm_layers", place.hbm_layers);
+    res.setExtra("nvme_layers", place.nvme_layers);
+    res.setExtra("ddr_layers",
+                 static_cast<double>(setup.model.layers -
+                                     place.hbm_layers -
+                                     place.nvme_layers));
+    return res;
+}
+
+GraphPlacementSystem::Placement
+GraphPlacementSystem::buildGraph(IterBuilder &builder,
+                                 const TrainSetup &setup,
+                                 const SearchCandidate &cand) const
+{
+    const std::uint32_t accum_steps = cand.accum_steps;
     const model::ModelConfig &cfg = setup.model;
     const auto layer_count = static_cast<std::uint32_t>(cfg.layers);
     const double n = setup.cluster.totalSuperchips();
@@ -133,13 +151,26 @@ GraphPlacementSystem::simulate(const TrainSetup &setup,
                                          layer_params)
               : 0.0;
 
+    // Exact counts of the loops below. Per layer and pass: the compute
+    // task, plus for a streamed layer its fetch (with an NVMe stage when
+    // spilled) and, multi-chip, its all-gather. After the last backward:
+    // reduce-scatter (multi-chip), move and cast. Then the norm, and per
+    // layer Adam, cast and return, plus a spilled layer's state read and
+    // write-back.
     {
-        const auto b = static_cast<std::size_t>(layer_count);
-        const std::size_t per_pass = multi ? 4 : 3;
-        builder.reserve(
-            static_cast<std::size_t>(accum_steps) * 2 * per_pass * b +
-                12 * b + 2,
-            static_cast<std::size_t>(accum_steps) * 8 * b + 24 * b + 2);
+        const auto l = static_cast<std::size_t>(layer_count);
+        const std::size_t streamed = l - place.hbm_layers;
+        const std::size_t spilled = place.nvme_layers;
+        const std::size_t gathered = multi ? streamed : 0;
+        const std::size_t rs = multi ? l : 0;
+        const std::size_t passes = 2 * static_cast<std::size_t>(accum_steps);
+        const std::size_t pass = l + streamed + spilled + gathered;
+        // Every compute task but the first waits on its predecessor and
+        // on its layer's fetch when streamed; the norm waits on every
+        // cast, and Adam on the norm, the cast and a spilled read.
+        builder.reserve(passes * pass + rs + 2 * l + 1 + 3 * l + 2 * spilled,
+                        passes * pass - 1 + rs + 2 * l + l + 4 * l +
+                            2 * spilled);
     }
 
     // Streamed layers fetch per pass; spilled layers fetch through the
@@ -256,15 +287,7 @@ GraphPlacementSystem::simulate(const TrainSetup &setup,
         }
     }
 
-    IterationResult res = builder.finish(builder.iterationFlops(cand));
-    res.notes = "hbm_layers=" + std::to_string(place.hbm_layers) +
-                ", nvme_layers=" + std::to_string(place.nvme_layers);
-    res.setExtra("hbm_layers", place.hbm_layers);
-    res.setExtra("nvme_layers", place.nvme_layers);
-    res.setExtra("ddr_layers",
-                 static_cast<double>(layer_count - place.hbm_layers -
-                                     place.nvme_layers));
-    return res;
+    return place;
 }
 
 } // namespace so::runtime

@@ -32,6 +32,8 @@
 
 namespace so::runtime {
 
+class IterBuilder;
+
 /** Layer-granular, hierarchy-aware offload placement. */
 class GraphPlacementSystem : public TrainingSystem
 {
@@ -58,6 +60,15 @@ class GraphPlacementSystem : public TrainingSystem
      */
     Placement placement(const TrainSetup &setup,
                         const SearchCandidate &cand) const;
+
+    /**
+     * Emit @p cand's iteration into @p builder, after reserving exactly
+     * the tasks and edges the emission adds, and return the placement
+     * it used. simulate() schedules what this builds; tests read the
+     * graph's pre-sizing.
+     */
+    Placement buildGraph(IterBuilder &builder, const TrainSetup &setup,
+                         const SearchCandidate &cand) const;
 
   protected:
     double gpuBytes(const TrainSetup &setup,

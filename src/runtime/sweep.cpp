@@ -4,6 +4,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <deque>
+#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -208,11 +210,14 @@ SweepEngine::run()
         std::size_t first_cell = 0;
         std::string key;
         std::vector<SearchCandidate> cands;
-        std::vector<IterationResult> results;
+        /** Guards lead: workers fold their results as they land. */
+        std::mutex lock;
+        CellLead lead;
         IterationResult best;
     };
 
-    std::vector<Pending> pending;
+    // A deque: entries hold a mutex, so they must never move.
+    std::deque<Pending> pending;
     std::unordered_map<std::string, std::size_t> batch_index;
     // For each batch cell, the pending entry it maps to (or npos when
     // served from the cache).
@@ -244,18 +249,17 @@ SweepEngine::run()
         const auto [it, fresh] =
             batch_index.try_emplace(std::move(key), pending.size());
         if (fresh) {
-            Pending p;
+            Pending &p = pending.emplace_back();
             p.first_cell = i;
             p.key = it->first;
-            pending.push_back(std::move(p));
         } else {
             ++hits_; // Duplicate within this batch: evaluated once.
         }
         cell_pending[i - next_unrun_] = it->second;
     }
 
-    // Enumerate serially: the screen is cheap, and enumeration order is
-    // what makes the parallel reduction bit-identical to a serial run.
+    // Enumerate serially: the screen is cheap, and the enumeration index
+    // is what makes the fold's winner independent of completion order.
     struct Unit
     {
         std::size_t pending;
@@ -268,7 +272,6 @@ SweepEngine::run()
             const SweepCell &cell = cells_[pending[p].first_cell];
             pending[p].cands =
                 cell.system->enumerateCandidates(cell.setup);
-            pending[p].results.resize(pending[p].cands.size());
             for (std::size_t c = 0; c < pending[p].cands.size(); ++c)
                 units.push_back(Unit{p, c});
         }
@@ -282,8 +285,10 @@ SweepEngine::run()
                units.size(), " simulation(s)), jobs=", jobs_);
     }
 
-    // Simulate. Every unit writes its own preallocated slot, so the
-    // stored results are independent of thread scheduling.
+    // Simulate, folding each result into its cell's lead as it lands
+    // (under the cell's lock). The fold is a total order on
+    // (score, enumeration index), so the winner does not depend on
+    // thread scheduling, and a losing result is freed at once.
     trace::progressBegin(units.size(), hits_ - batch_hits_before);
     // Progress lines are throttled through one atomic deadline; any
     // worker past it prints (output order is cosmetic, results are not).
@@ -292,10 +297,13 @@ SweepEngine::run()
         trace::Span span(trace::Category::Sweep, "evaluate");
         Pending &p = pending[unit.pending];
         const SweepCell &cell = cells_[p.first_cell];
-        p.results[unit.cand] =
-            cell.system->evaluateCandidate(cell.setup,
-                                           p.cands[unit.cand]);
+        IterationResult res = cell.system->evaluateCandidate(
+            cell.setup, p.cands[unit.cand]);
         span.end();
+        {
+            const std::lock_guard<std::mutex> lock(p.lock);
+            p.lead.offer(unit.cand, std::move(res));
+        }
         trace::progressTick();
         if (!options_.progress)
             return;
@@ -334,13 +342,12 @@ SweepEngine::run()
     }
     trace::progressEnd();
 
-    // Reduce per cell in enumeration order (deterministic argmax).
+    // Settle each cell: its lead, or the infeasible diagnosis.
     {
         trace::Span span(trace::Category::Sweep, "select");
         for (Pending &p : pending) {
             const SweepCell &cell = cells_[p.first_cell];
-            p.best = cell.system->selectBest(cell.setup, p.cands,
-                                             std::move(p.results));
+            p.best = cell.system->selectBest(cell.setup, std::move(p.lead));
             cache_.emplace(p.key, p.best);
             ++misses_;
         }
@@ -381,9 +388,12 @@ SweepEngine::evaluateCell(const TrainingSystem &system,
 {
     const std::vector<SearchCandidate> cands =
         system.enumerateCandidates(setup);
-    std::vector<IterationResult> results(cands.size());
-    auto simulate_one = [&system, &setup, &cands, &results](std::size_t c) {
-        results[c] = system.evaluateCandidate(setup, cands[c]);
+    CellLead lead;
+    std::mutex lead_lock;
+    auto simulate_one = [&](std::size_t c) {
+        IterationResult res = system.evaluateCandidate(setup, cands[c]);
+        const std::lock_guard<std::mutex> lock(lead_lock);
+        lead.offer(c, std::move(res));
     };
     if (jobs_ <= 1 || cands.size() <= 1) {
         for (std::size_t c = 0; c < cands.size(); ++c)
@@ -394,7 +404,7 @@ SweepEngine::evaluateCell(const TrainingSystem &system,
             workers.submit([&simulate_one, c] { simulate_one(c); });
         workers.wait();
     }
-    return system.selectBest(setup, cands, std::move(results));
+    return system.selectBest(setup, std::move(lead));
 }
 
 IterationResult

@@ -8,12 +8,16 @@
  * fanning the independent candidate simulations out over a thread pool
  * while keeping the output bit-for-bit identical to a serial run:
  *
- *   - candidate enumeration is serial (it is a cheap memory screen and
- *     its order defines the reduction order),
- *   - each (cell, candidate) simulation writes one preallocated slot,
- *     so thread scheduling cannot reorder anything observable,
- *   - the per-cell reduction is TrainingSystem::selectBest, a
- *     first-wins argmax in enumeration order.
+ *   - enumeration is serial (a cheap memory screen plus each system's
+ *     expansion hook) and numbers every simulation of a cell; a work
+ *     unit is one (cell, candidate) pair, where a SuperOffload
+ *     candidate carries its retained-bucket count, so each point of its
+ *     §4.3 grid is a unit of its own,
+ *   - each result is folded into its cell's CellLead as it lands, under
+ *     a per-cell lock. The fold is a total order on (score, enumeration
+ *     index), so the winner is the first-wins argmax in enumeration
+ *     order whatever order the workers finish in, and a losing result
+ *     is freed at once.
  *
  * Repeated cells — benches often evaluate the same baseline at the same
  * point for several figures, and scale searches probe the same setups

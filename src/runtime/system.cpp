@@ -1,6 +1,7 @@
 #include "runtime/system.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.h"
 #include "common/units.h"
@@ -51,6 +52,28 @@ IterationResult::mfuAgainst(double peak_flops) const
         return 0.0;
     SO_ASSERT(peak_flops > 0.0, "peak flops must be positive");
     return flops.modelFlops() / (iter_time * peak_flops);
+}
+
+void
+CellLead::offer(std::size_t index, IterationResult res)
+{
+    const double score = res.tflopsPerGpu();
+    SO_ASSERT(!std::isnan(score), "candidate ", index,
+              " scored NaN TFLOPS");
+    if (held_ && !(score > score_ || (score == score_ && index < index_)))
+        return; // The loser is freed here.
+    held_ = true;
+    index_ = index;
+    score_ = score;
+    lead_ = std::move(res);
+}
+
+IterationResult
+CellLead::take()
+{
+    SO_ASSERT(held_, "no result was offered");
+    held_ = false;
+    return std::move(lead_);
 }
 
 double
@@ -226,18 +249,30 @@ TrainingSystem::screenVariant(const TrainSetup &setup,
     return true;
 }
 
+void
+TrainingSystem::expandCandidate(const TrainSetup &,
+                                const SearchCandidate &cand,
+                                std::vector<SearchCandidate> &out) const
+{
+    out.push_back(cand);
+}
+
 std::vector<SearchCandidate>
 TrainingSystem::enumerateCandidates(const TrainSetup &setup) const
 {
-    std::vector<SearchCandidate> cands;
+    std::vector<SearchCandidate> screened;
     for (std::uint32_t variant : searchVariants(setup))
-        screenVariant(setup, variant, cands);
-    if (cands.empty()) {
+        screenVariant(setup, variant, screened);
+    if (screened.empty()) {
         // Give the fallback variant (Pipeline's layer-bounded stage
         // count, for example) a chance to rescue the search; when it
         // was already screened above this finds nothing new.
-        screenVariant(setup, fallbackVariant(setup), cands);
+        screenVariant(setup, fallbackVariant(setup), screened);
     }
+    std::vector<SearchCandidate> cands;
+    cands.reserve(screened.size());
+    for (const SearchCandidate &cand : screened)
+        expandCandidate(setup, cand, cands);
     return cands;
 }
 
@@ -306,25 +341,28 @@ TrainingSystem::selectBest(const TrainSetup &setup,
     SO_ASSERT(cands.size() == results.size(),
               "selectBest: ", cands.size(), " candidates but ",
               results.size(), " results");
-    if (cands.empty())
-        return infeasibleResult(setup, fallbackVariant(setup));
+    CellLead lead;
+    for (std::size_t i = 0; i < results.size(); ++i)
+        lead.offer(i, std::move(results[i]));
+    return selectBest(setup, std::move(lead));
+}
 
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < results.size(); ++i)
-        if (results[i].tflopsPerGpu() > results[best].tflopsPerGpu())
-            best = i;
-    return std::move(results[best]);
+IterationResult
+TrainingSystem::selectBest(const TrainSetup &setup, CellLead lead) const
+{
+    if (lead.empty())
+        return infeasibleResult(setup, fallbackVariant(setup));
+    return lead.take();
 }
 
 IterationResult
 TrainingSystem::run(const TrainSetup &setup) const
 {
     const std::vector<SearchCandidate> cands = enumerateCandidates(setup);
-    std::vector<IterationResult> results;
-    results.reserve(cands.size());
-    for (const SearchCandidate &cand : cands)
-        results.push_back(evaluateCandidate(setup, cand));
-    return selectBest(setup, cands, std::move(results));
+    CellLead lead;
+    for (std::size_t i = 0; i < cands.size(); ++i)
+        lead.offer(i, evaluateCandidate(setup, cands[i]));
+    return selectBest(setup, std::move(lead));
 }
 
 } // namespace so::runtime

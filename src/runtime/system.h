@@ -15,16 +15,21 @@
  * The search is factored into three pure stages so the SweepEngine can
  * fan the simulations out across threads:
  *
- *   enumerateCandidates()  -> the full candidate list (memory screen)
+ *   enumerateCandidates()  -> every simulation of the search (memory
+ *                             screen, then each system's expansion hook)
  *   evaluateCandidate()    -> one simulation, thread-safe, any order
- *   selectBest()           -> deterministic argmax in enumeration order
+ *   CellLead / selectBest() -> first-wins argmax in enumeration order,
+ *                             folded as results land
  *
- * run() composes the three serially and is the single-threaded
+ * No system keeps a search loop of its own: SuperOffload's §4.3
+ * retained-bucket grid is part of its enumeration, one candidate per
+ * count. run() composes the stages serially and is the single-threaded
  * convenience entry point.
  */
 #ifndef SO_RUNTIME_SYSTEM_H
 #define SO_RUNTIME_SYSTEM_H
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -93,8 +98,9 @@ struct TrainSetup
  * §5.2 micro-batch / checkpointing choice plus a system-specific
  * variant index (Megatron's MP degree, Pipeline's stage count,
  * SuperOffload's weight placement; 0 for systems with no extra
- * dimension). Candidates are plain values so independent simulations
- * can run on any thread in any order.
+ * dimension) and SuperOffload's retained-bucket count. Candidates are
+ * plain values so independent simulations can run on any thread in any
+ * order.
  */
 struct SearchCandidate
 {
@@ -103,6 +109,11 @@ struct SearchCandidate
     bool checkpointing = false;
     /** System-specific search dimension (MP degree, stages, placement). */
     std::uint32_t variant = 0;
+    /**
+     * Optimizer buckets repartitioned onto the GPU (SuperOffload's
+     * §4.3 count); 0 for every other system.
+     */
+    std::uint32_t retained_buckets = 0;
 };
 
 /** Demand vs capacity of one memory tier for one rank. */
@@ -148,8 +159,9 @@ struct MemoryReport
  * sim/profiler.h for the full analysis) plus the hot-task labels.
  * Filled only when TrainSetup::capture_profile is set. Results keep
  * this base rather than the full sim::ScheduleProfile because every
- * candidate's result lives until selectBest: per-task arrays and bins
- * there would grow every sweep's peak memory.
+ * cell's leading result lives in the sweep cache, and every in-flight
+ * simulation holds one more: per-task arrays and bins there would grow
+ * every sweep's peak memory.
  */
 struct ProfileSummary : sim::ProfileTotals
 {
@@ -271,6 +283,39 @@ struct IterationResult
     double mfuAgainst(double peak_flops) const;
 };
 
+/**
+ * The running winner of one cell's search, the reduction that
+ * selectBest, TrainingSystem::run and the SweepEngine share. A result
+ * takes the lead iff its tflopsPerGpu() is strictly greater than the
+ * lead's, or equal with a lower enumeration index. For non-NaN scores
+ * that is a total order, so the winner is the first-wins argmax in
+ * enumeration order whatever order the results arrive in. A result
+ * that loses is freed at once, so a cell holds one result however many
+ * candidates it simulates. Not synchronized: concurrent offers need the
+ * caller's lock.
+ */
+class CellLead
+{
+  public:
+    /**
+     * Offer @p res, the result of the candidate at enumeration index
+     * @p index; @panic when its score is NaN.
+     */
+    void offer(std::size_t index, IterationResult res);
+
+    /** True until the first offer. */
+    bool empty() const { return !held_; }
+
+    /** Move the leading result out; the lead must not be empty. */
+    IterationResult take();
+
+  private:
+    bool held_ = false;
+    std::size_t index_ = 0;
+    double score_ = 0.0;
+    IterationResult lead_;
+};
+
 /** Common interface of all nine training systems evaluated in §5. */
 class TrainingSystem
 {
@@ -289,12 +334,14 @@ class TrainingSystem
     IterationResult run(const TrainSetup &setup) const;
 
     /**
-     * The full candidate list for @p setup after the memory screen:
-     * for each search variant, the largest plain micro-batch that fits
-     * plus the largest checkpointed micro-batch when it unlocks a
-     * strictly larger one (§5.2). Empty when no candidate fits (the
-     * fallback variant is also screened first, so e.g. Pipeline's
-     * layer-bounded stage count still shows up).
+     * Every simulation of @p setup's search, in evaluation order. The
+     * memory screen picks, for each search variant, the largest plain
+     * micro-batch that fits plus the largest checkpointed micro-batch
+     * when it unlocks a strictly larger one (§5.2); expandCandidate
+     * then turns each screened candidate into its simulations. Empty
+     * when no candidate fits (the fallback variant is also screened
+     * first, so e.g. Pipeline's layer-bounded stage count still shows
+     * up).
      */
     std::vector<SearchCandidate>
     enumerateCandidates(const TrainSetup &setup) const;
@@ -309,15 +356,21 @@ class TrainingSystem
                                       const SearchCandidate &cand) const;
 
     /**
-     * Deterministic reduction: first-wins strict-throughput argmax over
-     * @p results in enumeration order (so earlier candidates win ties,
-     * matching the serial search). @p results must be positionally
-     * parallel to @p cands. When @p cands is empty, reconstructs the
-     * infeasible diagnosis at the fallback variant.
+     * Deterministic reduction: folds @p results, positionally parallel
+     * to @p cands, through one CellLead (so earlier candidates win
+     * ties, matching the serial search). When @p cands is empty,
+     * reconstructs the infeasible diagnosis at the fallback variant.
      */
     IterationResult selectBest(const TrainSetup &setup,
                                const std::vector<SearchCandidate> &cands,
                                std::vector<IterationResult> results) const;
+
+    /**
+     * The cell's answer from its folded @p lead: the leading result, or
+     * the infeasible diagnosis at the fallback variant when nothing was
+     * offered (no candidate survived the screen).
+     */
+    IterationResult selectBest(const TrainSetup &setup, CellLead lead) const;
 
   protected:
     /**
@@ -337,6 +390,18 @@ class TrainingSystem
     {
         return 0.0;
     }
+
+    /**
+     * Expansion hook: append the simulations that stand for the
+     * screened candidate @p cand to @p out, in evaluation order
+     * (earlier ones win throughput ties). enumerateCandidates calls it
+     * once per screened candidate, after the memory screen. The
+     * default appends @p cand as it is; SuperOffload appends one
+     * candidate per retained-bucket count of its §4.3 grid.
+     */
+    virtual void expandCandidate(const TrainSetup &setup,
+                                 const SearchCandidate &cand,
+                                 std::vector<SearchCandidate> &out) const;
 
     /**
      * Whether the §5.2 search may fall back to activation

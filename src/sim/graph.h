@@ -203,6 +203,13 @@ class TaskGraph
     /** Bytes currently held by the label arena (diagnostics). */
     std::size_t labelArenaBytes() const { return label_arena_.size(); }
 
+    /**
+     * Tasks and dependency edges the graph's arrays hold room for
+     * (diagnostics: how closely a builder's reservation fits).
+     */
+    std::size_t taskCapacity() const { return durations_.capacity(); }
+    std::size_t edgeCapacity() const { return edges_.capacity(); }
+
     /** Total duration of all tasks bound to @p resource. */
     double totalWork(ResourceId resource) const;
 

@@ -85,6 +85,25 @@ TEST(ArgParser, KeysEnumeration)
     EXPECT_EQ(keys.size(), 2u);
 }
 
+TEST(ArgParser, MisuseNamesTheFirstBrokenToken)
+{
+    constexpr const char *kSwitches[] = {"compare"};
+    constexpr const char *kValued[] = {"model", "jobs"};
+    EXPECT_EQ(parse({"--model", "5B", "--compare"})
+                  .misuse(kSwitches, kValued),
+              "");
+    EXPECT_EQ(parse({"--modle", "5B"}).misuse(kSwitches, kValued),
+              "unknown flag --modle");
+    EXPECT_EQ(parse({"--model", "5B", "out.json"})
+                  .misuse(kSwitches, kValued),
+              "unexpected argument out.json (every option is a --flag)");
+    EXPECT_EQ(parse({"--compare", "out.json"}).misuse(kSwitches, kValued),
+              "--compare takes no value (got out.json)");
+    // Unknown flags are reported before stray arguments.
+    EXPECT_EQ(parse({"stray", "--bogus"}).misuse(kSwitches, kValued),
+              "unknown flag --bogus");
+}
+
 TEST(ArgParser, NegativeNumbers)
 {
     const ArgParser args = parse({"--delta=-5"});

@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "common/json.h"
+#include "common/units.h"
+#include "hw/constants.h"
+#include "runtime/builder.h"
 #include "runtime/registry.h"
+#include "runtime/sweep.h"
 
 namespace so::core {
 namespace {
@@ -349,6 +357,165 @@ TEST(SuperOffload, StvDisabledExposesOptimizer)
     const auto without = SuperOffloadSystem(no_stv).run(setup);
     ASSERT_TRUE(with.feasible && without.feasible);
     EXPECT_GT(with.gpu_utilization, without.gpu_utilization + 0.1);
+}
+
+bool
+sameScreenedCandidate(const runtime::SearchCandidate &a,
+                      const runtime::SearchCandidate &b)
+{
+    return a.micro_batch == b.micro_batch &&
+           a.accum_steps == b.accum_steps &&
+           a.checkpointing == b.checkpointing && a.variant == b.variant;
+}
+
+/**
+ * Reference: SuperOffload's search in its nested form. For each
+ * screened candidate, simulate every count of the §4.3 grid and keep
+ * the strictly better modelFlops / iter_time; across candidates, keep
+ * the strictly better tflopsPerGpu. The grid is re-derived here from
+ * eqs. 4-5 and the GPU slack, and the enumeration must list exactly it.
+ */
+runtime::IterationResult
+nestedSearch(const SuperOffloadSystem &sys, const SuperOffloadOptions &opts,
+             const TrainSetup &setup)
+{
+    const std::vector<runtime::SearchCandidate> lifted =
+        sys.enumerateCandidates(setup);
+    const BucketPlan plan = planBuckets(
+        setup.model.params() / setup.cluster.totalSuperchips(),
+        SuperOffloadSystem::kMaxTransferBuckets, opts.bucket_bytes);
+    const hw::SuperchipSpec &chip = setup.cluster.node.superchip;
+
+    runtime::IterationResult best;
+    std::size_t next = 0;
+    while (next < lifted.size()) {
+        runtime::SearchCandidate cand = lifted[next];
+        cand.retained_buckets = 0;
+        std::vector<std::uint32_t> listed;
+        for (; next < lifted.size() &&
+               sameScreenedCandidate(lifted[next], cand);
+             ++next)
+            listed.push_back(lifted[next].retained_buckets);
+
+        // gpuBytes (the screened footprint) is what the memory report
+        // carries; the slack above it caps the grid.
+        const runtime::IterationResult none =
+            sys.evaluateCandidate(setup, cand);
+        std::uint32_t n_max = 0;
+        const double slack = chip.gpu.mem_bytes - none.memory.gpu_bytes;
+        const double per_bucket =
+            hw::kModelStateBytesPerParam * plan.params_per_bucket;
+        if (opts.repartition && plan.count > 0 && slack > 0.0 &&
+            per_bucket > 0.0)
+            n_max = std::min<std::uint32_t>(
+                plan.count, static_cast<std::uint32_t>(slack / per_bucket));
+        const double bwd =
+            plan.count
+                ? runtime::IterBuilder(setup).passTimes(cand, plan.count).bwd
+                : 0.0;
+        const std::vector<std::uint32_t> grid = retainedCandidates(
+            analyticRetainedBuckets(chip, plan, bwd,
+                                    opts.grace_adam ? hw::AdamImpl::GraceAdam
+                                                    : hw::AdamImpl::CpuAdam,
+                                    opts.sac),
+            n_max);
+        EXPECT_EQ(listed, grid);
+
+        runtime::IterationResult inner;
+        bool held = false;
+        for (std::uint32_t n : grid) {
+            runtime::SearchCandidate retained = cand;
+            retained.retained_buckets = n;
+            runtime::IterationResult res =
+                n == 0 ? none : sys.evaluateCandidate(setup, retained);
+            if (!held || res.flops.modelFlops() / res.iter_time >
+                             inner.flops.modelFlops() / inner.iter_time)
+                inner = std::move(res);
+            held = true;
+        }
+        if (!best.feasible || inner.tflopsPerGpu() > best.tflopsPerGpu())
+            best = std::move(inner);
+    }
+    return best;
+}
+
+void
+expectSameOutcome(const runtime::IterationResult &got,
+                  const runtime::IterationResult &want,
+                  const std::string &what)
+{
+    SCOPED_TRACE(what);
+    ASSERT_TRUE(got.feasible && want.feasible);
+    EXPECT_EQ(got.iter_time, want.iter_time);
+    EXPECT_EQ(got.energy.iter_j, want.energy.iter_j);
+    EXPECT_EQ(got.micro_batch, want.micro_batch);
+    EXPECT_EQ(got.accum_steps, want.accum_steps);
+    EXPECT_EQ(got.activation_checkpointing, want.activation_checkpointing);
+    EXPECT_EQ(got.notes, want.notes);
+    EXPECT_EQ(got.extras, want.extras);
+}
+
+/**
+ * The lifted search equals the nested one it replaced: over the option
+ * combinations the benches and the planner use (the Table 2 stages,
+ * forced placements, repartitioning off, the bucket-size ablation), on
+ * one and four chips, run() and a 4-job SweepEngine pick the nested
+ * search's winner with the same bits.
+ */
+TEST(SuperOffloadSearch, LiftedGridMatchesNestedSearch)
+{
+    std::vector<std::pair<std::string, SuperOffloadOptions>> variants;
+    SuperOffloadOptions opts;
+    opts.grace_adam = false;
+    opts.sac = false;
+    opts.stv = false;
+    opts.repartition = false;
+    variants.emplace_back("table2-base", opts);
+    opts.grace_adam = true;
+    variants.emplace_back("table2+grace", opts);
+    opts.sac = true;
+    variants.emplace_back("table2+sac", opts);
+    opts.stv = true;
+    variants.emplace_back("table2+stv", opts);
+    opts.repartition = true;
+    variants.emplace_back("full", opts);
+    opts.placement = WeightPlacement::Stationary;
+    variants.emplace_back("stationary", opts);
+    opts.placement = WeightPlacement::Flow;
+    variants.emplace_back("flow", opts);
+    opts.placement = WeightPlacement::Auto;
+    opts.stv = false;
+    variants.emplace_back("ste-repartition", opts);
+    opts.stv = true;
+    opts.coalesce_buckets = false;
+    for (double mb : {4.0, 1024.0}) {
+        opts.bucket_bytes = mb * kMiB;
+        variants.emplace_back("bucket-" + std::to_string(mb), opts);
+    }
+
+    const std::vector<TrainSetup> setups = {setupFor("5B"),
+                                            setupFor("13B", 4, 16, 2048)};
+    std::vector<std::unique_ptr<SuperOffloadSystem>> systems;
+    runtime::SweepOptions sweep_opts;
+    sweep_opts.jobs = 4;
+    runtime::SweepEngine engine(sweep_opts);
+    std::vector<runtime::IterationResult> nested;
+    std::vector<std::string> names;
+    for (const auto &[name, o] : variants) {
+        systems.push_back(std::make_unique<SuperOffloadSystem>(o));
+        for (const TrainSetup &setup : setups) {
+            const std::string what = name + " on " + setup.model.name;
+            nested.push_back(nestedSearch(*systems.back(), o, setup));
+            expectSameOutcome(systems.back()->run(setup), nested.back(),
+                              what + " (run)");
+            engine.add(*systems.back(), setup);
+            names.push_back(what);
+        }
+    }
+    engine.run();
+    for (std::size_t i = 0; i < nested.size(); ++i)
+        expectSameOutcome(engine.result(i), nested[i],
+                          names[i] + " (4-job sweep)");
 }
 
 } // namespace

@@ -2,7 +2,10 @@
  * @file
  * superoffload_planner CLI contract: a --trace or --explain-html file
  * that cannot be written in full is reported with its path and exits
- * 1, instead of being announced as written.
+ * 1, instead of being announced as written; and argv follows the bench
+ * Harness's rules, so a misspelt flag, a stray argument, a value on a
+ * switch or a malformed --jobs exits 1 naming the token instead of
+ * planning something else.
  */
 #include <gtest/gtest.h>
 
@@ -52,6 +55,48 @@ TEST(PlannerCli, FailedWritesNameThePathAndExitOne)
     EXPECT_NE(output.find("cannot write /dev/full"), std::string::npos)
         << output;
     EXPECT_EQ(output.find("written"), std::string::npos) << output;
+}
+
+TEST(PlannerCli, MalformedArgvExitsOneNamingTheToken)
+{
+    const struct
+    {
+        const char *arguments;
+        const char *named;
+    } kCases[] = {
+        {"--modle 20B --chips 1 --batch 8", "--modle"},
+        {"--model 5B --batch 8 stray.json", "stray.json"},
+        {"--model 5B --jobs abc", "'abc'"},
+        {"--model 5B --jobs -3", "'-3'"},
+        {"--model 5B --jobs 1.5", "'1.5'"},
+        {"--model 5B --jobs", "--jobs must be a whole number"},
+        {"--model 5B --compare out.json", "--compare takes no value"},
+    };
+    for (const auto &c : kCases) {
+        std::string output;
+        EXPECT_EQ(runPlanner(c.arguments, output), 1)
+            << c.arguments << ": " << output;
+        EXPECT_NE(output.find(c.named), std::string::npos)
+            << c.arguments << ": " << output;
+        // Rejected before planning: no plan summary was printed.
+        EXPECT_EQ(output.find("SuperOffload plan"), std::string::npos)
+            << c.arguments << ": " << output;
+    }
+}
+
+TEST(PlannerCli, WholeNumberJobsRun)
+{
+    for (const char *jobs : {"0", "2"}) {
+        std::string output;
+        EXPECT_EQ(runPlanner(std::string("--model 1B --chips 1 --batch 8 "
+                                         "--compare --jobs ") +
+                                 jobs,
+                             output),
+                  0)
+            << jobs << ": " << output;
+        EXPECT_NE(output.find("baseline comparison"), std::string::npos)
+            << jobs << ": " << output;
+    }
 }
 
 } // namespace

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <numeric>
+#include <string>
+#include <vector>
+
+#include "common/units.h"
 #include "runtime/registry.h"
 
 namespace so::runtime {
@@ -118,6 +125,83 @@ TEST(System, RegistryExposesAllBaselines)
         ASSERT_NE(sys, nullptr) << name;
         EXPECT_FALSE(sys->name().empty());
     }
+}
+
+/** A result scoring @p tflops per GPU, named @p name in its notes. */
+IterationResult
+scored(double tflops, const std::string &name, bool feasible = true)
+{
+    IterationResult res;
+    res.feasible = feasible;
+    res.iter_time = 1.0;
+    res.flops.fwd_gemm = tflops * kTFLOPS;
+    res.notes = name;
+    return res;
+}
+
+/**
+ * The fold's winner does not depend on arrival order: fed in every
+ * permutation, each cell's CellLead ends on the result selectBest picks
+ * from the enumeration-ordered list, and that is the first-wins argmax.
+ */
+TEST(CellLead, EveryArrivalOrderPicksSelectBestsWinner)
+{
+    auto sys = makeBaseline("ddp");
+    const TrainSetup setup = setupFor("1B");
+    struct Case
+    {
+        std::vector<IterationResult> results;
+        const char *winner;
+    };
+    const std::vector<Case> cases = {
+        // Exact ties at the top (r2, r4, r6) and in the middle (r1, r3),
+        // a zero score, and an infeasible result whose flops would win.
+        {{scored(0.0, "r0"), scored(2.0, "r1"), scored(5.0, "r2"),
+          scored(2.0, "r3"), scored(5.0, "r4"), scored(9.0, "r5", false),
+          scored(5.0, "r6")},
+         "r2"},
+        // Nothing scores: the first result keeps the lead.
+        {{scored(0.0, "z0"), scored(7.0, "z1", false), scored(0.0, "z2"),
+          scored(3.0, "z3", false)},
+         "z0"},
+        // A strictly better late result beats an earlier tie group.
+        {{scored(1.0, "t0"), scored(1.0, "t1"), scored(1.0, "t2"),
+          scored(1.5, "t3"), scored(1.5, "t4")},
+         "t3"},
+    };
+    for (const Case &c : cases) {
+        const std::vector<SearchCandidate> cands(c.results.size());
+        EXPECT_EQ(sys->selectBest(setup, cands, c.results).notes,
+                  c.winner);
+        std::vector<std::size_t> order(c.results.size());
+        std::iota(order.begin(), order.end(), 0);
+        do {
+            CellLead lead;
+            for (std::size_t i : order)
+                lead.offer(i, c.results[i]);
+            EXPECT_EQ(sys->selectBest(setup, std::move(lead)).notes,
+                      c.winner);
+        } while (std::next_permutation(order.begin(), order.end()));
+    }
+}
+
+TEST(CellLead, EmptyLeadIsTheInfeasibleDiagnosis)
+{
+    auto ddp = makeBaseline("ddp");
+    const TrainSetup setup = setupFor("200B");
+    const IterationResult folded = ddp->selectBest(setup, CellLead{});
+    EXPECT_FALSE(folded.feasible);
+    EXPECT_EQ(folded.infeasible_reason,
+              ddp->selectBest(setup, {}, {}).infeasible_reason);
+    EXPECT_EQ(folded.infeasible_reason, ddp->run(setup).infeasible_reason);
+}
+
+TEST(CellLeadDeath, NanScoreIsRejected)
+{
+    IterationResult res = scored(1.0, "nan");
+    res.flops.fwd_gemm = std::numeric_limits<double>::quiet_NaN();
+    CellLead lead;
+    EXPECT_DEATH(lead.offer(3, res), "candidate 3 scored NaN");
 }
 
 TEST(SystemDeath, UnknownBaselineIsFatal)
