@@ -1,8 +1,9 @@
 /**
  * @file
  * Reproduces Table 3: Adam latency for PT-CPU (unfused multi-pass),
- * CPU-Adam (fused), and GraceAdam (fused + tiled + prefetch +
- * threads), with *real kernel executions* on this host.
+ * CPU-Adam (the fused SIMD update on one thread), and GraceAdam (the
+ * same fused SIMD update over cache-sized blocks that the pool's
+ * workers claim), with *real kernel executions* on this host.
  *
  * The paper measures 1B-8B parameters on a 72-core Grace; this machine
  * is smaller, so the kernels run at scaled sizes and the table also

@@ -18,9 +18,13 @@
  *
  * The bench Harness's argv rules hold: an unknown flag, a positional
  * argument, a value on a switch, or a --jobs that is not a whole number
- * >= 0 exits 1 with a message naming the token.
+ * >= 0 exits 1 with a message naming the token. So does a --chips,
+ * --batch or --seq (flag or config key) that is not a whole number >= 1
+ * fitting uint32_t, and a --chips other than 1 or an even count.
  */
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -151,10 +155,41 @@ main(int argc, char **argv)
         return args.has(key) ? args.get(key)
                              : file.get(key, fallback);
     };
-    auto int_opt = [&](const std::string &key, long long fallback) {
-        return args.has(key) ? args.getInt(key, fallback)
-                             : file.getInt(key, fallback);
+    // --chips, --batch and --seq (or the same config keys) are counts:
+    // a whole number >= 1 that fits uint32_t. Anything else exits 1
+    // naming the flag and the token, instead of planning other counts.
+    auto source = [&](const std::string &key) {
+        return (args.has(key) ? "--" : "config key ") + key;
     };
+    auto count_opt = [&](const std::string &key, std::uint32_t &out) {
+        if (!args.has(key) && !file.has(key))
+            return true; // Keep the default.
+        const std::string text = str_opt(key, "");
+        std::size_t value = 0;
+        if (!parseWholeNumber(text, value) || value < 1 ||
+            value > std::numeric_limits<std::uint32_t>::max()) {
+            std::fprintf(stderr,
+                         "%s must be a whole number >= 1 (got '%s')\n",
+                         source(key).c_str(), text.c_str());
+            return false;
+        }
+        out = static_cast<std::uint32_t>(value);
+        return true;
+    };
+    std::uint32_t chips = 1;
+    std::uint32_t batch = 8;
+    std::uint32_t seq = 1024;
+    if (!count_opt("chips", chips) || !count_opt("batch", batch) ||
+        !count_opt("seq", seq))
+        return 1;
+    // hw::gh200ClusterOf arranges one Superchip or an even count.
+    if (chips != 1 && chips % 2 != 0) {
+        std::fprintf(stderr,
+                     "%s must be 1 or an even number of Superchips "
+                     "(got '%u')\n",
+                     source("chips").c_str(), chips);
+        return 1;
+    }
 
     const std::string model_name = str_opt("model", "13B");
     if (!model::hasModelPreset(model_name)) {
@@ -165,12 +200,10 @@ main(int argc, char **argv)
     }
 
     runtime::TrainSetup setup;
-    setup.cluster = hw::gh200ClusterOf(
-        static_cast<std::uint32_t>(int_opt("chips", 1)));
+    setup.cluster = hw::gh200ClusterOf(chips);
     setup.model = model::modelPreset(model_name);
-    setup.global_batch =
-        static_cast<std::uint32_t>(int_opt("batch", 8));
-    setup.seq = static_cast<std::uint32_t>(int_opt("seq", 1024));
+    setup.global_batch = batch;
+    setup.seq = seq;
     // Hierarchy overrides (docs/HW.md): reshape the cold tier without
     // recompiling a preset. `nvme_gb 0` removes the NVMe tier; the
     // derived hw::MemoryHierarchy, fit checks, and sweep fingerprints

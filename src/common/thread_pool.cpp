@@ -94,25 +94,24 @@ ThreadPool::parallelFor(
     std::size_t n,
     const std::function<void(std::size_t, std::size_t)> &fn)
 {
-    if (n == 0)
-        return;
-    const std::size_t workers = threadCount();
-    // Below this size, dispatch overhead dominates: run inline.
-    constexpr std::size_t kInlineThreshold = 4096;
-    if (workers <= 1 || n <= kInlineThreshold) {
-        fn(0, n);
+    const std::size_t blocks = n / kBlock + (n % kBlock != 0);
+    if (blocks <= 1 || threadCount() <= 1) {
+        if (n > 0)
+            fn(0, n);
         return;
     }
-    const std::size_t chunks = std::min(workers, n);
-    const std::size_t base = n / chunks;
-    const std::size_t extra = n % chunks;
-    std::size_t begin = 0;
-    for (std::size_t c = 0; c < chunks; ++c) {
-        const std::size_t len = base + (c < extra ? 1 : 0);
-        const std::size_t end = begin + len;
-        submit([=] { fn(begin, end); });
-        begin = end;
-    }
+    std::atomic<std::size_t> cursor{0};
+    auto claim = [&] {
+        for (;;) {
+            const std::size_t b = cursor++;
+            if (b >= blocks)
+                return;
+            const std::size_t begin = b * kBlock;
+            fn(begin, std::min(begin + kBlock, n));
+        }
+    };
+    for (std::size_t w = std::min(threadCount(), blocks); w > 0; --w)
+        submit(claim);
     wait();
 }
 

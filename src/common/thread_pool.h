@@ -4,7 +4,8 @@
  *
  * GraceAdam (§4.6 of the paper) pairs instruction-level parallelism with
  * OpenMP-style multithreading across Grace's 72 cores; this pool is the
- * portable stand-in for that outer level of parallelism.
+ * portable stand-in for that outer level of parallelism, its workers
+ * claiming cache-sized blocks of the loop (parallelFor).
  */
 #ifndef SO_COMMON_THREAD_POOL_H
 #define SO_COMMON_THREAD_POOL_H
@@ -52,10 +53,22 @@ class ThreadPool
     void wait();
 
     /**
-     * Run fn(begin, end) over [0, n) split into contiguous chunks, one
-     * per worker, and block until done. Chunks are balanced to within one
-     * element. Runs inline when the pool has a single worker or n is
-     * small.
+     * Indices per parallelFor block: 64 Ki fp32 elements of Adam's four
+     * streams (param, m, v, grad) are 1 MiB, under a 2 MiB per-core L2.
+     */
+    static constexpr std::size_t kBlock = std::size_t{1} << 16;
+
+    /**
+     * Run fn(begin, end) over [0, n) cut into kBlock-sized blocks (the
+     * last one may be shorter) and block until done. Workers claim
+     * blocks from one shared cursor until none are left, so a slow or
+     * descheduled worker holds up one block, not a fixed share of n.
+     * Which worker runs a block varies from call to call: fn must not
+     * depend on it. Every index runs exactly once. n == 0 is a no-op;
+     * when n fits one block or the pool has a single worker, fn(0, n)
+     * runs inline on the caller. If fn throws, the first exception is
+     * rethrown once the claimed blocks have finished (blocks nobody
+     * claimed yet may be skipped), and the pool stays usable.
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t, std::size_t)> &fn);

@@ -37,7 +37,16 @@ scalars(const AdamConfig &cfg, std::int64_t step)
     return s;
 }
 
-/** The fused per-element update, shared by Fused and Grace kernels. */
+/**
+ * The fused per-element update, shared by the Fused and Grace kernels.
+ * so_optim builds with -fno-math-errno, so std::sqrt carries no errno
+ * branch and this loop compiles to packed square roots and divisions at
+ * the baseline ISA (SSE2 on x86-64); IEEE rounds packed and scalar
+ * sqrt, div, mul and add alike, and -ffp-contract=off keeps FMA out, so
+ * every output bit equals the scalar statement's. Keep the body free of
+ * branches and calls: either would make it scalar again, which CI's
+ * sqrtps check on this object catches.
+ */
 inline void
 fusedRange(const AdamConfig &cfg, const StepScalars &s, float *__restrict p,
            float *__restrict m, float *__restrict v,
@@ -114,32 +123,16 @@ adamStepGrace(const AdamConfig &cfg, std::int64_t step, float *param,
               ThreadPool *pool)
 {
     const StepScalars s = scalars(cfg, step);
-    // Tile size sized to keep all four streams (p, m, v, g) resident in
-    // L1/L2 while the prefetcher pulls the next tile — the portable
-    // counterpart of §4.6's "tiled processing approach ... cache
-    // friendly chunks (TILE size)".
-    constexpr std::size_t kTile = 4096;
-    constexpr std::size_t kPrefetchAhead = 16;
-
     auto run_range = [&](std::size_t begin, std::size_t end) {
-        for (std::size_t tile = begin; tile < end; tile += kTile) {
-            const std::size_t hi = std::min(tile + kTile, end);
-            for (std::size_t i = tile; i < hi; i += kPrefetchAhead) {
-                __builtin_prefetch(param + i + kPrefetchAhead, 1, 3);
-                __builtin_prefetch(m + i + kPrefetchAhead, 1, 3);
-                __builtin_prefetch(v + i + kPrefetchAhead, 1, 3);
-                __builtin_prefetch(grad + i + kPrefetchAhead, 0, 3);
-                fusedRange(cfg, s, param, m, v, grad, i,
-                           std::min(i + kPrefetchAhead, hi));
-            }
-        }
+        fusedRange(cfg, s, param, m, v, grad, begin, end);
     };
-
-    if (pool && pool->threadCount() > 1 && n >= 4 * kTile) {
+    // The pool's workers claim cache-sized blocks (ThreadPool::kBlock),
+    // the portable counterpart of §4.6's "tiled processing approach ...
+    // cache friendly chunks (TILE size)".
+    if (pool)
         pool->parallelFor(n, run_range);
-    } else {
+    else
         run_range(0, n);
-    }
 }
 
 void
@@ -148,6 +141,8 @@ adamStepGraceFp16(const AdamConfig &cfg, std::int64_t step, float *param,
                   std::size_t n, ThreadPool *pool)
 {
     const StepScalars s = scalars(cfg, step);
+    // A tile, not the pool's block, bounds the shadow write below: run
+    // without a pool, the whole range arrives at once.
     constexpr std::size_t kTile = 4096;
 
     auto run_range = [&](std::size_t begin, std::size_t end) {
@@ -160,11 +155,10 @@ adamStepGraceFp16(const AdamConfig &cfg, std::int64_t step, float *param,
         }
     };
 
-    if (pool && pool->threadCount() > 1 && n >= 4 * kTile) {
+    if (pool)
         pool->parallelFor(n, run_range);
-    } else {
+    else
         run_range(0, n);
-    }
 }
 
 void

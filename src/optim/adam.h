@@ -6,14 +6,17 @@
  *  - adamStepNaive  — "PT-CPU": the unfused multi-pass formulation a
  *    framework executes as a sequence of whole-tensor vector ops, each
  *    re-streaming the arrays through memory;
- *  - adamStepFused  — "CPU-Adam": a single fused pass per element
- *    (DeepSpeed's x86 SIMD design);
- *  - adamStepGrace  — "GraceAdam" (§4.6): the fused kernel plus
- *    cache-sized tiling, explicit prefetch, and multithreading — the
- *    portable analogue of SVE + svprfm + OpenMP on Grace.
+ *  - adamStepFused  — "CPU-Adam": a single fused pass per element,
+ *    compiled to packed SIMD at the build's baseline ISA (DeepSpeed's
+ *    x86 SIMD design);
+ *  - adamStepGrace  — "GraceAdam" (§4.6): the same fused SIMD update
+ *    over cache-sized blocks that a ThreadPool's workers claim — the
+ *    portable analogue of SVE + tiling + OpenMP on Grace.
  *
- * All three compute the same mathematical update; an exact algebraic
- * inverse (adamStepInverse) supports STV's in-place rollback (§4.4).
+ * All three compute the same mathematical update; Fused and Grace agree
+ * bit for bit with the scalar statement of the fused update, however
+ * the work is vectorized or split. An exact algebraic inverse
+ * (adamStepInverse) supports STV's in-place rollback (§4.4).
  */
 #ifndef SO_OPTIM_ADAM_H
 #define SO_OPTIM_ADAM_H
@@ -48,14 +51,15 @@ struct AdamConfig
 void adamStepNaive(const AdamConfig &cfg, std::int64_t step, float *param,
                    float *m, float *v, const float *grad, std::size_t n);
 
-/** Fused single-pass Adam step ("CPU-Adam"). */
+/** Fused single-pass SIMD Adam step on one thread ("CPU-Adam"). */
 void adamStepFused(const AdamConfig &cfg, std::int64_t step, float *param,
                    float *m, float *v, const float *grad, std::size_t n);
 
 /**
- * Tiled, prefetching, optionally multithreaded Adam step ("GraceAdam").
- * @param pool worker pool for the outer parallel loop; nullptr runs
- * single-threaded.
+ * Fused SIMD Adam step over ThreadPool::parallelFor's cache-sized blocks
+ * ("GraceAdam"); bitwise equal to adamStepFused.
+ * @param pool workers that claim the blocks; nullptr (or a step that
+ * fits one block) runs single-threaded on the caller.
  */
 void adamStepGrace(const AdamConfig &cfg, std::int64_t step, float *param,
                    float *m, float *v, const float *grad, std::size_t n,

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace so {
@@ -29,26 +30,49 @@ TEST(ThreadPool, WaitWithNoTasksReturnsImmediately)
 
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce)
 {
-    ThreadPool pool(4);
-    const std::size_t n = 100000;
-    std::vector<std::atomic<int>> hits(n);
-    pool.parallelFor(n, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i)
-            ++hits[i];
-    });
-    for (std::size_t i = 0; i < n; ++i)
-        ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+    constexpr std::size_t B = ThreadPool::kBlock;
+    // Lengths around block boundaries: up to one block runs inline, more
+    // on the pool. The 8-worker pool has more workers than 2 or 3 blocks.
+    for (std::size_t workers : {4, 8}) {
+        ThreadPool pool(workers);
+        for (std::size_t n : {std::size_t{100000}, B - 1, B, B + 1,
+                              2 * B - 1, 2 * B, 2 * B + 1, 5 * B - 1,
+                              5 * B, 5 * B + 1}) {
+            std::vector<std::atomic<int>> hits(n);
+            std::atomic<int> misaligned{0};
+            pool.parallelFor(n, [&](std::size_t begin, std::size_t end) {
+                // Each call is one block, or the whole range inline.
+                misaligned += begin % B != 0 ||
+                              (end - begin > B && end - begin != n);
+                for (std::size_t i = begin; i < end; ++i)
+                    ++hits[i];
+            });
+            EXPECT_EQ(misaligned.load(), 0) << workers << " workers, n " << n;
+            for (std::size_t i = 0; i < n; ++i)
+                ASSERT_EQ(hits[i].load(), 1)
+                    << workers << " workers, n " << n << ", index " << i;
+        }
+    }
 }
 
 TEST(ThreadPool, ParallelForSmallRunsInline)
 {
     ThreadPool pool(4);
-    int sum = 0; // Not atomic: small n must run inline on this thread.
-    pool.parallelFor(100, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i)
-            sum += static_cast<int>(i);
-    });
-    EXPECT_EQ(sum, 4950);
+    // Not atomic: n up to one block must run inline on this thread.
+    for (std::size_t n : {std::size_t{100}, ThreadPool::kBlock}) {
+        std::size_t sum = 0;
+        std::size_t calls = 0;
+        std::thread::id ran_on;
+        pool.parallelFor(n, [&](std::size_t begin, std::size_t end) {
+            ++calls;
+            ran_on = std::this_thread::get_id();
+            for (std::size_t i = begin; i < end; ++i)
+                sum += i;
+        });
+        EXPECT_EQ(calls, 1u) << n;
+        EXPECT_EQ(ran_on, std::this_thread::get_id()) << n;
+        EXPECT_EQ(sum, n * (n - 1) / 2) << n;
+    }
 }
 
 TEST(ThreadPool, ParallelForZeroIsNoop)
@@ -62,14 +86,16 @@ TEST(ThreadPool, ParallelForZeroIsNoop)
 TEST(ThreadPool, SingleThreadPoolStillCorrect)
 {
     ThreadPool pool(1);
-    std::atomic<long> sum{0};
-    pool.parallelFor(10000, [&](std::size_t begin, std::size_t end) {
-        long local = 0;
-        for (std::size_t i = begin; i < end; ++i)
-            local += static_cast<long>(i);
-        sum += local;
-    });
-    EXPECT_EQ(sum.load(), 49995000L);
+    for (std::size_t n : {std::size_t{10000}, 3 * ThreadPool::kBlock + 7}) {
+        std::atomic<long> sum{0};
+        pool.parallelFor(n, [&](std::size_t begin, std::size_t end) {
+            long local = 0;
+            for (std::size_t i = begin; i < end; ++i)
+                local += static_cast<long>(i);
+            sum += local;
+        });
+        EXPECT_EQ(sum.load(), static_cast<long>(n * (n - 1) / 2)) << n;
+    }
 }
 
 TEST(ThreadPool, DefaultThreadCountPositive)
@@ -161,6 +187,23 @@ TEST(ThreadPool, ParallelForPropagatesException)
                                           throw std::runtime_error("chunk");
                                   }),
                  std::runtime_error);
+
+    // From the last (short) block too; the pool stays usable and the
+    // next call covers every index.
+    const std::size_t n = 3 * ThreadPool::kBlock + 7;
+    EXPECT_THROW(pool.parallelFor(n,
+                                  [&](std::size_t, std::size_t end) {
+                                      if (end == n)
+                                          throw std::runtime_error("last");
+                                  }),
+                 std::runtime_error);
+    std::vector<std::atomic<int>> hits(n);
+    pool.parallelFor(n, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i)
+            ++hits[i];
+    });
+    for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
 } // namespace

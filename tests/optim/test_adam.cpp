@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <iterator>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -135,6 +142,131 @@ TEST(AdamKernels, Fp16FusedThreadedMatchesSingleThreaded)
     for (std::size_t i = 0; i < n; ++i) {
         ASSERT_EQ(a.p[i], b.p[i]);
         ASSERT_EQ(sa[i].bits, sb[i].bits);
+    }
+}
+
+/**
+ * The update the vectorized kernels must reproduce bit for bit, stated
+ * one element at a time: the per-step factors rounded as adam.cpp
+ * rounds them, then the fused element update in the same operation
+ * order. This file builds with -ffp-contract=off like so_optim, so the
+ * pin means the same on an FMA target.
+ */
+void
+scalarAdamStep(const AdamConfig &cfg, std::int64_t step, float *p,
+               float *m, float *v, const float *g, std::size_t n)
+{
+    const double bc1 = 1.0 - std::pow(static_cast<double>(cfg.beta1), step);
+    const double bc2 = 1.0 - std::pow(static_cast<double>(cfg.beta2), step);
+    const float decay = 1.0f - cfg.lr * cfg.weight_decay;
+    const float step_size = static_cast<float>(cfg.lr / bc1);
+    const float inv_bc2 = static_cast<float>(1.0 / std::sqrt(bc2));
+    for (std::size_t i = 0; i < n; ++i) {
+        const float mi = cfg.beta1 * m[i] + (1.0f - cfg.beta1) * g[i];
+        const float vi =
+            cfg.beta2 * v[i] + (1.0f - cfg.beta2) * g[i] * g[i];
+        m[i] = mi;
+        v[i] = vi;
+        p[i] = decay * p[i] -
+               step_size * (mi / (std::sqrt(vi) * inv_bc2 + cfg.eps));
+    }
+}
+
+/**
+ * Buffers one element longer than the step, so the kernels start at
+ * data() + 1, off the vector alignment. Gradients cycle through zero,
+ * subnormal, +-1e3 and ordinary values, so each vector lane sees every
+ * kind.
+ */
+class UnalignedState
+{
+  public:
+    explicit UnalignedState(std::size_t n)
+        : p_(n + 1), m_(n + 1, 0.0f), v_(n + 1, 0.0f), g_(n + 1),
+          shadow_(n + 1)
+    {
+        constexpr float kSubnormal = std::numeric_limits<float>::denorm_min();
+        Rng rng(83);
+        for (std::size_t i = 0; i <= n; ++i) {
+            p_[i] = static_cast<float>(rng.gaussian(0.0, 1.0));
+            const float normal = static_cast<float>(rng.gaussian(0.0, 0.1));
+            const float kinds[] = {0.0f,  kSubnormal * 37.0f, 1e3f, -1e3f,
+                                   -kSubnormal, normal,       normal};
+            g_[i] = kinds[i % std::size(kinds)];
+        }
+    }
+
+    float *p() { return p_.data() + 1; }
+    float *m() { return m_.data() + 1; }
+    float *v() { return v_.data() + 1; }
+    const float *g() const { return g_.data() + 1; }
+    Half *shadow() { return shadow_.data() + 1; }
+
+  private:
+    std::vector<float> p_, m_, v_, g_;
+    std::vector<Half> shadow_;
+};
+
+/** First index where two float arrays differ in any bit, or n. */
+std::size_t
+firstBitDifference(const float *a, const float *b, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        if (std::bit_cast<std::uint32_t>(a[i]) !=
+            std::bit_cast<std::uint32_t>(b[i]))
+            return i;
+    return n;
+}
+
+TEST(AdamKernels, VectorizedKernelsMatchScalarStatementBitForBit)
+{
+    const AdamConfig cfg = defaultConfig();
+    constexpr std::size_t B = ThreadPool::kBlock;
+    ThreadPool pool2(2), pool3(3), pool4(4);
+    const std::pair<const char *, ThreadPool *> pools[] = {
+        {"no pool", nullptr}, {"2 workers", &pool2},
+        {"3 workers", &pool3}, {"4 workers", &pool4}};
+    using Kernel = std::function<void(std::int64_t, UnalignedState &)>;
+
+    for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3},
+                          std::size_t{15}, std::size_t{4095},
+                          std::size_t{4097}, B - 1, B + 1, 3 * B + 7}) {
+        UnalignedState ref(n);
+        for (std::int64_t step = 1; step <= 3; ++step)
+            scalarAdamStep(cfg, step, ref.p(), ref.m(), ref.v(), ref.g(), n);
+
+        // Three steps of @p kernel on a fresh copy, compared bit for bit.
+        auto check = [&](const std::string &name, const Kernel &kernel,
+                         bool has_shadow) {
+            SCOPED_TRACE(name + ", n = " + std::to_string(n));
+            UnalignedState s(n);
+            for (std::int64_t step = 1; step <= 3; ++step)
+                kernel(step, s);
+            EXPECT_EQ(firstBitDifference(s.p(), ref.p(), n), n) << "p";
+            EXPECT_EQ(firstBitDifference(s.m(), ref.m(), n), n) << "m";
+            EXPECT_EQ(firstBitDifference(s.v(), ref.v(), n), n) << "v";
+            for (std::size_t i = 0; has_shadow && i < n; ++i)
+                ASSERT_EQ(s.shadow()[i].bits, floatToHalf(ref.p()[i]).bits)
+                    << "shadow " << i;
+        };
+        check("fused", [&](std::int64_t step, UnalignedState &s) {
+            adamStepFused(cfg, step, s.p(), s.m(), s.v(), s.g(), n);
+        }, false);
+        for (const auto &[workers, pool] : pools) {
+            ThreadPool *const on = pool;
+            check(std::string("grace, ") + workers,
+                  [&](std::int64_t step, UnalignedState &s) {
+                      adamStepGrace(cfg, step, s.p(), s.m(), s.v(), s.g(),
+                                    n, on);
+                  },
+                  false);
+            check(std::string("grace fp16, ") + workers,
+                  [&](std::int64_t step, UnalignedState &s) {
+                      adamStepGraceFp16(cfg, step, s.p(), s.shadow(),
+                                        s.m(), s.v(), s.g(), n, on);
+                  },
+                  true);
+        }
     }
 }
 

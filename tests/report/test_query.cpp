@@ -34,11 +34,24 @@
 namespace so::report {
 namespace {
 
-/** Write @p text to a fresh file under the test temp dir. */
+/**
+ * @p name under the test temp dir, prefixed with the running test's
+ * name: gtest_discover_tests runs every test in its own process and
+ * `ctest -j` runs them at once, so two tests must never share a path.
+ */
+std::string
+tempPath(const std::string &name)
+{
+    return testing::TempDir() +
+           testing::UnitTest::GetInstance()->current_test_info()->name() +
+           "." + name;
+}
+
+/** Write @p text to a fresh file at tempPath(@p name). */
 std::string
 writeFile(const std::string &name, const std::string &text)
 {
-    const std::string path = testing::TempDir() + name;
+    const std::string path = tempPath(name);
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << text;
     return path;
@@ -222,7 +235,7 @@ TEST(Query, MissingFileAndSpanlessInputFail)
 {
     QueryResult result;
     std::string error;
-    EXPECT_FALSE(queryFiles({testing::TempDir() + "query_absent.jsonl"},
+    EXPECT_FALSE(queryFiles({tempPath("query_absent.jsonl")},
                             QueryOptions{}, result, &error));
     EXPECT_FALSE(error.empty());
 
@@ -475,7 +488,7 @@ TEST(Query, CliSelftraceQueueWaitAgreesForBothInputShapes)
         pool.wait();
     }
     trace::setEnabled(false);
-    const std::string stem = testing::TempDir() + "selftrace_cli";
+    const std::string stem = tempPath("selftrace_cli");
     ASSERT_TRUE(trace::writeExport(stem + ".json"));
     trace::clearAll();
 
@@ -501,7 +514,7 @@ TEST(Query, CliCheckGatesUnlessWarnOnlyAndWritesVerdict)
         writeFile("check_fresh.json", R"({"bench":"guard","jobs":1})");
     const std::string baseline =
         writeFile("check_vanished.json", R"({"vanished_per_s":123.0})");
-    const std::string verdict_path = testing::TempDir() + "verdict.json";
+    const std::string verdict_path = tempPath("verdict.json");
     auto regressions = [&] {
         std::ifstream in(verdict_path);
         std::string text((std::istreambuf_iterator<char>(in)),
@@ -548,7 +561,7 @@ TEST(Query, CliHtmlTraceDirSkipsBundleShards)
     // One file of each kind a trace directory holds. Only the bundle
     // and the profile belong on the page; the shard file is what
     // `so-report query` reads, not history.
-    const std::string dir = testing::TempDir() + "html_trace_dir";
+    const std::string dir = tempPath("html_trace_dir");
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
     auto put = [&](const std::string &name, const std::string &text) {
