@@ -351,16 +351,16 @@ IterBuilder::finishWindow(const model::IterationFlops &flops,
 {
     SO_ASSERT(win_end > win_begin, "empty measurement window");
     IterationResult res;
-    res.iter_time = win_end - win_begin;
+    const double window = win_end - win_begin;
+    res.iter_time = window;
     res.flops = flops;
     res.gpu_utilization =
-        schedule.timelines[gpu_].utilization(win_begin, win_end);
+        schedule.busyTime(gpu_, win_begin, win_end) / window;
     res.cpu_utilization =
-        schedule.timelines[cpu_].utilization(win_begin, win_end);
-    const double link_busy =
-        schedule.timelines[h2d_].busyTime(win_begin, win_end) +
-        schedule.timelines[d2h_].busyTime(win_begin, win_end);
-    res.link_utilization = link_busy / (2.0 * (win_end - win_begin));
+        schedule.busyTime(cpu_, win_begin, win_end) / window;
+    const double link_busy = schedule.busyTime(h2d_, win_begin, win_end) +
+                             schedule.busyTime(d2h_, win_begin, win_end);
+    res.link_utilization = link_busy / (2.0 * window);
     res.tier_traffic.reserve(hier_.paths().size());
     for (std::size_t i = 0; i < hier_.paths().size(); ++i) {
         const hw::MemoryPath &path = hier_.paths()[i];

@@ -198,7 +198,7 @@ struct IterationResult
     std::uint32_t accum_steps = 1;
     bool activation_checkpointing = false;
 
-    /** Busy fractions over the iteration, from the simulated timelines. */
+    /** Busy fractions over the iteration, from the simulated schedule. */
     double gpu_utilization = 0.0;
     double cpu_utilization = 0.0;
     double link_utilization = 0.0;

@@ -10,8 +10,9 @@
  * Edges are happens-before dependencies, and a task may depend only on
  * tasks added before it, so every graph is acyclic by construction. The
  * scheduler (scheduler.h) then derives start/finish times, the makespan,
- * and per-resource busy timelines — which is exactly the information the
- * paper's throughput and idle-time figures are built from.
+ * and each resource's tasks in start order — which is exactly the
+ * information the paper's throughput and idle-time figures are built
+ * from.
  *
  * Storage layout: tasks are kept structure-of-arrays. Durations,
  * resource bindings, and priorities live in parallel vectors; labels are

@@ -205,8 +205,8 @@ writeBundleShards(const std::string &path, const TaskGraph &graph,
         out << '\n';
     }
 
-    // Task chunks, in per-resource timeline order: a reader filtering
-    // on a time window can skip whole lines by their span range.
+    // Task chunks, in per-resource start order: a reader filtering on
+    // a time window can skip whole lines by their span range.
     std::unique_ptr<JsonWriter> line;
     std::size_t in_line = 0;
     auto open_tasks = [&]() {
@@ -223,19 +223,20 @@ writeBundleShards(const std::string &path, const TaskGraph &graph,
         in_line = 0;
     };
     for (ResourceId r = 0; r < graph.resourceCount(); ++r) {
-        for (const Interval &iv : schedule.timelines[r].intervals()) {
+        for (const TaskId id : schedule.order[r]) {
             if (!line)
                 open_tasks();
-            const TaskId id = iv.task;
-            const double dur = iv.end - iv.start;
+            const double start = schedule.start[id];
+            const double end = schedule.finish[id];
+            const double dur = end - start;
             line->beginObject();
             line->field("id", id);
             line->field("label", graph.label(id));
             line->field("phase", phaseKey(graph.label(id)));
             line->field("resource", r);
             line->field("slot", kSlot);
-            line->field("start_s", iv.start);
-            line->field("end_s", iv.end);
+            line->field("start_s", start);
+            line->field("end_s", end);
             if (has_slack)
                 line->field("slack_s", profile.slack[id]);
             if (metered) {

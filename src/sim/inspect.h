@@ -63,8 +63,8 @@ void streamBundleJson(std::ostream &os, const TaskGraph &graph,
  * (conventionally `*.bundle.jsonl`): one `bundle_shard_header` line
  * (label, totals, per-resource summaries, counts), then
  * `bundle_tasks` lines of at most @p chunk spans each — emitted in
- * per-resource timeline order, so a time-window reader can stop
- * early — then `bundle_edges` lines and, when the profile retained
+ * each resource's start order (Schedule::order), so a time-window
+ * reader can stop early — then `bundle_edges` lines and, when the profile retained
  * one, `bundle_critical` lines. Every line is a complete JSON object;
  * peak RSS is O(chunk), never O(tasks). `so-report query` and the
  * Explorer drill-down consume this format (docs/OBSERVABILITY.md).

@@ -166,8 +166,8 @@ profileSchedule(const TaskGraph &graph, const Schedule &schedule,
     const std::size_t n = graph.taskCount();
     SO_ASSERT(schedule.start.size() == n && schedule.finish.size() == n,
               "schedule does not match graph");
-    SO_ASSERT(schedule.timelines.size() == graph.resourceCount(),
-              "schedule timelines do not match graph resources");
+    SO_ASSERT(schedule.order.size() == graph.resourceCount(),
+              "schedule orders do not match graph resources");
 
     ScheduleProfile prof;
     prof.makespan = schedule.makespan;
@@ -233,13 +233,12 @@ profileSchedule(const TaskGraph &graph, const Schedule &schedule,
         }
         // Resource hand-off: the task holding the resource until s.
         TaskId holder = kInvalidTask;
-        for (const Interval &iv :
-             schedule.timelines[graph.taskResource(cur)].intervals()) {
-            if (iv.task == cur || on_path[iv.task])
+        for (const TaskId id : schedule.order[graph.taskResource(cur)]) {
+            if (id == cur || on_path[id])
                 continue;
-            if (std::abs(iv.end - s) <= eps &&
-                (holder == kInvalidTask || iv.task < holder))
-                holder = iv.task;
+            if (std::abs(schedule.finish[id] - s) <= eps &&
+                (holder == kInvalidTask || id < holder))
+                holder = id;
         }
         if (holder != kInvalidTask) {
             rpath.push_back(CriticalStep{cur, CriticalLink::Resource});
@@ -283,12 +282,12 @@ profileSchedule(const TaskGraph &graph, const Schedule &schedule,
         for (TaskId dep : graph.deps(id))
             limit[dep] = std::min(limit[dep], schedule.start[id]);
     for (ResourceId r = 0; r < graph.resourceCount(); ++r) {
-        // Successor on the same resource: intervals are recorded in
-        // start order, so each one bounds the interval before it.
-        const std::vector<Interval> &ivs = schedule.timelines[r].intervals();
-        for (std::size_t i = 1; i < ivs.size(); ++i)
-            limit[ivs[i - 1].task] =
-                std::min(limit[ivs[i - 1].task], ivs[i].start);
+        // Successor on the same resource: the order is by start, so
+        // each task bounds the one before it.
+        const std::vector<TaskId> &tasks = schedule.order[r];
+        for (std::size_t i = 1; i < tasks.size(); ++i)
+            limit[tasks[i - 1]] =
+                std::min(limit[tasks[i - 1]], schedule.start[tasks[i]]);
     }
     // The slack array is transient in Summary mode: the top-K lists
     // below retain everything a bounded profile answers with, in the
@@ -320,13 +319,6 @@ profileSchedule(const TaskGraph &graph, const Schedule &schedule,
     // ------------------------------------------------- idle attribution
     for (ResourceId r = 0; r < graph.resourceCount(); ++r) {
         ResourceProfile &rp = prof.resources[r];
-        std::vector<Interval> ivs(schedule.timelines[r].intervals());
-        std::sort(ivs.begin(), ivs.end(),
-                  [](const Interval &a, const Interval &b) {
-                      if (a.start != b.start)
-                          return a.start < b.start;
-                      return a.end < b.end;
-                  });
 
         // Classify the gap that ends when `next` starts.
         auto classify = [&](TaskId next) {
@@ -367,29 +359,27 @@ profileSchedule(const TaskGraph &graph, const Schedule &schedule,
                 prof.gaps[r].push_back(gap);
         };
 
-        // Sweep the union of busy intervals, attributing each hole and
-        // binning each union-busy increment (the increments partition
-        // the union, so the bins sum to rp.busy).
+        // Sweep the resource's order, which is start-ordered and
+        // disjoint: attribute the hole before each task and bin each
+        // task's busy seconds (the tasks partition the union, so the
+        // bins sum to rp.busy).
         std::vector<double> *bins_r =
             nbins > 0 ? &prof.busy_bins[r] : nullptr;
         double cursor = 0.0;
-        for (std::size_t i = 0; i < ivs.size(); ++i) {
-            const double b = std::min(ivs[i].start, prof.makespan);
-            const double e = std::min(ivs[i].end, prof.makespan);
+        for (const TaskId id : schedule.order[r]) {
+            const double b = std::min(schedule.start[id], prof.makespan);
+            const double e = std::min(schedule.finish[id], prof.makespan);
             if (b > cursor) {
                 IdleGap gap;
                 gap.begin = cursor;
                 gap.end = b;
-                gap.next_task = ivs[i].task;
-                gap.cause = classify(ivs[i].task);
+                gap.next_task = id;
+                gap.cause = classify(id);
                 account(gap);
             }
-            if (bins_r != nullptr) {
-                const double nb = std::max(cursor, b);
-                if (e > nb)
-                    addSpanToBins(*bins_r, prof.bin_s, nb, e);
-            }
-            cursor = std::max(cursor, e);
+            if (bins_r != nullptr && e > b)
+                addSpanToBins(*bins_r, prof.bin_s, b, e);
+            cursor = e;
         }
         if (prof.makespan > cursor) {
             IdleGap gap;
@@ -536,14 +526,13 @@ EnergyTotals
 meterEnergy(const TaskGraph &graph, const Schedule &schedule,
             const EnergyInputs &inputs)
 {
-    SO_ASSERT(schedule.timelines.size() == graph.resourceCount(),
-              "schedule timelines do not match graph resources");
-    // Union busy seconds straight off the timelines; the idle seconds
-    // are the rest of the makespan, with no cause split.
+    SO_ASSERT(schedule.order.size() == graph.resourceCount(),
+              "schedule orders do not match graph resources");
+    // Union busy seconds straight off the orders; the idle seconds are
+    // the rest of the makespan, with no cause split.
     std::vector<ResourceProfile> time(graph.resourceCount());
     for (ResourceId r = 0; r < graph.resourceCount(); ++r) {
-        time[r].busy =
-            schedule.timelines[r].busyTime(0.0, schedule.makespan);
+        time[r].busy = schedule.busyTime(r, 0.0, schedule.makespan);
         time[r].idle = schedule.makespan - time[r].busy;
     }
     return meterResources(graph, inputs, time, schedule.makespan);

@@ -18,8 +18,8 @@
  *
  * Invariants (tested): the critical path is a contiguous chain from
  * time 0 to the makespan, so its length equals the makespan; per
- * resource, the classified gaps partition Timeline::idleTime(0,
- * makespan).
+ * resource, the classified gaps partition its idle time, the makespan
+ * minus Schedule::busyTime(r, 0, makespan).
  */
 #ifndef SO_SIM_PROFILER_H
 #define SO_SIM_PROFILER_H
@@ -390,8 +390,8 @@ EnergyProfile attributeEnergy(const TaskGraph &graph,
 
 /**
  * Meter @p schedule with @p inputs without a profile: the same
- * per-resource rule as attributeEnergy, fed each timeline's union busy
- * seconds, so the totals match the profiled attribution while the
+ * per-resource rule as attributeEnergy, fed each resource's union busy
+ * seconds (Schedule::busyTime), so the totals match the profiled attribution while the
  * idle-cause joules and phases stay empty.
  */
 EnergyTotals meterEnergy(const TaskGraph &graph, const Schedule &schedule,

@@ -9,12 +9,33 @@
 namespace so::sim {
 
 double
-Schedule::utilization(ResourceId resource) const
+Schedule::busyTime(ResourceId resource, double begin, double end) const
 {
-    SO_ASSERT(resource < timelines.size(), "unknown resource ", resource);
-    if (makespan <= 0.0)
-        return 0.0;
-    return timelines[resource].utilization(0.0, makespan);
+    SO_ASSERT(resource < order.size(), "unknown resource ", resource);
+    // One merge pass over the start-ordered tasks, summing the union's
+    // segments in ascending order.
+    double busy = 0.0;
+    bool open = false;
+    double cur_s = 0.0;
+    double cur_e = 0.0;
+    for (const TaskId id : order[resource]) {
+        if (start[id] >= end)
+            break; // So does every later task.
+        const double s = std::max(start[id], begin);
+        const double e = std::min(finish[id], end);
+        if (e <= s)
+            continue;
+        if (open && s <= cur_e) {
+            cur_e = std::max(cur_e, e);
+            continue;
+        }
+        if (open)
+            busy += cur_e - cur_s;
+        open = true;
+        cur_s = s;
+        cur_e = e;
+    }
+    return open ? busy + (cur_e - cur_s) : 0.0;
 }
 
 namespace {
@@ -129,9 +150,9 @@ Scheduler::run(const TaskGraph &graph, Workspace &ws,
     // twice per run.
     schedule.start.resize(n);
     schedule.finish.resize(n);
-    schedule.timelines.resize(nres);
-    for (Timeline &timeline : schedule.timelines)
-        timeline.clear();
+    schedule.order.resize(nres);
+    for (std::vector<TaskId> &tasks : schedule.order)
+        tasks.clear();
     schedule.makespan = 0.0;
 
     // Reverse edges come from the graph's cached CSR — built once per
@@ -166,7 +187,10 @@ Scheduler::run(const TaskGraph &graph, Workspace &ws,
         const double end = now + graph.duration(id);
         schedule.start[id] = now;
         schedule.finish[id] = end;
-        schedule.timelines[r].add(now, end, id);
+        // A task too short to move the clock (zero duration, or one
+        // that rounds away against `now`) holds no time on r.
+        if (end > now)
+            schedule.order[r].push_back(id);
         ws.busy[r] = 1;
         ws.events.push_back(SimEvent{end, id});
         std::push_heap(ws.events.begin(), ws.events.end(), EventAfter{});

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "sim/graph.h"
-#include "sim/timeline.h"
 
 namespace so::sim {
 
@@ -42,13 +41,23 @@ struct Schedule
     std::vector<double> start;
     /** Per-task finish time (seconds). */
     std::vector<double> finish;
-    /** Per-resource busy timelines, indexed by ResourceId. */
-    std::vector<Timeline> timelines;
+    /**
+     * Per-resource task order, indexed by ResourceId: the tasks that
+     * occupied the resource (finish > start), in start order. A
+     * resource runs one task at a time, so each order's tasks are
+     * disjoint in time and their finishes never decrease.
+     */
+    std::vector<std::vector<TaskId>> order;
     /** Completion time of the last task. */
     double makespan = 0.0;
 
-    /** Utilization of a resource over [0, makespan). */
-    double utilization(ResourceId resource) const;
+    /**
+     * Time inside [begin, end) that @p resource was busy: its tasks'
+     * intervals clamped to the window, with touching intervals merged
+     * into one segment before it is summed. 0 for an empty or reversed
+     * window.
+     */
+    double busyTime(ResourceId resource, double begin, double end) const;
 };
 
 /**
@@ -122,7 +131,7 @@ class Scheduler
 
     /**
      * Like run(graph, ws), but writes the result into @p out, reusing
-     * its vectors' and timelines' capacity. At million-task sizes a
+     * the capacity of its vectors, per-resource orders included. At million-task sizes a
      * Schedule is tens of MB; callers that keep one alive across runs
      * (the bench harness, steady-state sweep loops) avoid re-faulting
      * those pages every run. The stored values are bit-identical to the

@@ -35,15 +35,13 @@ writeProfileEvents(std::ostream &os, const TaskGraph &graph,
     }
 
     // Occupancy counter per resource: busy (1) or idle (0) at every
-    // interval boundary (step function readable in the trace viewer).
+    // task boundary (step function readable in the trace viewer).
     for (ResourceId r = 0; r < graph.resourceCount(); ++r) {
         std::map<double, int> delta;
         delta[0.0] += 0; // Anchor the track at t=0 even when idle.
-        for (const Interval &iv : schedule.timelines[r].intervals()) {
-            if (iv.end <= iv.start)
-                continue;
-            delta[iv.start] += 1;
-            delta[iv.end] -= 1;
+        for (const TaskId id : schedule.order[r]) {
+            delta[schedule.start[id]] += 1;
+            delta[schedule.finish[id]] -= 1;
         }
         int busy = 0;
         for (const auto &[t, d] : delta) {
@@ -73,7 +71,8 @@ streamChromeTrace(std::ostream &os, const TaskGraph &graph,
     so::trace::Span span(so::trace::Category::Serialize,
                          "chrome-trace");
     os << "{\"traceEvents\":[";
-    // Process-name metadata plus one complete event per interval.
+    // Process-name metadata plus one complete event per task that
+    // held its resource.
     bool first = true;
     for (ResourceId r = 0; r < graph.resourceCount(); ++r) {
         if (!first)
@@ -84,14 +83,14 @@ streamChromeTrace(std::ostream &os, const TaskGraph &graph,
            << JsonWriter::escape(graph.resource(r).name) << "\"}}";
     }
     for (ResourceId r = 0; r < graph.resourceCount(); ++r) {
-        for (const Interval &iv : schedule.timelines[r].intervals()) {
+        for (const TaskId id : schedule.order[r]) {
             os << ',';
             // Times in microseconds per the trace-event spec.
-            os << "{\"name\":\""
-               << JsonWriter::escape(graph.label(iv.task))
+            os << "{\"name\":\"" << JsonWriter::escape(graph.label(id))
                << "\",\"ph\":\"X\",\"pid\":" << r
-               << ",\"tid\":0,\"ts\":" << iv.start * 1e6
-               << ",\"dur\":" << (iv.end - iv.start) * 1e6 << "}";
+               << ",\"tid\":0,\"ts\":" << schedule.start[id] * 1e6
+               << ",\"dur\":"
+               << (schedule.finish[id] - schedule.start[id]) * 1e6 << "}";
         }
     }
     if (profile != nullptr)
@@ -115,11 +114,11 @@ toAsciiGantt(const TaskGraph &graph, const Schedule &schedule,
 
     for (ResourceId r = 0; r < graph.resourceCount(); ++r) {
         std::string row(width, '.');
-        for (const Interval &iv : schedule.timelines[r].intervals()) {
+        for (const TaskId id : schedule.order[r]) {
             auto lo = static_cast<std::size_t>(
-                iv.start / span * static_cast<double>(width));
+                schedule.start[id] / span * static_cast<double>(width));
             auto hi = static_cast<std::size_t>(
-                iv.end / span * static_cast<double>(width));
+                schedule.finish[id] / span * static_cast<double>(width));
             lo = std::min(lo, width - 1);
             hi = std::min(std::max(hi, lo + 1), width);
             for (std::size_t i = lo; i < hi; ++i)

@@ -14,7 +14,7 @@ referenceSchedule(const TaskGraph &graph)
     Schedule schedule;
     schedule.start.assign(n, 0.0);
     schedule.finish.assign(n, 0.0);
-    schedule.timelines.resize(nres);
+    schedule.order.resize(nres);
 
     std::vector<char> started(n, 0);
     std::vector<char> done(n, 0);
@@ -54,7 +54,9 @@ referenceSchedule(const TaskGraph &graph)
             schedule.start[pick] = now;
             schedule.finish[pick] = now + graph.duration(pick);
             running[r] = pick;
-            schedule.timelines[r].add(now, schedule.finish[pick], pick);
+            // Only a task that moved past `now` occupied the resource.
+            if (schedule.finish[pick] > now)
+                schedule.order[r].push_back(pick);
         }
 
         // Advance to the earliest unfinished completion and retire

@@ -8,7 +8,7 @@
  * dependencies. It is the executable specification the optimized
  * discrete-event path is differential-tested against (the ROADMAP item
  * 5 oracle): on any graph, both must produce bit-identical start/finish
- * times, timelines, and makespan.
+ * times, per-resource task orders, and makespan.
  *
  * Semantics (must match src/sim/scheduler.cpp exactly):
  *  - time advances to the earliest unfinished completion;
@@ -21,7 +21,7 @@
  *    drained from the event queue yet.
  *
  * Keep this file free of scheduler internals: it may only use the
- * public TaskGraph/Timeline/Schedule surface.
+ * public TaskGraph/Schedule surface.
  */
 #ifndef SO_TESTS_SIM_REFERENCE_SCHEDULER_H
 #define SO_TESTS_SIM_REFERENCE_SCHEDULER_H

@@ -152,7 +152,7 @@ expectEnergyInvariants(const TaskGraph &g, const Schedule &s,
         expectNear(e.avg_w, e.total_j / s.makespan, e.avg_w);
 
     // The profile-free meter applies the same per-resource rule to the
-    // timelines' busy seconds: the same totals, no cause or phase split.
+    // schedule's busy seconds: the same totals, no cause or phase split.
     const EnergyTotals cheap = meterEnergy(g, s, inputs);
     ASSERT_TRUE(cheap.valid);
     EXPECT_TRUE(cheap.phases.empty());

@@ -382,8 +382,8 @@ TEST(ProfileLod, BundleShardsRoundTripLineByLine)
     ASSERT_TRUE(
         writeBundleShards(path, g, s, prof, "shards", &energy, 32));
 
-    // Task lines mirror the resource timelines, which zero-duration
-    // tasks never occupy.
+    // Task lines mirror the resources' task orders, which zero-duration
+    // tasks never enter.
     std::size_t spanning = 0;
     for (TaskId id = 0; id < g.taskCount(); ++id)
         spanning += g.duration(id) > 0.0 ? 1 : 0;

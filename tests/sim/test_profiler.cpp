@@ -3,7 +3,7 @@
  * Schedule-profiler invariant tests: the critical path is a contiguous
  * chain whose length equals the makespan, slack is zero exactly on the
  * path and positive off it, per-resource idle gaps agree with
- * Timeline::idleTime and the three idle causes partition each
+ * the schedule's idle time and the three idle causes partition each
  * resource's idle time — including on a SuperOffload-shaped offloading
  * pipeline. The JSON/trace exports round-trip through the common JSON
  * parser.
@@ -92,12 +92,12 @@ expectProfileInvariants(const TaskGraph &g, const Schedule &s)
     for (const CriticalStep &step : prof.critical_path)
         EXPECT_NEAR(prof.slack[step.task], 0.0, 1e-9);
 
-    // Per resource: gaps agree with the timeline's own idle
+    // Per resource: gaps agree with the schedule's own busy
     // accounting, and the three causes partition the idle time.
     ASSERT_EQ(prof.resources.size(), g.resourceCount());
     for (ResourceId r = 0; r < g.resourceCount(); ++r) {
         const ResourceProfile &rp = prof.resources[r];
-        EXPECT_NEAR(rp.idle, s.timelines[r].idleTime(0.0, s.makespan),
+        EXPECT_NEAR(rp.idle, s.makespan - s.busyTime(r, 0.0, s.makespan),
                     1e-9);
         EXPECT_NEAR(rp.busy + rp.idle, s.makespan, 1e-9);
         EXPECT_NEAR(rp.idle_dependency + rp.idle_contention +

@@ -4,7 +4,7 @@
  * the naive O(V·E) reference implementation. Both claim the same
  * deterministic list-scheduling semantics, so on any DAG the schedules
  * must agree bit for bit — start/finish times, makespan, and every
- * timeline interval.
+ * resource's task order.
  */
 #include <gtest/gtest.h>
 
@@ -30,19 +30,10 @@ expectBitIdentical(const TaskGraph &graph, const Schedule &got,
         ASSERT_EQ(got.finish[id], want.finish[id]) << "task " << id;
     }
     ASSERT_EQ(got.makespan, want.makespan);
-    ASSERT_EQ(got.timelines.size(), want.timelines.size());
-    for (ResourceId r = 0; r < graph.resourceCount(); ++r) {
-        // A resource runs one task at a time and both implementations
-        // append its intervals in start order, so they match in order.
-        const std::vector<Interval> &gi = got.timelines[r].intervals();
-        const std::vector<Interval> &wi = want.timelines[r].intervals();
-        ASSERT_EQ(gi.size(), wi.size()) << "resource " << r;
-        for (std::size_t i = 0; i < gi.size(); ++i) {
-            ASSERT_EQ(gi[i].task, wi[i].task) << "resource " << r;
-            ASSERT_EQ(gi[i].start, wi[i].start) << "resource " << r;
-            ASSERT_EQ(gi[i].end, wi[i].end) << "resource " << r;
-        }
-    }
+    ASSERT_EQ(got.order.size(), want.order.size());
+    // Both implementations append a resource's tasks in start order.
+    for (ResourceId r = 0; r < graph.resourceCount(); ++r)
+        ASSERT_EQ(got.order[r], want.order[r]) << "resource " << r;
 }
 
 /**
@@ -175,7 +166,7 @@ TEST_P(DifferentialTest, RecycledScheduleMatchesReference)
 {
     // The output-recycling overload writes into a Schedule that still
     // holds a previous (differently sized) graph's results; no stale
-    // interval, time, or makespan may leak through.
+    // order entry, time, or makespan may leak through.
     Scheduler::Workspace ws;
     Schedule recycled;
     const std::size_t sizes[] = {180, 40, 220};
@@ -217,17 +208,18 @@ TEST_P(DifferentialTest, SixtyFourSlotResourceMatchesReference)
 
     // The most tasks running at one instant, each one a pending
     // completion event: the input must really hold dozens at once.
-    std::vector<Interval> running;
-    for (const Timeline &t : sched.timelines)
-        running.insert(running.end(), t.intervals().begin(),
-                       t.intervals().end());
+    std::vector<TaskId> running;
+    for (const std::vector<TaskId> &tasks : sched.order)
+        running.insert(running.end(), tasks.begin(), tasks.end());
     std::size_t peak = 0;
-    for (const Interval &at : running)
+    for (const TaskId at : running)
         peak = std::max(peak, static_cast<std::size_t>(std::count_if(
                                   running.begin(), running.end(),
-                                  [&](const Interval &iv) {
-                                      return iv.start <= at.start &&
-                                             at.start < iv.end;
+                                  [&](TaskId id) {
+                                      return sched.start[id] <=
+                                                 sched.start[at] &&
+                                             sched.start[at] <
+                                                 sched.finish[id];
                                   })));
     EXPECT_GE(peak, 40u);
 }

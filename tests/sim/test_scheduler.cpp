@@ -144,8 +144,8 @@ TEST(Scheduler, UtilizationAndIdleFractions)
     g.addTask(cpu, 1.0, "b", {a});
     const Schedule s = Scheduler().run(g);
     EXPECT_DOUBLE_EQ(s.makespan, 2.0);
-    EXPECT_DOUBLE_EQ(s.utilization(gpu), 0.5);
-    EXPECT_DOUBLE_EQ(s.utilization(cpu), 0.5);
+    EXPECT_DOUBLE_EQ(s.busyTime(gpu, 0.0, s.makespan) / s.makespan, 0.5);
+    EXPECT_DOUBLE_EQ(s.busyTime(cpu, 0.0, s.makespan) / s.makespan, 0.5);
 }
 
 TEST(Scheduler, ManyTasksStress)

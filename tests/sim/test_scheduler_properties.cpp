@@ -70,12 +70,12 @@ TEST_P(SchedulerPropertyTest, ScheduleSatisfiesAllInvariants)
     // Makespan is exactly the last finish.
     ASSERT_NEAR(sched.makespan, latest_finish, 1e-12);
 
-    // A resource runs one task at a time: no two of its intervals
-    // overlap, whatever order they were recorded in.
+    // A resource runs one task at a time: no two of its tasks overlap,
+    // whatever order they were recorded in.
     for (ResourceId r = 0; r < graph.resourceCount(); ++r) {
         std::vector<std::pair<double, double>> intervals;
-        for (const Interval &iv : sched.timelines[r].intervals())
-            intervals.emplace_back(iv.start, iv.end);
+        for (const TaskId id : sched.order[r])
+            intervals.emplace_back(sched.start[id], sched.finish[id]);
         std::sort(intervals.begin(), intervals.end());
         for (std::size_t i = 1; i < intervals.size(); ++i)
             ASSERT_LE(intervals[i - 1].second, intervals[i].first + 1e-12)
@@ -85,7 +85,7 @@ TEST_P(SchedulerPropertyTest, ScheduleSatisfiesAllInvariants)
     // Work conservation: each resource's busy time equals the summed
     // durations of the tasks bound to it.
     for (ResourceId r = 0; r < graph.resourceCount(); ++r) {
-        ASSERT_NEAR(sched.timelines[r].busyTime(0.0, sched.makespan),
+        ASSERT_NEAR(sched.busyTime(r, 0.0, sched.makespan),
                     graph.totalWork(r), 1e-9);
     }
 }
@@ -106,16 +106,7 @@ TEST_P(SchedulerPropertyTest, SharedWorkspaceIsBitwiseIdentical)
             ASSERT_EQ(fresh.start[i], reused.start[i]);
             ASSERT_EQ(fresh.finish[i], reused.finish[i]);
         }
-        for (ResourceId r = 0; r < graph.resourceCount(); ++r) {
-            const auto &fi = fresh.timelines[r].intervals();
-            const auto &ri = reused.timelines[r].intervals();
-            ASSERT_EQ(fi.size(), ri.size());
-            for (std::size_t i = 0; i < fi.size(); ++i) {
-                ASSERT_EQ(fi[i].task, ri[i].task);
-                ASSERT_EQ(fi[i].start, ri[i].start);
-                ASSERT_EQ(fi[i].end, ri[i].end);
-            }
-        }
+        ASSERT_EQ(fresh.order, reused.order);
     }
 }
 
