@@ -132,9 +132,13 @@ writeIterationJson(JsonWriter &json, const IterationResult &result)
             json.field("busy_j", re.busy_j);
             json.field("transfer_j", re.transfer_j);
             json.field("idle_j", re.idle_j);
-            json.field("idle_dependency_j", re.idle_dependency_j);
-            json.field("idle_contention_j", re.idle_contention_j);
-            json.field("idle_tail_j", re.idle_tail_j);
+            // The idle-cause split comes from the profile; without one
+            // it was never measured, and a 0 would claim it was.
+            if (result.profile.valid) {
+                json.field("idle_dependency_j", re.idle_dependency_j);
+                json.field("idle_contention_j", re.idle_contention_j);
+                json.field("idle_tail_j", re.idle_tail_j);
+            }
             json.endObject();
         }
         json.endArray();

@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "core/engine.h"
 #include "core/superoffload_ulysses.h"
 #include "hw/presets.h"
@@ -371,6 +372,26 @@ artifactPin(const std::string &bytes)
     return buf;
 }
 
+/**
+ * Every energy resource of the result document @p text carries all
+ * three idle-cause joule keys when @p profiled, and none otherwise.
+ */
+void
+expectIdleCauseJoules(const std::string &text, bool profiled,
+                      const std::string &name)
+{
+    JsonValue doc;
+    ASSERT_TRUE(JsonValue::parse(text, doc)) << name;
+    const auto &resources = doc.at("energy").at("resources").items();
+    ASSERT_FALSE(resources.empty()) << name;
+    for (const JsonValue &resource : resources)
+        for (const char *key :
+             {"idle_dependency_j", "idle_contention_j", "idle_tail_j"})
+            EXPECT_EQ(resource.find(key) != nullptr, profiled)
+                << name << ' ' << resource.at("resource").text() << ' '
+                << key;
+}
+
 TEST(SchedulePin, CapturedArtifactBytesIdentical)
 {
     // Every rendered artifact of two captured cells, byte for byte:
@@ -413,12 +434,13 @@ TEST(SchedulePin, CapturedArtifactBytesIdentical)
         EXPECT_EQ(artifactPin(res.profile_json), pin.profile) << name;
         EXPECT_EQ(artifactPin(res.bundle_json), pin.bundle) << name;
         EXPECT_EQ(artifactPin(toJson(res)), pin.result) << name;
+        expectIdleCauseJoules(toJson(res), true, name);
     }
 
     // Capture off: the result document alone, whose energy section
-    // comes from the profile-free meter. Multipath at 25B routes part
-    // of its state over NVMe and GDS, so those resources carry nonzero
-    // transfer joules.
+    // comes from the profile-free meter and so carries no idle-cause
+    // joules. Multipath at 25B routes part of its state over NVMe and
+    // GDS, so those resources carry nonzero transfer joules.
     setup.capture_trace = false;
     setup.capture_profile = false;
     struct ResultPin
@@ -428,9 +450,9 @@ TEST(SchedulePin, CapturedArtifactBytesIdentical)
         const char *result;
     };
     const ResultPin kResultPins[] = {
-        {"superoffload", "1B", "2409:9aa9968ede0c7b36"},
-        {"zero-offload", "1B", "2311:6a3b8ab53277c851"},
-        {"superoffload-multipath", "25B", "2841:f0616a5bd66a06cb"},
+        {"superoffload", "1B", "1989:552c517ce0018518"},
+        {"zero-offload", "1B", "1891:89b1a14a56fd3923"},
+        {"superoffload-multipath", "25B", "2361:deacbc5eb2dc86c7"},
     };
     for (const ResultPin &pin : kResultPins) {
         const std::string name = pin.system;
@@ -443,6 +465,7 @@ TEST(SchedulePin, CapturedArtifactBytesIdentical)
         ASSERT_TRUE(res.feasible) << name;
         ASSERT_FALSE(res.profile.valid) << name;
         EXPECT_EQ(artifactPin(toJson(res)), pin.result) << name;
+        expectIdleCauseJoules(toJson(res), false, name);
     }
 }
 
