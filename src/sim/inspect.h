@@ -64,11 +64,11 @@ void streamBundleJson(std::ostream &os, const TaskGraph &graph,
  * (label, totals, per-resource summaries, counts), then
  * `bundle_tasks` lines of at most @p chunk spans each — emitted in
  * each resource's start order (Schedule::order), so a time-window
- * reader can stop early — then `bundle_edges` lines and, when the profile retained
- * one, `bundle_critical` lines. Every line is a complete JSON object;
- * peak RSS is O(chunk), never O(tasks). `so-report query` and the
- * Explorer drill-down consume this format (docs/OBSERVABILITY.md).
- * Returns false on I/O failure.
+ * reader can stop early — then `bundle_edges` lines and, when the
+ * profile retained one, `bundle_critical` lines. Every line is a
+ * complete JSON object; peak RSS is O(chunk), never O(tasks).
+ * `so-report query` and the Explorer drill-down consume this format
+ * (docs/OBSERVABILITY.md). Returns false on I/O failure.
  */
 bool writeBundleShards(const std::string &path, const TaskGraph &graph,
                        const Schedule &schedule,

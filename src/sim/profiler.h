@@ -391,8 +391,8 @@ EnergyProfile attributeEnergy(const TaskGraph &graph,
 /**
  * Meter @p schedule with @p inputs without a profile: the same
  * per-resource rule as attributeEnergy, fed each resource's union busy
- * seconds (Schedule::busyTime), so the totals match the profiled attribution while the
- * idle-cause joules and phases stay empty.
+ * seconds (Schedule::busyTime), so the totals match the profiled
+ * attribution while the idle-cause joules and phases stay empty.
  */
 EnergyTotals meterEnergy(const TaskGraph &graph, const Schedule &schedule,
                          const EnergyInputs &inputs);

@@ -131,11 +131,11 @@ class Scheduler
 
     /**
      * Like run(graph, ws), but writes the result into @p out, reusing
-     * the capacity of its vectors, per-resource orders included. At million-task sizes a
-     * Schedule is tens of MB; callers that keep one alive across runs
-     * (the bench harness, steady-state sweep loops) avoid re-faulting
-     * those pages every run. The stored values are bit-identical to the
-     * returning overloads'.
+     * the capacity of its vectors, per-resource orders included. At
+     * million-task sizes a Schedule is tens of MB; callers that keep one
+     * alive across runs (the bench harness, steady-state sweep loops)
+     * avoid re-faulting those pages every run. The stored values are
+     * bit-identical to the returning overloads'.
      */
     void run(const TaskGraph &graph, Workspace &ws, Schedule &out) const;
 
