@@ -22,12 +22,11 @@
  * the Chrome trace, profile document, and chunked bundle shards there;
  * the profile's level of detail follows the graph size (Summary at >=
  * 200k tasks), so even the 1M/10M sizes export under a bounded memory
- * footprint. Any other argument prints the usage line and exits 2.
+ * footprint. Any other argument exits so::kUsageError, naming it.
  */
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -216,33 +215,19 @@ exportArtifacts(std::size_t target_tasks, const std::string &dir)
 int
 main(int argc, char **argv)
 {
-    // Hand-rolled args (no Harness), so apply SO_TRACE/SO_HEARTBEAT
-    // here: the perf guard's own runs stay observable too.
+    // No Harness here, so apply SO_TRACE/SO_HEARTBEAT too: the perf
+    // guard's own runs stay observable.
     so::trace::initFromEnv();
-    std::string json_path;
-    std::string trace_dir;
-    std::size_t max_tasks = 0; // 0 = no cap.
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--json") == 0) {
-            json_path = (i + 1 < argc && argv[i + 1][0] != '-')
-                            ? argv[++i]
-                            : "BENCH_sim_kernel.json";
-        } else if (std::strcmp(argv[i], "--max-tasks") == 0 &&
-                   i + 1 < argc &&
-                   so::parseWholeNumber(argv[i + 1], max_tasks) &&
-                   max_tasks >= 1) {
-            ++i;
-        } else if (std::strcmp(argv[i], "--trace-dir") == 0 &&
-                   i + 1 < argc) {
-            trace_dir = argv[++i];
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--json [path]] [--max-tasks N]"
-                         " [--trace-dir DIR]\n",
-                         argv[0]);
-            return 2;
-        }
-    }
+    const so::ArgParser args(
+        argc, argv,
+        {{.name = "json", .bare = "BENCH_sim_kernel.json"},
+         {.name = "max-tasks", .kind = so::ArgKind::Count1},
+         {.name = "trace-dir"}});
+    if (!args.error().empty())
+        so::usageError(args.error());
+    const std::string json_path = args.get("json");
+    const std::string trace_dir = args.get("trace-dir");
+    const std::size_t max_tasks = args.count("max-tasks", 0); // 0: no cap.
 
     if (!trace_dir.empty()) {
         std::error_code ec;

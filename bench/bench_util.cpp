@@ -21,15 +21,6 @@
 
 namespace so::bench {
 
-namespace {
-
-/** Every flag the Harness reads; any other --flag is fatal. */
-constexpr const char *kSwitches[] = {"progress", "profile"};
-constexpr const char *kValued[] = {"jobs", "json", "trace-dir",
-                                   "self-trace"};
-
-} // namespace
-
 std::string
 Harness::sanitizeId(const std::string &id)
 {
@@ -53,37 +44,32 @@ Harness::Harness(int argc, const char *const *argv, std::string id,
     // passing --self-trace (docs/SELFTRACE.md).
     trace::initFromEnv();
 
-    const ArgParser args(argc, argv);
-    // A misspelt or retired flag, a stray argument (a path whose
-    // --json was forgotten) or a value given to a switch must not
-    // silently do nothing.
-    const std::string misuse = args.misuse(kSwitches, kValued);
-    if (!misuse.empty())
-        SO_FATAL(misuse);
-    std::size_t jobs = default_jobs;
-    if (args.has("jobs") && !parseWholeNumber(args.get("jobs"), jobs))
-        SO_FATAL("--jobs must be a whole number >= 0 (got '",
-                 args.get("jobs"), "')");
+    const std::string stem = "BENCH_" + sanitizeId(id_);
+    const ArgParser args(argc, argv,
+                         {{.name = "jobs", .kind = ArgKind::Count0},
+                          {.name = "json", .bare = stem + ".json"},
+                          {.name = "progress", .kind = ArgKind::Switch},
+                          {.name = "profile", .kind = ArgKind::Switch},
+                          {.name = "trace-dir", .bare = "traces"},
+                          {.name = "self-trace",
+                           .bare = stem + ".selftrace.json"}});
+    if (!args.error().empty())
+        usageError(args.error());
     banner(id_, description, paper_expectation);
 
     for (int i = 0; i < argc; ++i)
         argv_.emplace_back(argv[i]);
 
     runtime::SweepOptions options;
-    options.jobs = jobs;
+    options.jobs = args.count("jobs", default_jobs);
     options.progress = args.has("progress");
     options.name = id_;
     engine_ = std::make_unique<runtime::SweepEngine>(options);
 
-    if (args.has("json")) {
-        json_path_ = args.get("json");
-        if (json_path_.empty())
-            json_path_ = "BENCH_" + sanitizeId(id_) + ".json";
-    }
-    if (args.has("trace-dir")) {
-        trace_dir_ = args.get("trace-dir");
-        if (trace_dir_.empty())
-            trace_dir_ = "traces";
+    json_path_ = args.get("json");
+    trace_dir_ = args.get("trace-dir");
+    selftrace_path_ = args.get("self-trace");
+    if (!trace_dir_.empty()) {
         // Fail fast, before hours of sweep work: an existing regular
         // file at the target path would otherwise only surface when
         // the first per-cell write fails with a confusing message.
@@ -96,13 +82,8 @@ Harness::Harness(int argc, const char *const *argv, std::string id,
                      " is not a directory", detail);
         }
     }
-    if (args.has("self-trace")) {
-        selftrace_path_ = args.get("self-trace");
-        if (selftrace_path_.empty())
-            selftrace_path_ =
-                "BENCH_" + sanitizeId(id_) + ".selftrace.json";
+    if (!selftrace_path_.empty())
         trace::setEnabled(true);
-    }
     // --trace-dir implies profiling so the traces carry critical-path
     // flow arrows and each cell gets its profile and inspection-bundle
     // documents.

@@ -6,13 +6,13 @@
  * (--jobs N for parallel evaluation, a whole number >= 0, --json [path]
  * for a machine-readable BENCH_<id>.json record, --progress for sweep
  * logging, --profile for schedule profiling, whose level of detail
- * follows the graph size (docs/OBSERVABILITY.md), --trace-dir DIR for
+ * follows the graph size (docs/OBSERVABILITY.md), --trace-dir [DIR] for
  * per-cell chrome-trace/profile/bundle files, --self-trace [PATH] for
  * a host-side engine trace — see docs/SELFTRACE.md; any other --flag,
  * any argument that is not a flag or its value, a value given to
- * --progress or --profile, and a malformed --jobs are fatal), owns the
- * SweepEngine the bench declares its grid into, and collects the
- * rendered tables so the JSON document carries both the formatted
+ * --progress or --profile, and a malformed --jobs are usage errors),
+ * owns the SweepEngine the bench declares its grid into, and collects
+ * the rendered tables so the JSON document carries both the formatted
  * tables and the raw per-cell records. Benches only
  * write: `so-report check` guards a record against a baseline and
  * `so-report html` renders records, trace directories and self-traces
@@ -73,9 +73,8 @@ class Harness
 {
   public:
     /**
-     * Parses argv (an unknown --flag, a stray argument, a value on
-     * --progress or --profile, or a --jobs that is not a whole number
-     * >= 0 is fatal, naming the flag or token), prints the banner, and
+     * Parses argv by the flags above (a command line that breaks them
+     * exits so::kUsageError naming the token), prints the banner, and
      * sets up the engine.
      * @p default_jobs applies when --jobs is absent (0 = all cores);
      * most benches default to 1 so smoke runs stay deterministic in

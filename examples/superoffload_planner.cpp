@@ -16,15 +16,15 @@
  *                        [--jobs N] [--json] [--trace t.json]
  *                        [--config job.conf]
  *
- * The bench Harness's argv rules hold: an unknown flag, a positional
- * argument, a value on a switch, or a --jobs that is not a whole number
- * >= 0 exits 1 with a message naming the token. So does a --chips,
- * --batch or --seq (flag or config key) that is not a whole number >= 1
- * fitting uint32_t, and a --chips other than 1 or an even count.
+ * Flags and job-file keys are read by one so::ArgParser declaration. A
+ * command line or job file it rejects, a --chips other than 1 or an
+ * even count, an unknown --model preset or --explain baseline exits
+ * so::kUsageError (64) naming the token; exit 1 is left for runs that
+ * fail: an unreadable job file, a failed write or an infeasible plan.
  */
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -44,15 +44,62 @@
 
 namespace {
 
-/** Flags that take a value (possibly empty: --explain, --trace). */
-constexpr const char *kValued[] = {
-    "model", "chips",   "batch", "seq",   "binding",      "placement",
-    "jobs",  "explain", "trace", "config", "explain-html"};
+/** The baseline --explain diffs against when it names none. */
+const std::string kExplainBaseline = "zero-offload";
 
-/** Flags that take none. */
-constexpr const char *kSwitches[] = {
-    "help",          "list-models",    "no-stv",  "no-sac",
-    "no-grace-adam", "no-repartition", "compare", "json"};
+using PowerField = std::optional<double> so::hw::PowerOverrides::*;
+
+/** The config-only power keys (docs/ENERGY.md) and their fields. */
+constexpr std::pair<const char *, PowerField> kPowerKeys[] = {
+    {"gpu_busy_w", &so::hw::PowerOverrides::gpu_busy_w},
+    {"gpu_idle_w", &so::hw::PowerOverrides::gpu_idle_w},
+    {"cpu_busy_w", &so::hw::PowerOverrides::cpu_busy_w},
+    {"cpu_idle_w", &so::hw::PowerOverrides::cpu_idle_w},
+    {"link_busy_w", &so::hw::PowerOverrides::link_busy_w},
+    {"link_idle_w", &so::hw::PowerOverrides::link_idle_w},
+    {"nic_busy_w", &so::hw::PowerOverrides::nic_busy_w},
+    {"nic_idle_w", &so::hw::PowerOverrides::nic_idle_w},
+    {"nvme_busy_w", &so::hw::PowerOverrides::nvme_busy_w},
+    {"nvme_idle_w", &so::hw::PowerOverrides::nvme_idle_w},
+    {"c2c_pj_per_byte", &so::hw::PowerOverrides::c2c_pj_per_byte},
+    {"nvme_pj_per_byte", &so::hw::PowerOverrides::nvme_pj_per_byte},
+    {"ddr_w_per_gib", &so::hw::PowerOverrides::ddr_w_per_gib},
+};
+
+/** Every flag and job-file key the planner reads. */
+std::vector<so::Flag>
+plannerFlags()
+{
+    using enum so::ArgKind;
+    constexpr auto kBoth = so::ArgScope::Both;
+    constexpr auto kConfig = so::ArgScope::Config;
+    std::vector<so::Flag> flags = {
+        {.name = "model", .scope = kBoth},
+        {.name = "binding", .kind = Word, .words = {"colocated", "remote"},
+         .scope = kBoth},
+        {.name = "placement", .kind = Word,
+         .words = {"auto", "stationary", "flow"}, .scope = kBoth},
+        {.name = "jobs", .kind = Count0},
+        {.name = "explain", .bare = kExplainBaseline},
+        {.name = "explain-html", .bare = "explain.html"},
+        {.name = "trace", .bare = "superoffload_trace.json"},
+        {.name = "config"}};
+    for (const char *name : {"chips", "batch", "seq"})
+        flags.push_back(
+            {.name = name, .kind = Count1, .max = UINT32_MAX, .scope = kBoth});
+    for (const char *name :
+         {"help", "list-models", "no-stv", "no-sac", "no-grace-adam",
+          "no-repartition", "compare", "json"})
+        flags.push_back({.name = name, .kind = Switch});
+    for (const char *name : {"stv", "sac", "grace-adam", "repartition"})
+        flags.push_back({.name = name, .kind = Switch, .scope = kConfig});
+    // Hierarchy overrides (docs/HW.md) and the power keys.
+    for (const char *name : {"nvme_gb", "nvme_bw_gbs", "nvme_latency_us"})
+        flags.push_back({.name = name, .kind = Number, .scope = kConfig});
+    for (const auto &[name, field] : kPowerKeys)
+        flags.push_back({.name = name, .kind = Number, .scope = kConfig});
+    return flags;
+}
 
 int
 listModels()
@@ -75,19 +122,9 @@ int
 main(int argc, char **argv)
 {
     using namespace so;
-    const ArgParser args(argc, argv);
-    const std::string misuse = args.misuse(kSwitches, kValued);
-    if (!misuse.empty()) {
-        std::fprintf(stderr, "%s\n", misuse.c_str());
-        return 1;
-    }
-    std::size_t jobs = 1;
-    if (args.has("jobs") && !parseWholeNumber(args.get("jobs"), jobs)) {
-        std::fprintf(stderr,
-                     "--jobs must be a whole number >= 0 (got '%s')\n",
-                     args.get("jobs").c_str());
-        return 1;
-    }
+    ArgParser args(argc, argv, plannerFlags());
+    if (!args.error().empty())
+        usageError(args.error());
 
     if (args.has("help")) {
         std::printf(
@@ -137,134 +174,82 @@ main(int argc, char **argv)
         return listModels();
 
     // Optional declarative job file; explicit flags override it.
-    ConfigFile file;
     if (args.has("config")) {
         bool ok = false;
-        file = ConfigFile::load(args.get("config"), ok);
+        const ConfigFile file = ConfigFile::load(args.get("config"), ok);
         if (!ok) {
             std::fprintf(stderr, "cannot read config file '%s'\n",
                          args.get("config").c_str());
             return 1;
         }
-        for (const std::string &line : file.malformedLines())
-            std::fprintf(stderr, "config: ignoring line '%s'\n",
-                         line.c_str());
+        if (!args.readConfig(file))
+            usageError(args.error());
     }
-    auto str_opt = [&](const std::string &key,
-                       const std::string &fallback) {
-        return args.has(key) ? args.get(key)
-                             : file.get(key, fallback);
-    };
-    // --chips, --batch and --seq (or the same config keys) are counts:
-    // a whole number >= 1 that fits uint32_t. Anything else exits 1
-    // naming the flag and the token, instead of planning other counts.
-    auto source = [&](const std::string &key) {
-        return (args.has(key) ? "--" : "config key ") + key;
-    };
-    auto count_opt = [&](const std::string &key, std::uint32_t &out) {
-        if (!args.has(key) && !file.has(key))
-            return true; // Keep the default.
-        const std::string text = str_opt(key, "");
-        std::size_t value = 0;
-        if (!parseWholeNumber(text, value) || value < 1 ||
-            value > std::numeric_limits<std::uint32_t>::max()) {
-            std::fprintf(stderr,
-                         "%s must be a whole number >= 1 (got '%s')\n",
-                         source(key).c_str(), text.c_str());
-            return false;
-        }
-        out = static_cast<std::uint32_t>(value);
-        return true;
-    };
-    std::uint32_t chips = 1;
-    std::uint32_t batch = 8;
-    std::uint32_t seq = 1024;
-    if (!count_opt("chips", chips) || !count_opt("batch", batch) ||
-        !count_opt("seq", seq))
-        return 1;
+    const auto chips = static_cast<std::uint32_t>(args.count("chips", 1));
     // hw::gh200ClusterOf arranges one Superchip or an even count.
-    if (chips != 1 && chips % 2 != 0) {
-        std::fprintf(stderr,
-                     "%s must be 1 or an even number of Superchips "
-                     "(got '%u')\n",
-                     source("chips").c_str(), chips);
-        return 1;
-    }
-
-    const std::string model_name = str_opt("model", "13B");
-    if (!model::hasModelPreset(model_name)) {
-        std::fprintf(stderr, "unknown model preset '%s' "
-                             "(--list-models to enumerate)\n",
-                     model_name.c_str());
-        return 1;
-    }
+    if (chips != 1 && chips % 2 != 0)
+        usageError(args.source("chips") +
+                   " must be 1 or an even number of Superchips (got '" +
+                   std::to_string(chips) + "')");
+    const std::string model_name = args.get("model", "13B");
+    if (!model::hasModelPreset(model_name))
+        usageError("unknown model preset '" + model_name +
+                   "' (--list-models to enumerate)");
+    // --explain diffs schedule profiles, so both the SuperOffload plan
+    // and the baseline cells must capture them.
+    const bool explain = args.has("explain") || args.has("explain-html");
+    const std::string base = args.get("explain", kExplainBaseline);
+    const std::vector<std::string> &names = runtime::baselineNames();
+    const std::size_t base_index =
+        std::find(names.begin(), names.end(), base) - names.begin();
+    if (explain && base_index == names.size())
+        usageError("--explain: unknown baseline '" + base + "'");
 
     runtime::TrainSetup setup;
     setup.cluster = hw::gh200ClusterOf(chips);
     setup.model = model::modelPreset(model_name);
-    setup.global_batch = batch;
-    setup.seq = seq;
+    setup.global_batch = static_cast<std::uint32_t>(args.count("batch", 8));
+    setup.seq = static_cast<std::uint32_t>(args.count("seq", 1024));
     // Hierarchy overrides (docs/HW.md): reshape the cold tier without
     // recompiling a preset. `nvme_gb 0` removes the NVMe tier; the
     // derived hw::MemoryHierarchy, fit checks, and sweep fingerprints
     // all follow automatically.
-    if (file.has("nvme_gb")) {
+    if (args.has("nvme_gb")) {
         hw::SuperchipSpec &chip = setup.cluster.node.superchip;
-        chip.nvme_bytes = file.getDouble("nvme_gb", 0.0) * kGB;
+        chip.nvme_bytes = args.number("nvme_gb", 0.0) * kGB;
         if (chip.nvme_bytes > 0.0) {
             const double bw =
-                file.getDouble("nvme_bw_gbs",
-                               chip.nvme.curve().empty()
-                                   ? 6.0
-                                   : chip.nvme.curve().peak() / kGB) *
+                args.number("nvme_bw_gbs",
+                            chip.nvme.curve().empty()
+                                ? 6.0
+                                : chip.nvme.curve().peak() / kGB) *
                 kGB;
             const double lat =
-                file.getDouble("nvme_latency_us",
-                               chip.nvme.latency() / kUs) *
+                args.number("nvme_latency_us",
+                            chip.nvme.latency() / kUs) *
                 kUs;
             chip.nvme =
                 hw::Link("NVMe", hw::BandwidthCurve::flat(bw), lat);
         }
     }
-    // Power-model overrides (docs/ENERGY.md): config-only keys mapped
-    // one-to-one onto hw::PowerOverrides. Energy metering is always on;
-    // these only re-anchor the derived watts / per-byte tolls.
-    {
-        const std::pair<const char *, std::optional<double> *> keys[] = {
-            {"gpu_busy_w", &setup.power.gpu_busy_w},
-            {"gpu_idle_w", &setup.power.gpu_idle_w},
-            {"cpu_busy_w", &setup.power.cpu_busy_w},
-            {"cpu_idle_w", &setup.power.cpu_idle_w},
-            {"link_busy_w", &setup.power.link_busy_w},
-            {"link_idle_w", &setup.power.link_idle_w},
-            {"nic_busy_w", &setup.power.nic_busy_w},
-            {"nic_idle_w", &setup.power.nic_idle_w},
-            {"nvme_busy_w", &setup.power.nvme_busy_w},
-            {"nvme_idle_w", &setup.power.nvme_idle_w},
-            {"c2c_pj_per_byte", &setup.power.c2c_pj_per_byte},
-            {"nvme_pj_per_byte", &setup.power.nvme_pj_per_byte},
-            {"ddr_w_per_gib", &setup.power.ddr_w_per_gib},
-        };
-        for (const auto &[key, field] : keys)
-            if (file.has(key))
-                *field = file.getDouble(key, 0.0);
-    }
-    if (str_opt("binding", "colocated") == "remote")
+    // Power-model overrides (docs/ENERGY.md). Energy metering is always
+    // on; these only re-anchor the derived watts / per-byte tolls.
+    for (const auto &[key, field] : kPowerKeys)
+        if (args.has(key))
+            setup.power.*field = args.number(key, 0.0);
+    if (args.get("binding", "colocated") == "remote")
         setup.binding = hw::NumaBinding::Remote;
     setup.capture_trace = args.has("trace");
-    // --explain diffs schedule profiles, so both the SuperOffload plan
-    // and the baseline cells must capture them.
-    const bool explain = args.has("explain") || args.has("explain-html");
     setup.capture_profile = explain;
 
     core::SuperOffloadOptions opts;
-    opts.stv = !args.has("no-stv") && file.getBool("stv", true);
-    opts.sac = !args.has("no-sac") && file.getBool("sac", true);
+    opts.stv = !args.has("no-stv") && args.on("stv", true);
+    opts.sac = !args.has("no-sac") && args.on("sac", true);
     opts.grace_adam =
-        !args.has("no-grace-adam") && file.getBool("grace-adam", true);
+        !args.has("no-grace-adam") && args.on("grace-adam", true);
     opts.repartition =
-        !args.has("no-repartition") && file.getBool("repartition", true);
-    const std::string placement = str_opt("placement", "auto");
+        !args.has("no-repartition") && args.on("repartition", true);
+    const std::string placement = args.get("placement", "auto");
     if (placement == "stationary")
         opts.placement = core::WeightPlacement::Stationary;
     else if (placement == "flow")
@@ -273,8 +258,7 @@ main(int argc, char **argv)
     core::SuperOffloadEngine engine(opts);
     const core::PlanReport report = engine.plan(setup);
     if (args.has("trace") && report.feasible) {
-        const std::string path =
-            args.get("trace", "superoffload_trace.json");
+        const std::string path = args.get("trace");
         if (!writeFile(path, {report.iteration.trace_json})) {
             std::fprintf(stderr, "cannot write trace to %s\n",
                          path.c_str());
@@ -293,7 +277,7 @@ main(int argc, char **argv)
 
     if (args.has("compare") || explain) {
         runtime::SweepOptions sweep_opts;
-        sweep_opts.jobs = jobs;
+        sweep_opts.jobs = args.count("jobs", 1);
         sweep_opts.name = "compare";
         runtime::SweepEngine sweep(sweep_opts);
         std::vector<runtime::SystemPtr> baselines;
@@ -327,19 +311,6 @@ main(int argc, char **argv)
         if (explain) {
             // Phase-level attribution of SuperOffload's gap over one
             // baseline (the paper's Fig. 4 / Fig. 10 argument).
-            std::string base = args.get("explain");
-            if (base.empty())
-                base = "zero-offload";
-            std::size_t base_index = baselines.size();
-            for (std::size_t i = 0; i < baselines.size(); ++i)
-                if (runtime::baselineNames()[i] == base)
-                    base_index = i;
-            if (base_index == baselines.size()) {
-                std::fprintf(stderr,
-                             "--explain: unknown baseline '%s'\n",
-                             base.c_str());
-                return 1;
-            }
             const auto &base_res = sweep.result(base_index);
             if (!base_res.feasible || !base_res.profile.valid) {
                 std::printf("\n--explain: baseline %s is infeasible "
@@ -360,9 +331,7 @@ main(int argc, char **argv)
                 std::printf("\n%s",
                             so::report::diffToText(diff).c_str());
                 if (args.has("explain-html")) {
-                    std::string html_path = args.get("explain-html");
-                    if (html_path.empty())
-                        html_path = "explain.html";
+                    const std::string html_path = args.get("explain-html");
                     so::report::HtmlReport page;
                     page.title =
                         "SuperOffload vs " + base + " · " + model_name;

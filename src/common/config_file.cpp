@@ -1,8 +1,5 @@
 #include "common/config_file.h"
 
-#include <algorithm>
-#include <cctype>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -18,14 +15,6 @@ trim(const std::string &text)
         return "";
     const auto end = text.find_last_not_of(" \t\r");
     return text.substr(begin, end - begin + 1);
-}
-
-std::string
-lower(std::string text)
-{
-    std::transform(text.begin(), text.end(), text.begin(),
-                   [](unsigned char c) { return std::tolower(c); });
-    return text;
 }
 
 } // namespace
@@ -44,18 +33,14 @@ ConfigFile::parse(const std::string &text)
         const std::string trimmed = trim(line);
         if (trimmed.empty())
             continue;
+        // A line without '=' or without a key is malformed.
         const auto eq = trimmed.find('=');
-        if (eq == std::string::npos) {
+        const std::string key =
+            eq == std::string::npos ? "" : trim(trimmed.substr(0, eq));
+        if (key.empty())
             cfg.malformed_.push_back(trimmed);
-            continue;
-        }
-        const std::string key = trim(trimmed.substr(0, eq));
-        const std::string value = trim(trimmed.substr(eq + 1));
-        if (key.empty()) {
-            cfg.malformed_.push_back(trimmed);
-            continue;
-        }
-        cfg.values_[key] = value;
+        else
+            cfg.values_[key] = trim(trimmed.substr(eq + 1));
     }
     return cfg;
 }
@@ -72,55 +57,6 @@ ConfigFile::load(const std::string &path, bool &ok)
     buf << in.rdbuf();
     ok = true;
     return parse(buf.str());
-}
-
-bool
-ConfigFile::has(const std::string &key) const
-{
-    return values_.count(key) > 0;
-}
-
-std::string
-ConfigFile::get(const std::string &key, const std::string &fallback) const
-{
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-}
-
-long long
-ConfigFile::getInt(const std::string &key, long long fallback) const
-{
-    const auto it = values_.find(key);
-    if (it == values_.end() || it->second.empty())
-        return fallback;
-    char *end = nullptr;
-    const long long value = std::strtoll(it->second.c_str(), &end, 10);
-    return (end && *end == '\0') ? value : fallback;
-}
-
-double
-ConfigFile::getDouble(const std::string &key, double fallback) const
-{
-    const auto it = values_.find(key);
-    if (it == values_.end() || it->second.empty())
-        return fallback;
-    char *end = nullptr;
-    const double value = std::strtod(it->second.c_str(), &end);
-    return (end && *end == '\0') ? value : fallback;
-}
-
-bool
-ConfigFile::getBool(const std::string &key, bool fallback) const
-{
-    const auto it = values_.find(key);
-    if (it == values_.end())
-        return fallback;
-    const std::string v = lower(it->second);
-    if (v == "true" || v == "yes" || v == "on" || v == "1")
-        return true;
-    if (v == "false" || v == "no" || v == "off" || v == "0")
-        return false;
-    return fallback;
 }
 
 } // namespace so

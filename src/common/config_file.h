@@ -4,7 +4,8 @@
  *
  * Format: one `key = value` per line, `#` or `;` comments, blank lines
  * ignored, later keys override earlier ones. Used by the planner CLI
- * so training jobs can be described declaratively.
+ * so training jobs can be described declaratively; ArgParser::readConfig
+ * checks the keys and values against the planner's declaration.
  */
 #ifndef SO_COMMON_CONFIG_FILE_H
 #define SO_COMMON_CONFIG_FILE_H
@@ -15,7 +16,7 @@
 
 namespace so {
 
-/** Parsed key/value configuration with typed lookups. */
+/** Parsed key/value configuration. */
 class ConfigFile
 {
   public:
@@ -26,22 +27,17 @@ class ConfigFile
      * unreadable (the returned config is then empty). */
     static ConfigFile load(const std::string &path, bool &ok);
 
-    bool has(const std::string &key) const;
-    std::string get(const std::string &key,
-                    const std::string &fallback = "") const;
-    long long getInt(const std::string &key, long long fallback) const;
-    double getDouble(const std::string &key, double fallback) const;
-
-    /** "true/yes/on/1" => true; "false/no/off/0" => false. */
-    bool getBool(const std::string &key, bool fallback) const;
+    /** Every key with its last value, as text. */
+    const std::map<std::string, std::string> &values() const
+    {
+        return values_;
+    }
 
     /** Lines that failed to parse (for diagnostics). */
     const std::vector<std::string> &malformedLines() const
     {
         return malformed_;
     }
-
-    std::size_t size() const { return values_.size(); }
 
   private:
     std::map<std::string, std::string> values_;

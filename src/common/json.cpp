@@ -377,7 +377,7 @@ class JsonParser
     }
 
     bool
-    parseNumber(JsonValue &out)
+    parseNumeral(JsonValue &out)
     {
         const std::size_t start = pos_;
         if (pos_ < text_.size() && text_[pos_] == '-')
@@ -480,7 +480,7 @@ class JsonParser
             out.kind_ = JsonValue::Kind::Null;
             return parseLiteral("null", 4);
           default:
-            return parseNumber(out);
+            return parseNumeral(out);
         }
     }
 

@@ -212,17 +212,25 @@ TrainingSystem::screenVariant(const TrainSetup &setup,
     const std::uint32_t per_rank = perRankBatch(setup);
 
     // Largest micro-batch that fits for a given checkpointing choice;
-    // 0 when even micro-batch 1 does not fit.
+    // 0 when even micro-batch 1 does not fit. Only divisors of per_rank
+    // keep accumulation integral; they are tried largest first: per_rank
+    // / d for d up to the square root, then those d from the root down.
     auto largest_micro = [&](bool ckpt) -> std::uint32_t {
         SearchCandidate c = probe;
         c.checkpointing = ckpt;
-        for (std::uint32_t micro = per_rank; micro >= 1; --micro) {
-            if (per_rank % micro != 0)
-                continue; // Accumulation steps must be integral.
+        auto fits = [&](std::uint32_t micro) {
             c.micro_batch = micro;
-            if (gpuBytes(setup, c) <= gpu_cap)
-                return micro;
+            return gpuBytes(setup, c) <= gpu_cap;
+        };
+        std::uint32_t root = 0;
+        for (std::uint64_t d = 1; d * d <= per_rank; ++d) {
+            root = static_cast<std::uint32_t>(d);
+            if (per_rank % root == 0 && fits(per_rank / root))
+                return per_rank / root;
         }
+        for (std::uint32_t d = root; d >= 1; --d)
+            if (per_rank % d == 0 && d != per_rank / d && fits(d))
+                return d;
         return 0;
     };
 

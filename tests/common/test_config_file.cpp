@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/argparse.h"
+
 #include <cstdio>
 #include <fstream>
 
@@ -14,10 +16,9 @@ TEST(ConfigFile, ParsesKeyValuePairs)
         "model = 13B\n"
         "chips=4\n"
         "  seq   =   2048  \n");
-    EXPECT_EQ(cfg.get("model"), "13B");
-    EXPECT_EQ(cfg.getInt("chips", 0), 4);
-    EXPECT_EQ(cfg.getInt("seq", 0), 2048);
-    EXPECT_EQ(cfg.size(), 3u);
+    EXPECT_EQ(cfg.values(),
+              (std::map<std::string, std::string>{
+                  {"model", "13B"}, {"chips", "4"}, {"seq", "2048"}}));
 }
 
 TEST(ConfigFile, IgnoresCommentsAndBlankLines)
@@ -27,8 +28,8 @@ TEST(ConfigFile, IgnoresCommentsAndBlankLines)
         "\n"
         "key = value  # trailing comment\n"
         "; semicolon comment\n");
-    EXPECT_EQ(cfg.size(), 1u);
-    EXPECT_EQ(cfg.get("key"), "value");
+    EXPECT_EQ(cfg.values(),
+              (std::map<std::string, std::string>{{"key", "value"}}));
 }
 
 TEST(ConfigFile, CollectsMalformedLines)
@@ -37,40 +38,63 @@ TEST(ConfigFile, CollectsMalformedLines)
         "good = 1\n"
         "this line has no equals\n"
         "= missing key\n");
-    EXPECT_EQ(cfg.size(), 1u);
-    ASSERT_EQ(cfg.malformedLines().size(), 2u);
+    EXPECT_EQ(cfg.values().size(), 1u);
+    EXPECT_EQ(cfg.malformedLines(),
+              (std::vector<std::string>{"this line has no equals",
+                                        "= missing key"}));
 }
 
 TEST(ConfigFile, LaterKeysOverride)
 {
     const ConfigFile cfg = ConfigFile::parse("x = 1\nx = 2\n");
-    EXPECT_EQ(cfg.getInt("x", 0), 2);
+    EXPECT_EQ(cfg.values().at("x"), "2");
 }
 
-TEST(ConfigFile, TypedFallbacks)
+/** Read @p text as a job file by a declaration of @p kind keys. */
+ArgParser
+readKeys(const std::string &text, ArgKind kind,
+         std::initializer_list<const char *> keys)
 {
-    const ConfigFile cfg = ConfigFile::parse("bad = not-a-number\n");
-    EXPECT_EQ(cfg.getInt("bad", 9), 9);
-    EXPECT_DOUBLE_EQ(cfg.getDouble("bad", 1.5), 1.5);
-    EXPECT_EQ(cfg.getInt("absent", 3), 3);
+    std::vector<Flag> flags;
+    for (const char *key : keys)
+        flags.push_back(
+            {.name = key, .kind = kind, .scope = ArgScope::Config});
+    const char *argv[] = {"prog"};
+    ArgParser args(1, argv, flags);
+    args.readConfig(ConfigFile::parse(text));
+    return args;
 }
 
 TEST(ConfigFile, BooleanSpellings)
 {
-    const ConfigFile cfg = ConfigFile::parse(
-        "a = true\nb = YES\nc = off\nd = 0\ne = maybe\n");
-    EXPECT_TRUE(cfg.getBool("a", false));
-    EXPECT_TRUE(cfg.getBool("b", false));
-    EXPECT_FALSE(cfg.getBool("c", true));
-    EXPECT_FALSE(cfg.getBool("d", true));
-    EXPECT_TRUE(cfg.getBool("e", true)); // Unparseable -> fallback.
-    EXPECT_FALSE(cfg.getBool("absent", false));
+    const ArgParser args =
+        readKeys("a = true\nb = YES\nc = off\nd = 0\ne = On\nf = no\n",
+                 ArgKind::Switch, {"a", "b", "c", "d", "e", "f", "absent"});
+    EXPECT_EQ(args.error(), "");
+    EXPECT_TRUE(args.on("a", false));
+    EXPECT_TRUE(args.on("b", false));
+    EXPECT_FALSE(args.on("c", true));
+    EXPECT_FALSE(args.on("d", true));
+    EXPECT_TRUE(args.on("e", false));
+    EXPECT_FALSE(args.on("f", true));
+    EXPECT_FALSE(args.on("absent", false));
+    EXPECT_TRUE(args.on("absent", true));
+    // Anything else is an error naming the key, not the fallback.
+    EXPECT_EQ(readKeys("e = maybe\n", ArgKind::Switch, {"e"}).error(),
+              "config key e must be true/yes/on/1 or false/no/off/0 (got "
+              "'maybe')");
 }
 
 TEST(ConfigFile, DoubleValues)
 {
-    const ConfigFile cfg = ConfigFile::parse("lr = 2e-3\n");
-    EXPECT_DOUBLE_EQ(cfg.getDouble("lr", 0.0), 2e-3);
+    const ArgParser args = readKeys("lr = 2e-3\nneg = -0.5\n",
+                                    ArgKind::Number, {"lr", "neg"});
+    EXPECT_EQ(args.error(), "");
+    EXPECT_DOUBLE_EQ(args.number("lr", 0.0), 2e-3);
+    EXPECT_DOUBLE_EQ(args.number("neg", 0.0), -0.5);
+    EXPECT_EQ(readKeys("lr = not-a-number\n", ArgKind::Number, {"lr"})
+                  .error(),
+              "config key lr must be a number (got 'not-a-number')");
 }
 
 TEST(ConfigFile, LoadFromDisk)
@@ -83,7 +107,7 @@ TEST(ConfigFile, LoadFromDisk)
     bool ok = false;
     const ConfigFile cfg = ConfigFile::load(path, ok);
     EXPECT_TRUE(ok);
-    EXPECT_EQ(cfg.get("model"), "5B");
+    EXPECT_EQ(cfg.values().at("model"), "5B");
     std::remove(path.c_str());
 }
 
@@ -93,7 +117,7 @@ TEST(ConfigFile, LoadMissingFileReportsFailure)
     const ConfigFile cfg =
         ConfigFile::load("/nonexistent/so_config.ini", ok);
     EXPECT_FALSE(ok);
-    EXPECT_EQ(cfg.size(), 0u);
+    EXPECT_TRUE(cfg.values().empty());
 }
 
 } // namespace

@@ -7,7 +7,7 @@
  * --trace-dir streams the full artifact set (Chrome trace, profile
  * document, bundle shards) at the detail the graph size picks, and an
  * unknown flag or a --max-tasks that is not a whole number >= 1 is a
- * usage error.
+ * usage error (so::kUsageError, naming the flag or token).
  */
 #include <gtest/gtest.h>
 
@@ -19,6 +19,7 @@
 
 #include <sys/wait.h>
 
+#include "common/argparse.h"
 #include "common/json.h"
 
 #ifdef SO_SIM_KERNEL_BIN
@@ -135,16 +136,26 @@ TEST(BenchSimKernelCli, BadDetailIsAUsageError)
     // `so-report check`. A --max-tasks that is not a whole number >= 1
     // would cap the run at the wrong size or lift the cap. Each case
     // leads with a small cap, so an accepted argument still ends fast.
-    for (const char *arguments :
-         {"--detail sideways", "--baseline x", "--tolerance 0.5",
-          "--max-tasks 1e5", "--max-tasks 12abc"}) {
-        EXPECT_EQ(runBench(std::string("--max-tasks 1000 ") + arguments,
+    const struct
+    {
+        const char *arguments;
+        const char *named;
+    } kCases[] = {
+        {"--detail sideways", "unknown flag --detail"},
+        {"--baseline x", "unknown flag --baseline"},
+        {"--tolerance 0.5", "unknown flag --tolerance"},
+        {"--max-tasks 1e5", "--max-tasks must be a whole number >= 1 "
+                            "(got '1e5')"},
+        {"--max-tasks 12abc", "(got '12abc')"},
+    };
+    for (const auto &c : kCases) {
+        EXPECT_EQ(runBench(std::string("--max-tasks 1000 ") + c.arguments,
                            dir / "stdout.txt", dir / "stderr.txt"),
-                  2)
-            << arguments;
-        EXPECT_NE(slurp(dir / "stderr.txt").find("usage:"),
+                  kUsageError)
+            << c.arguments;
+        EXPECT_NE(slurp(dir / "stderr.txt").find(c.named),
                   std::string::npos)
-            << arguments;
+            << c.arguments;
     }
     fs::remove_all(dir);
 }

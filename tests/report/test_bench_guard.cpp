@@ -5,7 +5,9 @@
  * a valid --trace-dir is created up front, a flag the Harness does not
  * know (a retired one or a typo), a stray argument, a value given to
  * --progress or --profile and a --jobs that is not a whole number >= 0
- * die at parse time naming the flag or token, a --json record or
+ * exit so::kUsageError at parse time naming the flag or token, a bare
+ * --json, --trace-dir or --self-trace takes its declared default, a
+ * --json record or
  * --self-trace export that cannot be written in full is fatal, and a record the Harness writes is one `so-report
  * check` guards: a vanished baseline metric lands in the verdict while
  * --warn-only keeps the exit code 0, and a record passes against itself.
@@ -23,7 +25,9 @@
 
 #include <sys/wait.h>
 
+#include "common/argparse.h"
 #include "common/json.h"
+#include "common/trace.h"
 
 namespace so::bench {
 namespace {
@@ -84,7 +88,8 @@ TEST(HarnessGuard, RemovedFlagsDieFast)
         {"--baseline", "f"}, {"--tolerance", "0.5"}, {"--html", "d"},
         {"--jsn"}};
     for (const std::vector<std::string> &args : cases)
-        EXPECT_EXIT(makeHarness(args), ::testing::ExitedWithCode(1),
+        EXPECT_EXIT(makeHarness(args),
+                    ::testing::ExitedWithCode(kUsageError),
                     "unknown flag " + args[0])
             << args[0];
 }
@@ -97,7 +102,8 @@ TEST(HarnessGuard, MalformedJobsDiesFast)
         {"--jobs", "abc"}, {"--jobs", "-3"}, {"--jobs", "1.5"}, {"--jobs"}};
     for (const std::vector<std::string> &args : cases) {
         const std::string value = args.size() > 1 ? args[1] : "";
-        EXPECT_EXIT(makeHarness(args), ::testing::ExitedWithCode(1),
+        EXPECT_EXIT(makeHarness(args),
+                    ::testing::ExitedWithCode(kUsageError),
                     "--jobs must be a whole number >= 0 .got '" + value +
                         "'")
             << value;
@@ -115,15 +121,38 @@ TEST(HarnessGuard, StrayArgumentsDieFast)
 {
     // A path without its --json, or read as the value of a switch,
     // must not be dropped silently.
-    EXPECT_EXIT(makeHarness({"out.json"}), ::testing::ExitedWithCode(1),
+    EXPECT_EXIT(makeHarness({"out.json"}),
+                ::testing::ExitedWithCode(kUsageError),
                 "unexpected argument out.json");
     EXPECT_EXIT(makeHarness({"--json", "j.json", "extra"}),
-                ::testing::ExitedWithCode(1), "unexpected argument extra");
+                ::testing::ExitedWithCode(kUsageError),
+                "unexpected argument extra");
     for (const std::string flag : {"--progress", "--profile"})
         EXPECT_EXIT(makeHarness({flag, "out.json"}),
-                    ::testing::ExitedWithCode(1),
+                    ::testing::ExitedWithCode(kUsageError),
                     flag + " takes no value .got out.json")
             << flag;
+}
+
+TEST(HarnessGuard, BareOptionalFlagsTakeTheirDefaults)
+{
+    // Run in a scratch directory: the defaults are relative paths.
+    const fs::path dir = tempPath("so_harness_bare_flags");
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    const fs::path cwd = fs::current_path();
+    fs::current_path(dir);
+    EXPECT_EQ(makeHarness({"--json", "--trace-dir", "--self-trace"})
+                  .finish(),
+              0);
+    fs::current_path(cwd);
+    trace::setEnabled(false);
+    trace::clearAll();
+    EXPECT_TRUE(fs::is_regular_file(dir / "BENCH_guardtest.json"));
+    EXPECT_TRUE(fs::is_directory(dir / "traces"));
+    EXPECT_TRUE(
+        fs::is_regular_file(dir / "BENCH_guardtest.selftrace.json"));
+    fs::remove_all(dir);
 }
 
 TEST(HarnessGuard, JsonOnAFullDeviceIsFatal)

@@ -4,9 +4,12 @@
  * over bundle shards and Chrome traces with phase/resource/window
  * filters and top-N ranking, plus the `so-report` CLI contract — the
  * query subcommand answers over real artifacts, an unknown subcommand
- * exits with the distinct usage status listing the valid ones, query
- * and check reject an unusable window or --tolerance/--tol value with
- * exit 1, check gates on a regression unless --warn-only and writes
+ * exits with the distinct usage status listing the valid ones, every
+ * subcommand reads its flags by one declaration (an unknown flag, a
+ * malformed --top, --rank or --metric, an unusable window or
+ * --tolerance/--tol value exit so::kUsageError; a switch takes no
+ * input; every --tol applies), check gates on a regression unless
+ * --warn-only and writes
  * the same verdict either way, html --trace-dir embeds bundles and
  * profiles but not bundle shards, html and check fail when their --out
  * file cannot be written,
@@ -27,6 +30,7 @@
 
 #include <sys/wait.h>
 
+#include "common/argparse.h"
 #include "common/json.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
@@ -319,18 +323,32 @@ TEST(Query, CliQueryAnswersOverShards)
     EXPECT_EQ(static_cast<int>(doc.at("matched").number()), 1);
 
     // Bad rank key: usage failure, not a crash.
-    EXPECT_NE(runReport("query " + shardFixture() + " --rank sideways",
-                        output), 0);
+    EXPECT_EQ(runReport("query " + shardFixture() + " --rank sideways",
+                        output),
+              kUsageError);
+    EXPECT_NE(output.find("--rank must be one of duration|slack|joules "
+                          "(got 'sideways')"),
+              std::string::npos)
+        << output;
 
-    // An unusable window: a message and exit 1. A NaN bound would
-    // match every span and print as null, like an unbounded end.
+    // An unusable window: a message and the usage status. A NaN bound
+    // would match every span and print as null, like an unbounded end;
+    // it is no number, like text or nothing at all.
     for (const char *window :
-         {"--begin nan", "--begin inf", "--begin -inf", "--begin abc",
-          "--begin", "--end nan", "--end -inf", "--end 2 --begin 2",
+         {"--begin nan", "--begin abc", "--begin", "--end nan"}) {
+        EXPECT_EQ(runReport("query " + shardFixture() + " " + window,
+                            output),
+                  kUsageError)
+            << window << ": " << output;
+        EXPECT_NE(output.find("must be a number"), std::string::npos)
+            << window << ": " << output;
+    }
+    for (const char *window :
+         {"--begin inf", "--begin -inf", "--end -inf", "--end 2 --begin 2",
           "--begin 5 --end 1", "--begin -1 --end -2"}) {
         EXPECT_EQ(runReport("query " + shardFixture() + " " + window,
                             output),
-                  1)
+                  kUsageError)
             << window << ": " << output;
         EXPECT_NE(output.find("finite --begin"), std::string::npos)
             << window << ": " << output;
@@ -355,28 +373,120 @@ TEST(Query, CliCheckRejectsUnusableTolerance)
     const std::string record = writeFile("check_record.json", "{}");
     std::string output;
     // Non-numeric and non-finite (overflowing) tolerances: a message
-    // and exit 1, like a missing '=', instead of an uncaught exception.
+    // and the usage status, like a missing '=', instead of an uncaught
+    // exception.
     for (const char *tol : {"v_per_s=abc", "v_per_s=1e999"}) {
         EXPECT_EQ(runReport("check " + record + " --baseline " + record +
                                 " --tol " + tol,
                             output),
-                  1)
+                  kUsageError)
             << tol << ": " << output;
         EXPECT_NE(output.find("finite number"), std::string::npos)
             << output;
     }
     // The default tolerance follows the same rule: nan and inf would
     // pass every metric, a negative value would fail every one, and
-    // text that is not a number would silently keep the default.
-    for (const char *tolerance : {"nan", "inf", "abc", "-1"}) {
+    // text that is not a number would silently keep the default. nan
+    // and text are no number at all; inf and -1 are out of range.
+    const struct
+    {
+        const char *tolerance;
+        const char *named;
+    } kCases[] = {
+        {"nan", "--tolerance must be a number (got 'nan')"},
+        {"inf", "finite number"},
+        {"abc", "--tolerance must be a number (got 'abc')"},
+        {"-1", "finite number"},
+    };
+    for (const auto &c : kCases) {
         EXPECT_EQ(runReport("check " + record + " --baseline " + record +
-                                " --tolerance " + tolerance,
+                                " --tolerance " + c.tolerance,
                             output),
-                  1)
-            << tolerance << ": " << output;
-        EXPECT_NE(output.find("finite number"), std::string::npos)
-            << tolerance << ": " << output;
+                  kUsageError)
+            << c.tolerance << ": " << output;
+        EXPECT_NE(output.find(c.named), std::string::npos)
+            << c.tolerance << ": " << output;
     }
+}
+
+TEST(Query, CliFlagsFollowEachSubcommandsDeclaration)
+{
+    // A 20% drop: --tolerance 0.1 fails it, a misspelt --tolerence must
+    // not drop the flag and pass it.
+    const std::string fresh = writeFile("typo_fresh.json", R"({"a_per_s":80})");
+    const std::string base = writeFile("typo_base.json", R"({"a_per_s":100})");
+    const std::string check = "check " + fresh + " --baseline " + base;
+    std::string output;
+    EXPECT_EQ(runReport(check + " --tolerance 0.1", output), 1) << output;
+    EXPECT_EQ(runReport(check + " --tolerence 0.1", output), kUsageError)
+        << output;
+    EXPECT_NE(output.find("unknown flag --tolerence"), std::string::npos)
+        << output;
+    EXPECT_EQ(runReport(check + " --tolerance 0.3", output), 0) << output;
+    // A flag another subcommand declares is still unknown here.
+    EXPECT_EQ(runReport(check + " --phase fwd", output), kUsageError)
+        << output;
+    EXPECT_EQ(runReport("check --no-such-flag", output), kUsageError);
+    EXPECT_NE(output.find("unknown flag --no-such-flag"), std::string::npos)
+        << output;
+    // A missing input or --baseline is a usage error too.
+    EXPECT_EQ(runReport("check " + fresh, output), kUsageError) << output;
+    EXPECT_EQ(runReport("check --baseline " + base, output), kUsageError)
+        << output;
+    EXPECT_EQ(runReport("check " + fresh + " " + fresh + " --baseline " +
+                            base,
+                        output),
+              kUsageError)
+        << output;
+    EXPECT_NE(output.find("unexpected argument " + fresh),
+              std::string::npos)
+        << output;
+
+    // --top is a whole number; text and negatives used to run at the
+    // default and at 1.
+    for (const std::string &command :
+         {"query " + shardFixture(), "top " + fresh, "selftrace " + fresh,
+          "diff " + fresh + " " + fresh})
+        for (const char *top : {"abc", "-3"}) {
+            EXPECT_EQ(runReport(command + " --top " + top, output),
+                      kUsageError)
+                << command << " --top " << top << ": " << output;
+            EXPECT_NE(output.find("--top must be a whole number"),
+                      std::string::npos)
+                << output;
+        }
+    EXPECT_EQ(runReport("top " + fresh + " --metric joules", output),
+              kUsageError);
+    EXPECT_NE(output.find("--metric must be one of time|energy"),
+              std::string::npos)
+        << output;
+}
+
+TEST(Query, CliSwitchTakesNoInputAndEveryTolApplies)
+{
+    // --json is a switch: both shard files are scanned, not one.
+    const std::string shard = shardFixture();
+    std::string output;
+    ASSERT_EQ(runReport("query --json " + shard + " " + shard, output), 0)
+        << output;
+    JsonValue doc;
+    ASSERT_TRUE(JsonValue::parse(output, doc)) << output;
+    EXPECT_EQ(static_cast<int>(doc.at("matched").number()), 8);
+
+    // Two --tol overrides both apply: each metric drops 30%, past the
+    // default band, and each gets a 40% band, so the record passes.
+    const std::string fresh =
+        writeFile("tol_fresh.json", R"({"a_per_s":70,"b_per_s":70})");
+    const std::string base =
+        writeFile("tol_base.json", R"({"a_per_s":100,"b_per_s":100})");
+    const std::string check = "check " + fresh + " --baseline " + base;
+    EXPECT_EQ(runReport(check, output), 1) << output;
+    EXPECT_EQ(runReport(check + " --tol a_per_s=0.4 --tol b_per_s=0.4",
+                        output),
+              0)
+        << output;
+    EXPECT_EQ(runReport(check + " --tol a_per_s=0.4", output), 1)
+        << output;
 }
 
 TEST(Query, CliWritersFailOnAFullDevice)

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <limits>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "common/units.h"
+#include "core/superoffload.h"
 #include "runtime/registry.h"
 
 namespace so::runtime {
@@ -124,6 +126,164 @@ TEST(System, RegistryExposesAllBaselines)
         auto sys = makeBaseline(name);
         ASSERT_NE(sys, nullptr) << name;
         EXPECT_FALSE(sys->name().empty());
+    }
+}
+
+/**
+ * A system that fits every micro-batch up to a threshold (one without
+ * checkpointing, one with) and records each GPU-memory probe, so the
+ * memory screen can be compared with a copy of its old walk.
+ */
+class ThresholdSystem : public TrainingSystem
+{
+  public:
+    ThresholdSystem(std::uint32_t per_rank, std::uint32_t plain_limit,
+                    std::uint32_t ckpt_limit)
+        : per_rank_(per_rank), plain_limit_(plain_limit),
+          ckpt_limit_(ckpt_limit)
+    {
+    }
+
+    std::string name() const override { return "threshold"; }
+
+    /** Every (micro-batch, checkpointing) gpuBytes was asked for. */
+    mutable std::vector<std::pair<std::uint32_t, bool>> probes;
+
+    /**
+     * The screen as it was: every micro-batch from the per-rank batch
+     * down to 1, skipping those that do not divide it.
+     */
+    std::vector<SearchCandidate>
+    referenceScreen(const TrainSetup &setup) const
+    {
+        auto largest_micro = [&](bool ckpt) -> std::uint32_t {
+            SearchCandidate c;
+            c.checkpointing = ckpt;
+            for (std::uint32_t micro = per_rank_; micro >= 1; --micro) {
+                if (per_rank_ % micro != 0)
+                    continue;
+                c.micro_batch = micro;
+                if (gpuBytes(setup, c) <= gpuCapacity(setup))
+                    return micro;
+            }
+            return 0;
+        };
+        const std::uint32_t plain = largest_micro(false);
+        const std::uint32_t ckpt = largest_micro(true);
+        std::vector<SearchCandidate> out;
+        for (const auto &[micro, with_ckpt] :
+             {std::pair{plain, false}, std::pair{ckpt, true}}) {
+            if (micro == 0 || (with_ckpt && ckpt <= plain))
+                continue;
+            SearchCandidate c;
+            c.micro_batch = micro;
+            c.accum_steps = per_rank_ / micro;
+            c.checkpointing = with_ckpt;
+            out.push_back(c);
+        }
+        return out;
+    }
+
+  protected:
+    double gpuBytes(const TrainSetup &setup,
+                    const SearchCandidate &cand) const override
+    {
+        probes.emplace_back(cand.micro_batch, cand.checkpointing);
+        const std::uint32_t limit =
+            cand.checkpointing ? ckpt_limit_ : plain_limit_;
+        return cand.micro_batch <= limit ? 0.0 : 2.0 * gpuCapacity(setup);
+    }
+    double cpuBytes(const TrainSetup &,
+                    const SearchCandidate &) const override
+    {
+        return 0.0;
+    }
+    // Only the device screen asks gpuBytes; every other tier fits.
+    double tierBytes(const TrainSetup &, const SearchCandidate &,
+                     const hw::MemoryTier &) const override
+    {
+        return 0.0;
+    }
+    std::uint32_t perRankBatch(const TrainSetup &) const override
+    {
+        return per_rank_;
+    }
+    IterationResult simulate(const TrainSetup &,
+                             const SearchCandidate &) const override
+    {
+        return {};
+    }
+
+  private:
+    std::uint32_t per_rank_;
+    std::uint32_t plain_limit_;
+    std::uint32_t ckpt_limit_;
+};
+
+TEST(MemoryScreen, DivisorWalkMatchesTheEveryIntegerLoop)
+{
+    const TrainSetup setup = setupFor("5B");
+    // (plain, checkpointed) thresholds: nothing fits, only
+    // checkpointing fits, checkpointing unlocks more, no more, less,
+    // and everything fits.
+    const std::pair<std::uint32_t, std::uint32_t> kLimits[] = {
+        {0, 0}, {0, 1}, {1, 3}, {3, 3}, {7, 64}, {100, 50}, {5000, 5000}};
+    for (std::uint32_t per_rank = 1; per_rank <= 4096; ++per_rank) {
+        for (const auto &[plain, ckpt] : kLimits) {
+            const ThresholdSystem sys(per_rank, plain, ckpt);
+            const std::vector<SearchCandidate> got =
+                sys.enumerateCandidates(setup);
+            const auto probes = sys.probes;
+            sys.probes.clear();
+            const std::vector<SearchCandidate> want =
+                sys.referenceScreen(setup);
+            // A screen that finds nothing runs again on the fallback
+            // variant, which is the same one here.
+            auto want_probes = sys.probes;
+            if (want.empty())
+                want_probes.insert(want_probes.end(), sys.probes.begin(),
+                                   sys.probes.end());
+            // The same gpuBytes calls in the same order, so every
+            // candidate is the one the old walk picked.
+            ASSERT_EQ(probes, want_probes)
+                << per_rank << " " << plain << " " << ckpt;
+            ASSERT_EQ(got.size(), want.size()) << per_rank;
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                EXPECT_EQ(got[i].micro_batch, want[i].micro_batch);
+                EXPECT_EQ(got[i].accum_steps, want[i].accum_steps);
+                EXPECT_EQ(got[i].checkpointing, want[i].checkpointing);
+            }
+        }
+    }
+}
+
+TEST(MemoryScreen, LargestUint32BatchScreensInUnderASecond)
+{
+    // 4294967295 = 3 * 5 * 17 * 257 * 65537: the old walk tested every
+    // integer below it (45 s for SuperOffload, 11 s for DDP). The first
+    // candidates are the ones it found.
+    TrainSetup setup = setupFor("5B");
+    setup.global_batch = 4294967295u;
+    const core::SuperOffloadSystem superoffload;
+    const SystemPtr ddp = makeBaseline("ddp");
+    const struct
+    {
+        const TrainingSystem *system;
+        std::uint32_t micro;
+    } kCases[] = {{&superoffload, 17}, {ddp.get(), 1}};
+    for (const auto &c : kCases) {
+        const auto start = std::chrono::steady_clock::now();
+        const std::vector<SearchCandidate> cands =
+            c.system->enumerateCandidates(setup);
+        const double seconds = std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - start)
+                                   .count();
+        ASSERT_FALSE(cands.empty()) << c.system->name();
+        EXPECT_EQ(cands.front().micro_batch, c.micro) << c.system->name();
+        EXPECT_EQ(cands.front().accum_steps, 4294967295u / c.micro)
+            << c.system->name();
+        EXPECT_FALSE(cands.front().checkpointing) << c.system->name();
+        EXPECT_LT(seconds, 1.0) << c.system->name();
     }
 }
 

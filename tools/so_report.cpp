@@ -40,12 +40,15 @@
  * Documents carrying a `schema_version` newer than this build's
  * so::kSchemaVersion draw a warning but are still read: newer writers
  * only add fields.
+ *
+ * A command line that breaks its subcommand's declared flags, or lacks
+ * an input or --baseline, exits so::kUsageError (64); a run that fails
+ * (an unreadable input, a failed write, a regression) exits 1.
  */
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -67,17 +70,6 @@
 namespace {
 
 using namespace so;
-
-/**
- * Exit status for an unrecognized subcommand — EX_USAGE from
- * sysexits.h, distinct from the generic failure 1 so scripts can tell
- * "typo in the subcommand" apart from "command ran and failed".
- */
-constexpr int kUsageError = 64;
-
-/** Every subcommand main() dispatches on, for error messages. */
-constexpr const char *kSubcommands =
-    "diff, check, top, html, selftrace, query";
 
 int
 usage(std::FILE *out)
@@ -110,16 +102,7 @@ usage(std::FILE *out)
         "see docs/SELFTRACE.md) or its .selfprofile.json summary.\n"
         "query streams *.bundle.jsonl shards, Chrome traces, and\n"
         "inspection bundles in one bounded-memory pass.\n");
-    return out == stdout ? 0 : 1;
-}
-
-/** Parse all of @p text as a number (strtod syntax, so inf and nan too). */
-bool
-parseNumber(const std::string &text, double &value)
-{
-    char *end = nullptr;
-    value = std::strtod(text.c_str(), &end);
-    return !text.empty() && *end == '\0';
+    return out == stdout ? 0 : kUsageError;
 }
 
 bool
@@ -194,29 +177,20 @@ int
 cmdDiff(const ArgParser &args)
 {
     const std::vector<std::string> &files = args.positional();
-    // positional()[0] is the subcommand itself.
-    const std::size_t inputs = files.size() - 1;
-    if (inputs != 1 && inputs != 2)
+    if (files.empty())
         return usage(stderr);
     const std::string cell_a = args.get("cell");
-    const std::string cell_b =
-        args.has("cell-b") ? args.get("cell-b") : cell_a;
-    const std::string before_path = files[1];
-    const std::string after_path = inputs == 2 ? files[2] : files[1];
-    if (inputs == 1 && (!args.has("cell") || !args.has("cell-b"))) {
-        std::fprintf(stderr,
-                     "so-report: diffing within one record needs both "
-                     "--cell and --cell-b\n");
-        return 1;
-    }
+    const std::string cell_b = args.get("cell-b", cell_a);
+    if (files.size() == 1 && (!args.has("cell") || !args.has("cell-b")))
+        usageError("so-report: diffing within one record needs both "
+                   "--cell and --cell-b");
 
     report::ProfileView before, after;
-    if (!loadView(before_path, cell_a, before) ||
-        !loadView(after_path, cell_b, after))
+    if (!loadView(files.front(), cell_a, before) ||
+        !loadView(files.back(), cell_b, after))
         return 1;
     report::ProfileDiff diff = report::diffProfiles(before, after);
-    const std::size_t top_k = static_cast<std::size_t>(
-        std::max(1LL, args.getInt("top", 64)));
+    const std::size_t top_k = args.count("top", 64);
     if (diff.phases.size() > top_k)
         diff.phases.resize(top_k);
     if (args.has("json"))
@@ -230,43 +204,31 @@ int
 cmdCheck(const ArgParser &args)
 {
     const std::vector<std::string> &files = args.positional();
-    if (files.size() != 2 || !args.has("baseline"))
+    if (files.size() != 1 || !args.has("baseline"))
         return usage(stderr);
-    const std::string fresh_path = files[1];
+    const std::string fresh_path = files[0];
     const std::string baseline_path = args.get("baseline");
+
+    report::CheckOptions options;
+    if (args.has("tolerance") &&
+        !report::parseTolerance(args.get("tolerance"), options.tolerance))
+        usageError("so-report: --tolerance " + args.get("tolerance") +
+                   ": must be a finite number >= 0");
+    for (const std::string &spec : args.all("tol")) {
+        const std::size_t eq = spec.rfind('=');
+        if (eq == std::string::npos)
+            usageError("so-report: --tol expects PATH=TOLERANCE");
+        double tolerance = 0.0;
+        if (!report::parseTolerance(spec.substr(eq + 1), tolerance))
+            usageError("so-report: --tol " + spec +
+                       ": TOLERANCE must be a finite number >= 0");
+        options.overrides[spec.substr(0, eq)] = tolerance;
+    }
 
     JsonValue fresh, baseline;
     if (!parseFile(fresh_path, fresh) ||
         !parseFile(baseline_path, baseline))
         return 1;
-
-    report::CheckOptions options;
-    if (args.has("tolerance") &&
-        !report::parseTolerance(args.get("tolerance"), options.tolerance)) {
-        std::fprintf(stderr,
-                     "so-report: --tolerance %s: must be a finite number "
-                     ">= 0\n",
-                     args.get("tolerance").c_str());
-        return 1;
-    }
-    if (args.has("tol")) {
-        const std::string spec = args.get("tol");
-        const std::size_t eq = spec.rfind('=');
-        if (eq == std::string::npos) {
-            std::fprintf(stderr,
-                         "so-report: --tol expects PATH=TOLERANCE\n");
-            return 1;
-        }
-        double tolerance = 0.0;
-        if (!report::parseTolerance(spec.substr(eq + 1), tolerance)) {
-            std::fprintf(stderr,
-                         "so-report: --tol %s: TOLERANCE must be a finite "
-                         "number >= 0\n",
-                         spec.c_str());
-            return 1;
-        }
-        options.overrides[spec.substr(0, eq)] = tolerance;
-    }
 
     const report::CheckVerdict verdict =
         report::checkAgainstBaseline(baseline, fresh, options);
@@ -302,23 +264,14 @@ int
 cmdTop(const ArgParser &args)
 {
     const std::vector<std::string> &files = args.positional();
-    if (files.size() != 2)
+    if (files.size() != 1)
         return usage(stderr);
     report::ProfileView view;
-    if (!loadView(files[1], args.get("cell"), view))
+    if (!loadView(files[0], args.get("cell"), view))
         return 1;
-    const std::size_t top_k = static_cast<std::size_t>(
-        std::max(1LL, args.getInt("top", 8)));
-    const std::string metric = args.get("metric");
-    if (!metric.empty() && metric != "time" && metric != "energy") {
-        std::fprintf(stderr,
-                     "so-report: unknown --metric %s (expected "
-                     "time or energy)\n",
-                     metric.c_str());
-        return 1;
-    }
+    const std::size_t top_k = args.count("top", 8);
 
-    if (metric == "energy") {
+    if (args.get("metric") == "energy") {
         if (!view.has_energy) {
             std::fprintf(stderr,
                          "so-report: %s carries no energy "
@@ -558,10 +511,10 @@ int
 cmdSelftrace(const ArgParser &args)
 {
     const std::vector<std::string> &files = args.positional();
-    if (files.size() != 2)
+    if (files.size() != 1)
         return usage(stderr);
     JsonValue doc;
-    if (!parseFile(files[1], doc))
+    if (!parseFile(files[0], doc))
         return 1;
     SelftraceSummary sum;
     if (!doc.isObject() || (!summarizeChromeTrace(doc, sum) &&
@@ -569,11 +522,11 @@ cmdSelftrace(const ArgParser &args)
         std::fprintf(stderr,
                      "so-report: %s is neither a host Chrome trace "
                      "(traceEvents) nor a self_profile document\n",
-                     files[1].c_str());
+                     files[0].c_str());
         return 1;
     }
 
-    std::printf("%s: wall %.6f s, %llu span(s)", files[1].c_str(),
+    std::printf("%s: wall %.6f s, %llu span(s)", files[0].c_str(),
                 sum.wall_s,
                 static_cast<unsigned long long>(sum.spans));
     if (sum.dropped > 0)
@@ -581,8 +534,7 @@ cmdSelftrace(const ArgParser &args)
                     static_cast<unsigned long long>(sum.dropped));
     std::printf("\n");
 
-    const std::size_t top_k = static_cast<std::size_t>(
-        std::max(1LL, args.getInt("top", 10)));
+    const std::size_t top_k = args.count("top", 10);
     std::sort(sum.categories.begin(), sum.categories.end(),
               [](const auto &a, const auto &b) {
                   if (a.second.second != b.second.second)
@@ -628,46 +580,31 @@ int
 cmdQuery(const ArgParser &args)
 {
     const std::vector<std::string> &files = args.positional();
-    if (files.size() < 2)
+    if (files.empty())
         return usage(stderr);
 
     report::QueryOptions options;
     options.phase = args.get("phase");
     options.resource = args.get("resource");
     // The window needs a finite --begin and an --end past it; --end inf
-    // is the unbounded default. A NaN bound would match every span.
-    if ((args.has("begin") &&
-         !parseNumber(args.get("begin"), options.begin_s)) ||
-        (args.has("end") && !parseNumber(args.get("end"), options.end_s)) ||
-        !std::isfinite(options.begin_s) ||
-        !(options.end_s > options.begin_s)) {
-        std::fprintf(stderr,
-                     "so-report: query: --begin %s --end %s: the window "
-                     "needs a finite --begin and a later --end\n",
-                     args.get("begin", "0").c_str(),
-                     args.get("end", "inf").c_str());
-        return 1;
-    }
-    options.top_n = static_cast<std::size_t>(
-        std::max(0LL, args.getInt("top", 10)));
+    // is the unbounded default.
+    options.begin_s = args.number("begin", options.begin_s);
+    options.end_s = args.number("end", options.end_s);
+    if (!std::isfinite(options.begin_s) ||
+        !(options.end_s > options.begin_s))
+        usageError("so-report: query: --begin " + args.get("begin", "0") +
+                   " --end " + args.get("end", "inf") +
+                   ": the window needs a finite --begin and a later --end");
+    options.top_n = args.count("top", 10);
     const std::string rank = args.get("rank");
     if (rank == "slack")
         options.rank = report::QueryOptions::Rank::Slack;
     else if (rank == "joules")
         options.rank = report::QueryOptions::Rank::Joules;
-    else if (!rank.empty() && rank != "duration") {
-        std::fprintf(stderr,
-                     "so-report: unknown --rank %s (expected duration, "
-                     "slack, or joules)\n",
-                     rank.c_str());
-        return 1;
-    }
 
-    const std::vector<std::string> inputs(files.begin() + 1,
-                                          files.end());
     report::QueryResult result;
     std::string error;
-    if (!report::queryFiles(inputs, options, result, &error)) {
+    if (!report::queryFiles(files, options, result, &error)) {
         std::fprintf(stderr, "so-report: query: %s\n", error.c_str());
         return 1;
     }
@@ -742,11 +679,10 @@ classifyInput(const std::string &path, report::HtmlReport &page)
 int
 cmdHtml(const ArgParser &args)
 {
-    const std::vector<std::string> &files = args.positional();
     report::HtmlReport page;
     page.title = args.get("title", "Schedule Explorer");
-    for (std::size_t i = 1; i < files.size(); ++i)
-        if (!classifyInput(files[i], page))
+    for (const std::string &file : args.positional())
+        if (!classifyInput(file, page))
             return 1;
 
     if (args.has("trace-dir")) {
@@ -795,47 +731,84 @@ cmdHtml(const ArgParser &args)
     return 0;
 }
 
+/** One subcommand: its name, its flags, its input count and its body. */
+struct Subcommand
+{
+    const char *name;
+    std::vector<Flag> flags;
+    std::size_t max_inputs;
+    int (*run)(const ArgParser &);
+};
+
+/** Every subcommand main() dispatches on, with its declared flags. */
+std::vector<Subcommand>
+subcommands()
+{
+    using enum ArgKind;
+    constexpr std::size_t kAny = SIZE_MAX;
+    const Flag json{.name = "json", .kind = Switch};
+    const Flag top{.name = "top", .kind = Count1};
+    const Flag cell{.name = "cell"}, out{.name = "out"};
+    const Flag history{.name = "history"};
+    return {
+        {"diff", {cell, {.name = "cell-b"}, top, json}, 2, cmdDiff},
+        {"check",
+         {{.name = "baseline"}, {.name = "tolerance", .kind = Number},
+          {.name = "tol"}, out, history,
+          {.name = "warn-only", .kind = Switch}},
+         1, cmdCheck},
+        {"top",
+         {cell, top,
+          {.name = "metric", .kind = Word, .words = {"time", "energy"}}},
+         1, cmdTop},
+        {"html",
+         {{.name = "trace-dir"}, history, {.name = "verdict"},
+          {.name = "title"}, out},
+         kAny, cmdHtml},
+        {"selftrace", {top}, 1, cmdSelftrace},
+        {"query",
+         {{.name = "phase"}, {.name = "resource"},
+          {.name = "begin", .kind = Number}, {.name = "end", .kind = Number},
+          {.name = "top", .kind = Count0},
+          {.name = "rank", .kind = Word,
+           .words = {"duration", "slack", "joules"}},
+          json},
+         kAny, cmdQuery},
+    };
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     so::trace::initFromEnv();
-    const ArgParser args(argc, argv);
-    if (args.has("help"))
-        return usage(stdout);
-    const std::vector<std::string> &positional = args.positional();
-    if (positional.empty())
+    if (argc < 2)
         return usage(stderr);
-    const std::string &command = positional[0];
-    if (command == "diff") {
-        so::trace::Span span(so::trace::Category::Report, "diff");
-        return cmdDiff(args);
+    const std::string command = argv[1];
+    if (command == "--help")
+        return usage(stdout);
+    std::vector<Subcommand> table = subcommands();
+    for (Subcommand &sub : table) {
+        if (command != sub.name)
+            continue;
+        sub.flags.push_back({.name = "help", .kind = ArgKind::Switch});
+        // argv[1], the subcommand, stands where the program name was.
+        const ArgParser args(argc - 1, argv + 1, std::move(sub.flags),
+                             sub.max_inputs);
+        if (!args.error().empty())
+            usageError("so-report: " + args.error());
+        if (args.has("help"))
+            return usage(stdout);
+        so::trace::Span span(so::trace::Category::Report, sub.name);
+        return sub.run(args);
     }
-    if (command == "check") {
-        so::trace::Span span(so::trace::Category::Report, "check");
-        return cmdCheck(args);
-    }
-    if (command == "top") {
-        so::trace::Span span(so::trace::Category::Report, "top");
-        return cmdTop(args);
-    }
-    if (command == "html") {
-        so::trace::Span span(so::trace::Category::Report, "html");
-        return cmdHtml(args);
-    }
-    if (command == "selftrace") {
-        so::trace::Span span(so::trace::Category::Report, "selftrace");
-        return cmdSelftrace(args);
-    }
-    if (command == "query") {
-        so::trace::Span span(so::trace::Category::Report, "query");
-        return cmdQuery(args);
-    }
+    std::string names;
+    for (const Subcommand &sub : table)
+        names += (names.empty() ? "" : ", ") + std::string(sub.name);
     std::fprintf(stderr,
                  "so-report: unknown subcommand '%s' (expected one of: "
                  "%s)\n",
-                 command.c_str(), kSubcommands);
-    usage(stderr);
-    return kUsageError;
+                 command.c_str(), names.c_str());
+    return usage(stderr);
 }
