@@ -13,6 +13,7 @@
  * (or a deliberate model change needs these goldens re-captured).
  */
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -466,6 +467,94 @@ TEST(SchedulePin, CapturedArtifactBytesIdentical)
         ASSERT_FALSE(res.profile.valid) << name;
         EXPECT_EQ(artifactPin(toJson(res)), pin.result) << name;
         expectIdleCauseJoules(toJson(res), false, name);
+    }
+}
+
+TEST(SchedulePin, EveryBuildersLabelsInCapturedArtifacts)
+{
+    // One captured cell for every registered system the test above does
+    // not reach, on two Superchips so that each builder's collectives
+    // (all-reduce, all-gather, reduce-scatter, all-to-all) emit their
+    // labels too; SuperOffload and ZeRO-Offload join at two chips for
+    // theirs. The trace, profile and bundle carry every task label, so
+    // a change in how a builder names its tasks moves these digests.
+    TrainSetup setup;
+    setup.cluster = hw::gh200ClusterOf(2);
+    setup.model = model::modelPreset("1B");
+    setup.global_batch = 8;
+    setup.seq = 1024;
+    setup.capture_trace = true;
+    setup.capture_profile = true;
+
+    struct Pin
+    {
+        const char *system;
+        const char *trace;
+        const char *profile;
+        const char *bundle;
+        const char *result;
+    };
+    // Captured before task labels became a stem and an index.
+    const Pin kPins[] = {
+        {"ddp", "18081:faed92a7967a89b3",
+         "30576:f5aba9b60283d78b", "14061:86464d9e82b8149d",
+         "3691:2d1b59ff86022af1"},
+        {"megatron", "18071:1a84fe4c36991c1d",
+         "30565:3acb5a8106d9998e", "14111:3b57242297c3598f",
+         "3715:2b564ca1ae938c36"},
+        {"zero2", "18498:4b007fe2235cd379",
+         "31399:0f71b03fbc2fdf1a", "14472:6c94483e1759ff6f",
+         "3866:25657f6dac2d8ead"},
+        {"zero3", "23884:506cce32ed44a2aa",
+         "31443:e2e1f42d6e9baa67", "20915:e8a7a092f542fcdc",
+         "3912:6b189fb234826c74"},
+        {"zero-infinity", "54080:f34ac2b608afa9d8",
+         "55318:4e6ba13b368c6481", "50030:a9860b3daf56e444",
+         "4710:c12cceca9afbc52b"},
+        {"fsdp-offload", "55529:e8c0b7d688e80023",
+         "57059:be9c935cb2d24520", "43457:7b729b3d8b3d5e68",
+         "4759:b973797c7a639399"},
+        {"ulysses", "34730:28e15cdd037a2344",
+         "42166:5f152cf42d3e2bc7", "25752:fc4c97e6cf8e82ff",
+         "4110:97a4b3f7e7586352"},
+        {"ulysses-zero3", "45513:5930cf5d7a93d679",
+         "46512:62f000fb83c48029", "32147:149912ef7622c16a",
+         "4255:7020f73182803dd6"},
+        {"zero-infinity-nvme", "53261:3595b3077060f414",
+         "49895:39b813d9a4e1d830", "57903:a728d10a1b960fab",
+         "4577:dc1c716c4254860c"},
+        {"pipeline", "2114:67d157ca9e95c48f",
+         "20282:4de92b8114c161f8", "2380:da7858d39b5acabb",
+         "3684:a540d141ef0cd25e"},
+        {"deep-opt-states", "49707:a3bf8c99c8f8a711",
+         "44069:59832230c86f2c9d", "40623:1b5d097f33df2f14",
+         "4097:e475f4f6c2b410c2"},
+        {"superoffload-multipath", "96110:d7df95a6b2465c90",
+         "70143:fb092a7c37d7bb32", "92443:afef1e2bc39f61be",
+         "5153:43e5bf3c3378591a"},
+        {"hyperoffload", "43245:75bf4ee52aaff052",
+         "47140:2e9a996e9e2729ca", "36591:a2be410518e76415",
+         "4563:962b5cdb964df05d"},
+        {"zero-offload", "20128:f75d8a6e5b1a613e",
+         "34867:ebe93ddc7093277f", "16829:fbf3da4bac7c33ec",
+         "4583:eb1f4dc0eba32dd3"},
+        {"superoffload", "110804:deb4a4b48ed4d4b2",
+         "68914:417e439198871d2e", "105914:39142fd3e94d031f",
+         "4874:7e60080900cc4540"},
+    };
+    ASSERT_EQ(std::size(kPins), baselineNames().size() + 1);
+    for (const Pin &pin : kPins) {
+        const std::string name = pin.system;
+        const IterationResult res =
+            name == "superoffload"
+                ? core::SuperOffloadSystem{core::SuperOffloadOptions{}}.run(
+                      setup)
+                : makeBaseline(name)->run(setup);
+        ASSERT_TRUE(res.feasible) << name;
+        EXPECT_EQ(artifactPin(res.trace_json), pin.trace) << name;
+        EXPECT_EQ(artifactPin(res.profile_json), pin.profile) << name;
+        EXPECT_EQ(artifactPin(res.bundle_json), pin.bundle) << name;
+        EXPECT_EQ(artifactPin(toJson(res)), pin.result) << name;
     }
 }
 
