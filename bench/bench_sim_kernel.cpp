@@ -69,7 +69,7 @@ buildGraph(std::size_t target_tasks)
     const ResourceId gpu = g.addResource("GPU");
     const ResourceId d2h = g.addResource("D2H");
     const ResourceId cpu = g.addResource("CPU");
-    g.reserveTasks(2 * kAccum * layers + 3 * layers + 1, 16 * layers);
+    g.reserveTasks(2 * kAccum * layers + 3 * layers + 1);
     g.reserveEdges(2 * kAccum * layers + 4 * layers + 1);
 
     TaskId prev = kInvalidTask;
@@ -77,21 +77,15 @@ buildGraph(std::size_t target_tasks)
     opts.reserve(layers);
     for (std::uint32_t step = 0; step < kAccum; ++step) {
         for (std::size_t l = 0; l < layers; ++l) {
-            if (prev == kInvalidTask)
-                prev = g.addTask(gpu, 1e-3, "fwd L" + std::to_string(l));
-            else
-                prev = g.addTask(gpu, 1e-3, "fwd L" + std::to_string(l),
-                                 {prev});
+            prev = g.addTask(gpu, 1e-3, {"fwd L", l},
+                             so::sim::DepView::optional(prev));
         }
         const bool last = step + 1 == kAccum;
         for (std::size_t l = layers; l-- > 0;) {
-            prev = g.addTask(gpu, 2e-3, "bwd L" + std::to_string(l),
-                             {prev});
+            prev = g.addTask(gpu, 2e-3, {"bwd L", l}, {prev});
             if (!last)
                 continue;
-            const TaskId moved =
-                g.addTask(d2h, 5e-4, "d2h g L" + std::to_string(l),
-                          {prev});
+            const TaskId moved = g.addTask(d2h, 5e-4, {"d2h g L", l}, {prev});
             opts.push_back(g.addTask(
                 cpu, 8e-4, "adam (fused, per-bucket dispatch)",
                 {moved}));

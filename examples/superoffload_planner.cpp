@@ -93,11 +93,17 @@ plannerFlags()
         flags.push_back({.name = name, .kind = Switch});
     for (const char *name : {"stv", "sac", "grace-adam", "repartition"})
         flags.push_back({.name = name, .kind = Switch, .scope = kConfig});
-    // Hierarchy overrides (docs/HW.md) and the power keys.
-    for (const char *name : {"nvme_gb", "nvme_bw_gbs", "nvme_latency_us"})
-        flags.push_back({.name = name, .kind = Number, .scope = kConfig});
+    // Hierarchy overrides (docs/HW.md) and the power keys: sizes, delays
+    // and watts are finite and >= 0, and a drive moves bytes.
+    using enum so::NumberRange;
+    for (const char *name : {"nvme_gb", "nvme_latency_us"})
+        flags.push_back({.name = name, .kind = Number,
+                         .range = NonNegative, .scope = kConfig});
+    flags.push_back({.name = "nvme_bw_gbs", .kind = Number,
+                     .range = Positive, .scope = kConfig});
     for (const auto &[name, field] : kPowerKeys)
-        flags.push_back({.name = name, .kind = Number, .scope = kConfig});
+        flags.push_back({.name = name, .kind = Number,
+                         .range = NonNegative, .scope = kConfig});
     return flags;
 }
 

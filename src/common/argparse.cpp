@@ -25,11 +25,24 @@ readCount(const std::string &text, std::size_t &out)
 
 /** All of @p text as a number in strtod syntax, other than NaN. */
 bool
-isNumber(const std::string &text)
+isNumber(const std::string &text, double &value)
 {
     char *end = nullptr;
-    const double value = std::strtod(text.c_str(), &end);
+    value = std::strtod(text.c_str(), &end);
     return !text.empty() && *end == '\0' && !std::isnan(value);
+}
+
+/** Whether @p range admits the number @p value. */
+bool
+inRange(double value, NumberRange range)
+{
+    switch (range) {
+      case NumberRange::Any:         return true;
+      case NumberRange::Finite:      return std::isfinite(value);
+      case NumberRange::NonNegative: return std::isfinite(value) && value >= 0;
+      case NumberRange::Positive:    return std::isfinite(value) && value > 0;
+    }
+    return false;
 }
 
 /** A job-file switch word in any case: 1 for on, 0 for off, else -1. */
@@ -135,6 +148,7 @@ ArgParser::admit(const Flag &flag, const std::string &value,
                  const std::string &where)
 {
     std::size_t count = 0;
+    double number = 0.0;
     bool ok = false;
     switch (flag.kind) {
       case ArgKind::Switch: ok = switchWord(value) >= 0; break;
@@ -144,7 +158,9 @@ ArgParser::admit(const Flag &flag, const std::string &value,
         ok = readCount(value, count) && count <= flag.max &&
              (flag.kind == ArgKind::Count0 || count >= 1);
         break;
-      case ArgKind::Number: ok = isNumber(value); break;
+      case ArgKind::Number:
+        ok = isNumber(value, number) && inRange(number, flag.range);
+        break;
       case ArgKind::Word:
         ok = std::find(flag.words.begin(), flag.words.end(), value) !=
              flag.words.end();
@@ -155,7 +171,13 @@ ArgParser::admit(const Flag &flag, const std::string &value,
     static const char *const kKinds[] = {
         "true/yes/on/1 or false/no/off/0", "non-empty text",
         "a whole number >= 0", "a whole number >= 1", "a number", "one of "};
-    std::string kind = kKinds[static_cast<int>(flag.kind)];
+    // A number outside its range is named by the range it breaks.
+    static const char *const kRanges[] = {
+        "a number", "a finite number", "a finite number >= 0",
+        "a finite number > 0"};
+    std::string kind = flag.kind == ArgKind::Number && isNumber(value, number)
+                           ? kRanges[static_cast<int>(flag.range)]
+                           : kKinds[static_cast<int>(flag.kind)];
     for (const std::string &word : flag.words)
         kind += (&word == &flag.words.front() ? "" : "|") + word;
     error_ = where + " must be " + kind + " (got '" + value + "')";

@@ -36,10 +36,16 @@ inline constexpr int kUsageError = 64;
  * What a declared value must be. A Switch takes none on the command
  * line and true/yes/on/1 or false/no/off/0 in a job file; Text is any
  * non-empty text; Count0 and Count1 are whole numbers from 0 or 1 to
- * Flag::max; Number is strtod syntax other than NaN (inf is a number);
- * Word is one of Flag::words.
+ * Flag::max; Number is strtod syntax other than NaN (inf is a number),
+ * within Flag::range; Word is one of Flag::words.
  */
 enum class ArgKind { Switch, Text, Count0, Count1, Number, Word };
+
+/**
+ * The values a Number admits: any, finite, finite and >= 0, or finite
+ * and > 0.
+ */
+enum class NumberRange { Any, Finite, NonNegative, Positive };
 
 /** Whether a name is a flag, a job-file key, or both. */
 enum class ArgScope { Argv, Config, Both };
@@ -54,6 +60,8 @@ struct Flag
     std::vector<std::string> words = {};
     /** Count kinds: the largest value the destination holds. */
     std::uint64_t max = SIZE_MAX;
+    /** Number kind: the values it admits. */
+    NumberRange range = NumberRange::Any;
     ArgScope scope = ArgScope::Argv;
 };
 

@@ -259,34 +259,34 @@ SuperOffloadSystem::buildGraph(IterBuilder &builder,
                             (kSteadyStateIterations - 1) * (b + fetched));
     }
 
+    // One dependency list, cleared per task: after the first few tasks
+    // a task costs no heap allocation.
+    std::vector<sim::TaskId> deps;
     sim::TaskId prev = sim::kInvalidTask;
     for (std::uint32_t it = 0; it < kSteadyStateIterations; ++it) {
         std::vector<sim::TaskId> ready(nbuckets, sim::kInvalidTask);
         std::vector<sim::TaskId> arrivals;
         arrivals.reserve(nbuckets);
-        std::vector<sim::TaskId> returns;
         sim::TaskId first_fwd = sim::kInvalidTask;
 
         for (std::uint32_t step = 0; step < accum_steps; ++step) {
             // ---- Forward: chunk j consumes bucket (B-1-j).
             for (std::uint32_t j = 0; j < nbuckets; ++j) {
                 const std::uint32_t bidx = nbuckets - 1 - j;
-                std::vector<sim::TaskId> deps;
+                const sim::TaskId updated =
+                    step == 0 ? ready_prev[bidx] : sim::kInvalidTask;
+                deps.clear();
                 if (prev != sim::kInvalidTask)
                     deps.push_back(prev);
-                if (step == 0 && ready_prev[bidx] != sim::kInvalidTask)
-                    deps.push_back(ready_prev[bidx]);
+                if (updated != sim::kInvalidTask)
+                    deps.push_back(updated);
                 if (flow && bidx < nbuckets - retained) {
                     // Stream this bucket's fp16 params from the host;
                     // prefetchable (no GPU dependency).
-                    std::vector<sim::TaskId> fetch_deps;
-                    if (step == 0 && ready_prev[bidx] != sim::kInvalidTask)
-                        fetch_deps.push_back(ready_prev[bidx]);
-                    const sim::TaskId fetch = builder.onTransfer(
-                        hw::kTierDdr, hw::kTierHbm,
-                        "h2d w" + std::to_string(bidx), flow_fetch_time,
-                        2.0 * bp, std::move(fetch_deps));
-                    deps.push_back(fetch);
+                    deps.push_back(builder.onTransfer(
+                        hw::kTierDdr, hw::kTierHbm, {"h2d w", bidx},
+                        flow_fetch_time, 2.0 * bp,
+                        sim::DepView::optional(updated)));
                 }
                 if (multi) {
                     // ZeRO-3 partitioned weights: all-gather overlaps
@@ -295,7 +295,7 @@ SuperOffloadSystem::buildGraph(IterBuilder &builder,
                         "ag", builder.coll().allGather(2.0 * bp * n_ranks),
                         {}));
                 }
-                prev = builder.onGpu("fwd", chunk.fwd, std::move(deps));
+                prev = builder.onGpu("fwd", chunk.fwd, deps);
                 if (first_fwd == sim::kInvalidTask)
                     first_fwd = prev;
             }
@@ -303,27 +303,25 @@ SuperOffloadSystem::buildGraph(IterBuilder &builder,
             // ---- Backward: bucket c is produced by chunk c.
             const bool last = step + 1 == accum_steps;
             for (std::uint32_t c = 0; c < nbuckets; ++c) {
-                std::vector<sim::TaskId> deps{prev};
+                deps.assign(1, prev);
                 if (flow && c < nbuckets - retained) {
-                    const sim::TaskId fetch = builder.onTransfer(
-                        hw::kTierDdr, hw::kTierHbm,
-                        "h2d w'" + std::to_string(c), flow_fetch_time,
-                        2.0 * bp, {});
-                    deps.push_back(fetch);
+                    deps.push_back(builder.onTransfer(
+                        hw::kTierDdr, hw::kTierHbm, {"h2d w'", c},
+                        flow_fetch_time, 2.0 * bp, {}));
                 }
                 if (multi) {
                     deps.push_back(builder.onNic(
                         "ag'", builder.coll().allGather(2.0 * bp * n_ranks),
                         {}));
                 }
-                prev = builder.onGpu("bwd", chunk.bwd, std::move(deps));
+                prev = builder.onGpu("bwd", chunk.bwd, deps);
                 if (!last)
                     continue;
 
                 sim::TaskId grads = prev;
                 if (multi) {
                     grads = builder.onNic(
-                        "rs g" + std::to_string(c),
+                        {"rs g", c},
                         builder.coll().reduceScatter(2.0 * bp * n_ranks),
                         {grads});
                 }
@@ -334,9 +332,9 @@ SuperOffloadSystem::buildGraph(IterBuilder &builder,
                     const sim::TaskId cast = builder.onGpu(
                         "cast g(gpu)", builder.gpuCastTime(bp), {grads},
                         1);
-                    ready[c] = builder.onGpu(
-                        "adam(gpu) b" + std::to_string(c),
-                        builder.gpuAdamTime(bp), {cast}, 1);
+                    ready[c] = builder.onGpu({"adam(gpu) b", c},
+                                             builder.gpuAdamTime(bp),
+                                             {cast}, 1);
                     continue;
                 }
 
@@ -352,14 +350,12 @@ SuperOffloadSystem::buildGraph(IterBuilder &builder,
                         "cast g(gpu)", builder.gpuCastTime(bp), {grads},
                         -1);
                     arrived = builder.onTransfer(
-                        hw::kTierHbm, hw::kTierDdr,
-                        "d2h g" + std::to_string(c), move_time,
-                        move_bytes, {cast});
+                        hw::kTierHbm, hw::kTierDdr, {"d2h g", c},
+                        move_time, move_bytes, {cast});
                 } else {
                     const sim::TaskId moved = builder.onTransfer(
-                        hw::kTierHbm, hw::kTierDdr,
-                        "d2h g" + std::to_string(c), move_time,
-                        move_bytes, {grads});
+                        hw::kTierHbm, hw::kTierDdr, {"d2h g", c},
+                        move_time, move_bytes, {grads});
                     arrived = builder.onCpu(
                         "cast g(cpu)", builder.cpuCastTime(bp), {moved});
                 }
@@ -382,16 +378,15 @@ SuperOffloadSystem::buildGraph(IterBuilder &builder,
         std::vector<sim::TaskId> validations;
         validations.reserve(nbuckets);
         for (std::uint32_t c = 0; c + retained < nbuckets; ++c) {
-            std::vector<sim::TaskId> deps{ready[c]};
+            deps.assign(1, ready[c]);
             if (norm != sim::kInvalidTask)
                 deps.push_back(norm);
-            const sim::TaskId opt = builder.onCpu(
-                "adam b" + std::to_string(c), cpu_bucket_time,
-                std::move(deps));
+            const sim::TaskId opt =
+                builder.onCpu({"adam b", c}, cpu_bucket_time, deps);
             if (opts_.stv) {
                 // Deferred validation on background cores (§4.4).
                 validations.push_back(builder.onCpuBg(
-                    "validate b" + std::to_string(c),
+                    {"validate b", c},
                     setup.cluster.node.superchip.cpu.memTime(4.0 * bp),
                     {ready[c]}));
             }
@@ -404,18 +399,16 @@ SuperOffloadSystem::buildGraph(IterBuilder &builder,
                                      builder.cpuCastTime(bp), {opt});
             } else if (opts_.sac) {
                 const sim::TaskId moved = builder.onTransfer(
-                    hw::kTierDdr, hw::kTierHbm,
-                    "h2d p" + std::to_string(c), move_time, move_bytes,
-                    {opt});
+                    hw::kTierDdr, hw::kTierHbm, {"h2d p", c}, move_time,
+                    move_bytes, {opt});
                 back = builder.onGpu("cast p(gpu)",
                                      builder.gpuCastTime(bp), {moved}, 1);
             } else {
                 const sim::TaskId cast = builder.onCpu(
                     "cast p(cpu)", builder.cpuCastTime(bp), {opt});
                 back = builder.onTransfer(
-                    hw::kTierDdr, hw::kTierHbm,
-                    "h2d p" + std::to_string(c), move_time, move_bytes,
-                    {cast});
+                    hw::kTierDdr, hw::kTierHbm, {"h2d p", c}, move_time,
+                    move_bytes, {cast});
             }
             ready[c] = back;
         }

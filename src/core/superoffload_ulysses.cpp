@@ -78,26 +78,25 @@ SuperOffloadUlyssesSystem::simulate(const TrainSetup &setup,
     }
 
     sim::TaskId prev = sim::kInvalidTask;
+    std::vector<sim::TaskId> deps; // cleared per task
     for (std::uint32_t it = 0; it < kSteadyStateIterations; ++it) {
         std::vector<sim::TaskId> opt_done(cfg.layers, sim::kInvalidTask);
         for (std::uint32_t step = 0; step < accum_steps; ++step) {
             for (std::uint32_t l = 0; l < cfg.layers; ++l) {
                 // Prefetchable stream of this layer's weights; waits
                 // for last iteration's update of the same layer.
-                std::vector<sim::TaskId> fetch_deps;
-                if (step == 0 && opt_prev[l] != sim::kInvalidTask)
-                    fetch_deps.push_back(opt_prev[l]);
+                const sim::TaskId updated =
+                    step == 0 ? opt_prev[l] : sim::kInvalidTask;
                 sim::TaskId ready = builder.onTransfer(
-                    hw::kTierDdr, hw::kTierHbm,
-                    "h2d w L" + std::to_string(l), fetch_time,
-                    2.0 * layer_shard, std::move(fetch_deps));
+                    hw::kTierDdr, hw::kTierHbm, {"h2d w L", l},
+                    fetch_time, 2.0 * layer_shard,
+                    sim::DepView::optional(updated));
                 if (n > 1)
                     ready = builder.onNic("ag", gather_time, {ready});
-                std::vector<sim::TaskId> deps{ready};
+                deps.assign(1, ready);
                 if (prev != sim::kInvalidTask)
                     deps.push_back(prev);
-                prev = builder.onGpu("fwd L" + std::to_string(l),
-                                     layer.fwd, std::move(deps));
+                prev = builder.onGpu({"fwd L", l}, layer.fwd, deps);
                 if (first_fwd[it] == sim::kInvalidTask)
                     first_fwd[it] = prev;
                 if (n > 1)
@@ -107,11 +106,11 @@ SuperOffloadUlyssesSystem::simulate(const TrainSetup &setup,
             for (std::uint32_t l = cfg.layers; l-- > 0;) {
                 sim::TaskId ready = builder.onTransfer(
                     hw::kTierDdr, hw::kTierHbm,
-                    "h2d w' L" + std::to_string(l), fetch_time,
+                    {"h2d w' L", l}, fetch_time,
                     2.0 * layer_shard, {});
                 if (n > 1)
                     ready = builder.onNic("ag'", gather_time, {ready});
-                prev = builder.onGpu("bwd L" + std::to_string(l),
+                prev = builder.onGpu({"bwd L", l},
                                      layer.bwd, {prev, ready});
                 if (n > 1)
                     prev = builder.onNic("a2a'", 2.0 * a2a, {prev});
@@ -131,11 +130,11 @@ SuperOffloadUlyssesSystem::simulate(const TrainSetup &setup,
                     {grads}, 1);
                 const sim::TaskId out = builder.onTransfer(
                     hw::kTierHbm, hw::kTierDdr,
-                    "d2h g L" + std::to_string(l),
+                    {"d2h g L", l},
                     builder.d2hTime(4.0 * layer_shard),
                     4.0 * layer_shard, {cast});
                 const sim::TaskId opt = builder.onCpu(
-                    "adam L" + std::to_string(l),
+                    {"adam L", l},
                     builder.cpuAdamTime(layer_shard,
                                         hw::AdamImpl::GraceAdam),
                     {out});

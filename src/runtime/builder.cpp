@@ -197,28 +197,28 @@ IterBuilder::iterationFlops(const SearchCandidate &cand, double ranks) const
 }
 
 sim::TaskId
-IterBuilder::onGpu(std::string_view label, double seconds,
+IterBuilder::onGpu(sim::Label label, double seconds,
                    sim::DepView deps, std::int32_t priority)
 {
     return graph_.addTask(gpu_, seconds, label, deps, priority);
 }
 
 sim::TaskId
-IterBuilder::onCpu(std::string_view label, double seconds,
+IterBuilder::onCpu(sim::Label label, double seconds,
                    sim::DepView deps, std::int32_t priority)
 {
     return graph_.addTask(cpu_, seconds, label, deps, priority);
 }
 
 sim::TaskId
-IterBuilder::onCpuBg(std::string_view label, double seconds,
+IterBuilder::onCpuBg(sim::Label label, double seconds,
                      sim::DepView deps, std::int32_t priority)
 {
     return graph_.addTask(cpu_bg_, seconds, label, deps, priority);
 }
 
 sim::TaskId
-IterBuilder::onNic(std::string_view label, double seconds,
+IterBuilder::onNic(sim::Label label, double seconds,
                    sim::DepView deps, std::int32_t priority)
 {
     return graph_.addTask(nic_, seconds, label, deps, priority);
@@ -226,7 +226,7 @@ IterBuilder::onNic(std::string_view label, double seconds,
 
 sim::TaskId
 IterBuilder::onTransfer(std::string_view from, std::string_view to,
-                        std::string_view label, double seconds,
+                        sim::Label label, double seconds,
                         double bytes, sim::DepView deps,
                         std::int32_t priority)
 {
@@ -235,7 +235,7 @@ IterBuilder::onTransfer(std::string_view from, std::string_view to,
 }
 
 sim::TaskId
-IterBuilder::onPath(const hw::MemoryPath &path, std::string_view label,
+IterBuilder::onPath(const hw::MemoryPath &path, sim::Label label,
                     double seconds, double bytes, sim::DepView deps,
                     std::int32_t priority)
 {
@@ -247,8 +247,14 @@ IterBuilder::onPath(const hw::MemoryPath &path, std::string_view label,
     path_bytes_[index] += bytes;
     const sim::TaskId id = graph_.addTask(channelResource(path.channel),
                                           seconds, label, deps, priority);
-    if (bytes > 0.0)
-        task_bytes_.emplace_back(id, bytes);
+    if (bytes > 0.0) {
+        // Sized for the reserved task count at the first transfer, so a
+        // builder without transfers keeps no column.
+        if (task_bytes_.empty())
+            task_bytes_.reserve(reserved_tasks_);
+        task_bytes_.resize(id + 1, 0.0);
+        task_bytes_[id] = bytes;
+    }
     return id;
 }
 
@@ -260,6 +266,7 @@ IterBuilder::reserve(std::size_t tasks, std::size_t edges)
     // builds the reverse index without reallocating.
     graph_.reserveTasks(tasks);
     graph_.reserveEdges(edges);
+    reserved_tasks_ = tasks;
 }
 
 sim::Schedule
@@ -315,8 +322,8 @@ IterBuilder::fillEnergy(IterationResult &res, const sim::Schedule &schedule,
         }
     }
     inputs.task_bytes.assign(graph_.taskCount(), 0.0);
-    for (const auto &[task, bytes] : task_bytes_)
-        inputs.task_bytes[task] += bytes;
+    std::copy(task_bytes_.begin(), task_bytes_.end(),
+              inputs.task_bytes.begin());
     inputs.background.reserve(power_.background().size());
     for (const hw::BackgroundPower &bg : power_.background())
         inputs.background.emplace_back(bg.name, bg.watts);

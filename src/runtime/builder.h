@@ -168,18 +168,20 @@ class IterBuilder
 
     /// @name Task helpers (thin wrappers over TaskGraph::addTask)
     ///
-    /// Labels and dependency lists are borrowed views: literals and
-    /// `{a, b}` brace lists cost no heap allocation per task (the graph
-    /// interns/pools them internally).
+    /// Labels and dependency lists are borrowed views. A numbered task
+    /// passes its stem and index, `{"adam b", c}`, never formatted text:
+    /// with a literal stem and a `{a, b}` brace list (or one vector
+    /// reused across tasks) a task costs no formatting, hash probe or
+    /// heap allocation (the graph interns the stem and pools the deps).
     /// @{
-    sim::TaskId onGpu(std::string_view label, double seconds,
+    sim::TaskId onGpu(sim::Label label, double seconds,
                       sim::DepView deps = {}, std::int32_t priority = 0);
-    sim::TaskId onCpu(std::string_view label, double seconds,
+    sim::TaskId onCpu(sim::Label label, double seconds,
                       sim::DepView deps = {}, std::int32_t priority = 0);
-    sim::TaskId onCpuBg(std::string_view label, double seconds,
+    sim::TaskId onCpuBg(sim::Label label, double seconds,
                         sim::DepView deps = {},
                         std::int32_t priority = 0);
-    sim::TaskId onNic(std::string_view label, double seconds,
+    sim::TaskId onNic(sim::Label label, double seconds,
                       sim::DepView deps = {}, std::int32_t priority = 0);
 
     /**
@@ -190,7 +192,7 @@ class IterBuilder
      * inter-tier moves.
      */
     sim::TaskId onTransfer(std::string_view from, std::string_view to,
-                           std::string_view label, double seconds,
+                           sim::Label label, double seconds,
                            double bytes, sim::DepView deps = {},
                            std::int32_t priority = 0);
 
@@ -199,7 +201,7 @@ class IterBuilder
      * striping one logical move across concurrent routes). @p path must
      * belong to hierarchy().paths().
      */
-    sim::TaskId onPath(const hw::MemoryPath &path, std::string_view label,
+    sim::TaskId onPath(const hw::MemoryPath &path, sim::Label label,
                        double seconds, double bytes,
                        sim::DepView deps = {}, std::int32_t priority = 0);
     /// @}
@@ -262,8 +264,13 @@ class IterBuilder
     std::vector<std::pair<std::string, sim::ResourceId>> channels_;
     /** Bytes scheduled per hierarchy path (tier-traffic accounting). */
     std::vector<double> path_bytes_;
-    /** (task, bytes) pairs from onPath, for per-task transfer energy. */
-    std::vector<std::pair<sim::TaskId, double>> task_bytes_;
+    /**
+     * Bytes moved by each task, for per-task transfer energy: indexed
+     * by task id up to the last transfer, 0 for tasks that move none.
+     */
+    std::vector<double> task_bytes_;
+    /** The task count given to reserve(). */
+    std::size_t reserved_tasks_ = 0;
 
     /**
      * Fill @p res.energy from the finished @p schedule: the

@@ -47,23 +47,19 @@ DdpSystem::simulate(const TrainSetup &setup,
     for (std::uint32_t step = 0; step < accum_steps; ++step) {
         // Forward.
         for (std::uint32_t l = 0; l < cfg.layers; ++l) {
-            std::vector<sim::TaskId> deps;
-            if (prev != sim::kInvalidTask)
-                deps.push_back(prev);
-            prev = builder.onGpu("fwd L" + std::to_string(l), layer.fwd,
-                                 std::move(deps));
+            prev = builder.onGpu({"fwd L", l}, layer.fwd,
+                                 sim::DepView::optional(prev));
         }
         // Backward, reverse layer order; on the last accumulation step
         // each layer's gradient bucket is all-reduced as it appears
         // (DDP's bucketed overlap).
         const bool last = step + 1 == accum_steps;
         for (std::uint32_t l = cfg.layers; l-- > 0;) {
-            prev = builder.onGpu("bwd L" + std::to_string(l), layer.bwd,
-                                 {prev});
+            prev = builder.onGpu({"bwd L", l}, layer.bwd, {prev});
             if (last && builder.coll().ranks > 1) {
                 const double grad_bytes = 2.0 * params / layers;
                 final_syncs.push_back(builder.onNic(
-                    "allreduce L" + std::to_string(l),
+                    {"allreduce L", l},
                     builder.coll().allReduce(grad_bytes), {prev}));
             }
         }

@@ -66,10 +66,8 @@ DeepOptStatesSystem::simulate(const TrainSetup &setup,
     updates.reserve(buckets);
     for (std::uint32_t step = 0; step < accum_steps; ++step) {
         for (std::uint32_t c = 0; c < buckets; ++c) {
-            std::vector<sim::TaskId> deps;
-            if (prev != sim::kInvalidTask)
-                deps.push_back(prev);
-            prev = builder.onGpu("fwd", chunk.fwd, std::move(deps));
+            prev = builder.onGpu("fwd", chunk.fwd,
+                                 sim::DepView::optional(prev));
         }
         const bool last = step + 1 == accum_steps;
         for (std::uint32_t c = 0; c < buckets; ++c) {
@@ -79,7 +77,7 @@ DeepOptStatesSystem::simulate(const TrainSetup &setup,
             sim::TaskId grads = prev;
             if (n > 1) {
                 grads = builder.onNic(
-                    "rs g" + std::to_string(c),
+                    {"rs g", c},
                     builder.coll().reduceScatter(2.0 * bucket_params),
                     {grads});
             }
@@ -88,13 +86,13 @@ DeepOptStatesSystem::simulate(const TrainSetup &setup,
             // remaining backward chunks run first).
             const sim::TaskId fetched = builder.onTransfer(
                 hw::kTierDdr, hw::kTierHbm,
-                "h2d opt" + std::to_string(c), fetch_time, opt_bytes, {});
+                {"h2d opt", c}, fetch_time, opt_bytes, {});
             const sim::TaskId opt = builder.onGpu(
-                "adam(gpu) b" + std::to_string(c),
+                {"adam(gpu) b", c},
                 builder.gpuAdamTime(shard), {grads, fetched}, 1);
             updates.push_back(builder.onTransfer(
                 hw::kTierHbm, hw::kTierDdr,
-                "d2h opt" + std::to_string(c), writeback_time, opt_bytes,
+                {"d2h opt", c}, writeback_time, opt_bytes,
                 {opt}));
         }
     }

@@ -62,26 +62,21 @@ FsdpOffloadSystem::simulate(const TrainSetup &setup,
 
     for (std::uint32_t step = 0; step < accum_steps; ++step) {
         for (std::uint32_t l = 0; l < cfg.layers; ++l) {
-            std::vector<sim::TaskId> fetch_deps;
-            if (prev != sim::kInvalidTask)
-                fetch_deps.push_back(prev);
             sim::TaskId ready = builder.onTransfer(
-                hw::kTierDdr, hw::kTierHbm, "h2d L" + std::to_string(l),
-                fetch_time, shard_bytes, std::move(fetch_deps));
+                hw::kTierDdr, hw::kTierHbm, {"h2d L", l}, fetch_time,
+                shard_bytes, sim::DepView::optional(prev));
             if (n > 1)
                 ready = builder.onNic("ag", gather_time, {ready});
-            prev = builder.onGpu("fwd L" + std::to_string(l), layer.fwd,
-                                 {ready});
+            prev = builder.onGpu({"fwd L", l}, layer.fwd, {ready});
         }
         const bool last = step + 1 == accum_steps;
         for (std::uint32_t l = cfg.layers; l-- > 0;) {
             sim::TaskId ready = builder.onTransfer(
-                hw::kTierDdr, hw::kTierHbm, "h2d' L" + std::to_string(l),
-                fetch_time, shard_bytes, {prev});
+                hw::kTierDdr, hw::kTierHbm, {"h2d' L", l}, fetch_time,
+                shard_bytes, {prev});
             if (n > 1)
                 ready = builder.onNic("ag'", gather_time, {ready});
-            prev = builder.onGpu("bwd L" + std::to_string(l), layer.bwd,
-                                 {ready});
+            prev = builder.onGpu({"bwd L", l}, layer.bwd, {ready});
             if (!last)
                 continue;
             sim::TaskId grads = prev;
@@ -91,7 +86,7 @@ FsdpOffloadSystem::simulate(const TrainSetup &setup,
                     {grads});
             }
             grad_arrivals[l] = builder.onTransfer(
-                hw::kTierHbm, hw::kTierDdr, "d2h g L" + std::to_string(l),
+                hw::kTierHbm, hw::kTierDdr, {"d2h g L", l},
                 builder.d2hTime(shard_bytes, /*pinned=*/false),
                 shard_bytes, {grads});
         }

@@ -175,27 +175,21 @@ GraphPlacementSystem::buildGraph(IterBuilder &builder,
 
     // Streamed layers fetch per pass; spilled layers fetch through the
     // chained NVMe -> DDR -> HBM route (the drive leg prefetches, so it
-    // hides behind compute unless the drive is the bottleneck).
-    const auto fetchLayer = [&](std::uint32_t l,
-                                const char *tag) -> sim::TaskId {
+    // hides behind compute unless the drive is the bottleneck). The
+    // backward pass's stems carry a prime: "h2d w'".
+    const auto fetchLayer = [&](std::uint32_t l, const char *drive_stem,
+                                const char *link_stem) -> sim::TaskId {
         if (l < place.hbm_layers)
             return sim::kInvalidTask; // device-resident, nothing to move
-        sim::TaskId ready = sim::kInvalidTask;
+        sim::TaskId staged = sim::kInvalidTask;
         if (l >= first_nvme) {
-            const sim::TaskId staged = builder.onTransfer(
-                hw::kTierNvme, hw::kTierDdr,
-                std::string("nvme-r w") + tag + std::to_string(l),
+            staged = builder.onTransfer(
+                hw::kTierNvme, hw::kTierDdr, {drive_stem, l},
                 builder.nvmeTime(weight_bytes), weight_bytes, {});
-            ready = builder.onTransfer(
-                hw::kTierDdr, hw::kTierHbm,
-                std::string("h2d w") + tag + std::to_string(l),
-                fetch_time, weight_bytes, {staged});
-        } else {
-            ready = builder.onTransfer(
-                hw::kTierDdr, hw::kTierHbm,
-                std::string("h2d w") + tag + std::to_string(l),
-                fetch_time, weight_bytes, {});
         }
+        sim::TaskId ready = builder.onTransfer(
+            hw::kTierDdr, hw::kTierHbm, {link_stem, l}, fetch_time,
+            weight_bytes, sim::DepView::optional(staged));
         if (multi)
             ready = builder.onNic("ag", gather_time, {ready});
         return ready;
@@ -205,46 +199,45 @@ GraphPlacementSystem::buildGraph(IterBuilder &builder,
     std::vector<sim::TaskId> cast_done(layer_count, sim::kInvalidTask);
     std::vector<sim::TaskId> casts;
     casts.reserve(layer_count);
+    std::vector<sim::TaskId> deps; // cleared per task
 
     for (std::uint32_t step = 0; step < accum_steps; ++step) {
         for (std::uint32_t l = 0; l < layer_count; ++l) {
-            const sim::TaskId ready = fetchLayer(l, "");
-            std::vector<sim::TaskId> deps;
+            const sim::TaskId ready = fetchLayer(l, "nvme-r w", "h2d w");
+            deps.clear();
             if (ready != sim::kInvalidTask)
                 deps.push_back(ready);
             if (prev != sim::kInvalidTask)
                 deps.push_back(prev);
-            prev = builder.onGpu("fwd L" + std::to_string(l), layer.fwd,
-                                 std::move(deps));
+            prev = builder.onGpu({"fwd L", l}, layer.fwd, deps);
         }
         const bool last = step + 1 == accum_steps;
         for (std::uint32_t li = 0; li < layer_count; ++li) {
             // Backward materializes gradients last-to-first.
             const std::uint32_t l = layer_count - 1 - li;
-            const sim::TaskId ready = fetchLayer(l, "'");
-            std::vector<sim::TaskId> deps;
+            const sim::TaskId ready = fetchLayer(l, "nvme-r w'", "h2d w'");
+            deps.clear();
             if (ready != sim::kInvalidTask)
                 deps.push_back(ready);
             if (prev != sim::kInvalidTask)
                 deps.push_back(prev);
-            prev = builder.onGpu("bwd L" + std::to_string(l), layer.bwd,
-                                 std::move(deps));
+            prev = builder.onGpu({"bwd L", l}, layer.bwd, deps);
             if (!last)
                 continue;
 
             sim::TaskId grads = prev;
             if (multi) {
                 grads = builder.onNic(
-                    "rs g" + std::to_string(l),
+                    {"rs g", l},
                     builder.coll().reduceScatter(hw::kFp16BytesPerParam *
                                                  layer_params),
                     {grads});
             }
             const double grad_bytes = hw::kFp16BytesPerParam * share;
             const sim::TaskId moved = builder.onTransfer(
-                hw::kTierHbm, hw::kTierDdr, "d2h g" + std::to_string(l),
+                hw::kTierHbm, hw::kTierDdr, {"d2h g", l},
                 builder.d2hTime(grad_bytes), grad_bytes, {grads});
-            cast_done[l] = builder.onCpu("cast g" + std::to_string(l),
+            cast_done[l] = builder.onCpu({"cast g", l},
                                          builder.cpuCastTime(share),
                                          {moved});
             casts.push_back(cast_done[l]);
@@ -259,30 +252,29 @@ GraphPlacementSystem::buildGraph(IterBuilder &builder,
 
     const double opt_bytes = hw::kOptimStateBytesPerParam * share;
     for (std::uint32_t l = 0; l < layer_count; ++l) {
-        std::vector<sim::TaskId> deps{norm, cast_done[l]};
+        deps.assign({norm, cast_done[l]});
         if (l >= first_nvme) {
             // Spilled layer: stage its optimizer states in first. The
             // read depends on nothing, so it prefetches during backward.
             deps.push_back(builder.onTransfer(
                 hw::kTierNvme, hw::kTierDdr,
-                "nvme-r s" + std::to_string(l),
+                {"nvme-r s", l},
                 builder.nvmeTime(opt_bytes), opt_bytes, {}));
         }
         const sim::TaskId opt = builder.onCpu(
-            "adam L" + std::to_string(l),
-            builder.cpuAdamTime(share, hw::AdamImpl::GraceAdam),
-            std::move(deps));
+            {"adam L", l},
+            builder.cpuAdamTime(share, hw::AdamImpl::GraceAdam), deps);
         const sim::TaskId cast = builder.onCpu(
-            "cast p" + std::to_string(l), builder.cpuCastTime(share),
+            {"cast p", l}, builder.cpuCastTime(share),
             {opt});
         builder.onTransfer(hw::kTierDdr, hw::kTierHbm,
-                           "h2d p" + std::to_string(l),
+                           {"h2d p", l},
                            builder.h2dTime(weight_bytes), weight_bytes,
                            {cast});
         if (l >= first_nvme) {
             const double back = opt_bytes + weight_bytes;
             builder.onTransfer(hw::kTierDdr, hw::kTierNvme,
-                               "nvme-w s" + std::to_string(l),
+                               {"nvme-w s", l},
                                builder.nvmeTime(back), back, {cast});
         }
     }

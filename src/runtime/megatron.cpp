@@ -135,11 +135,8 @@ MegatronSystem::simulate(const TrainSetup &setup,
     final_syncs.reserve(sync_count);
     for (std::uint32_t step = 0; step < accum_steps; ++step) {
         for (std::uint32_t l = 0; l < cfg.layers; ++l) {
-            std::vector<sim::TaskId> deps;
-            if (prev != sim::kInvalidTask)
-                deps.push_back(prev);
-            prev = builder.onGpu("fwd L" + std::to_string(l), fwd_layer,
-                                 std::move(deps));
+            prev = builder.onGpu({"fwd L", l}, fwd_layer,
+                                 sim::DepView::optional(prev));
             if (mp_deg > 1) {
                 // TP sync is on the critical path of the layer.
                 prev = builder.onNic("tp-ar", tp_sync, {prev});
@@ -147,8 +144,7 @@ MegatronSystem::simulate(const TrainSetup &setup,
         }
         const bool last = step + 1 == accum_steps;
         for (std::uint32_t l = cfg.layers; l-- > 0;) {
-            prev = builder.onGpu("bwd L" + std::to_string(l), bwd_layer,
-                                 {prev});
+            prev = builder.onGpu({"bwd L", l}, bwd_layer, {prev});
             if (mp_deg > 1)
                 prev = builder.onNic("tp-ar", tp_sync, {prev});
             if (last && dp > 1) {

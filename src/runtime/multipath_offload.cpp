@@ -161,26 +161,27 @@ MultiPathOffloadSystem::simulate(const TrainSetup &setup,
     std::vector<sim::TaskId> gpu_grads(buckets, sim::kInvalidTask);
     std::vector<sim::TaskId> casts;
     casts.reserve(buckets);
+    std::vector<sim::TaskId> deps; // cleared per task
 
     for (std::uint32_t step = 0; step < accum_steps; ++step) {
         for (std::uint32_t c = 0; c < buckets; ++c) {
             // Weight-flow: stream this bucket's fp16 params from DRAM
             // (prefetchable), all-gather when partitioned.
             sim::TaskId ready = builder.onTransfer(
-                hw::kTierDdr, hw::kTierHbm, "h2d w" + std::to_string(c),
-                fetch_time, weight_bytes, {});
+                hw::kTierDdr, hw::kTierHbm, {"h2d w", c}, fetch_time,
+                weight_bytes, {});
             if (multi)
                 ready = builder.onNic("ag", gather_time, {ready});
-            std::vector<sim::TaskId> deps{ready};
+            deps.assign(1, ready);
             if (prev != sim::kInvalidTask)
                 deps.push_back(prev);
-            prev = builder.onGpu("fwd", chunk.fwd, std::move(deps));
+            prev = builder.onGpu("fwd", chunk.fwd, deps);
         }
         const bool last = step + 1 == accum_steps;
         for (std::uint32_t c = 0; c < buckets; ++c) {
             sim::TaskId ready = builder.onTransfer(
-                hw::kTierDdr, hw::kTierHbm, "h2d w'" + std::to_string(c),
-                fetch_time, weight_bytes, {});
+                hw::kTierDdr, hw::kTierHbm, {"h2d w'", c}, fetch_time,
+                weight_bytes, {});
             if (multi)
                 ready = builder.onNic("ag'", gather_time, {ready});
             prev = builder.onGpu("bwd", chunk.bwd, {prev, ready});
@@ -190,7 +191,7 @@ MultiPathOffloadSystem::simulate(const TrainSetup &setup,
             sim::TaskId grads = prev;
             if (multi) {
                 grads = builder.onNic(
-                    "rs g" + std::to_string(c),
+                    {"rs g", c},
                     builder.coll().reduceScatter(hw::kFp16BytesPerParam *
                                                  bucket_params),
                     {grads});
@@ -200,19 +201,17 @@ MultiPathOffloadSystem::simulate(const TrainSetup &setup,
             // Gradients leave for the host through the pinned pool.
             const double grad_bytes = hw::kFp16BytesPerParam * shard;
             const sim::TaskId moved = builder.onTransfer(
-                hw::kTierHbm, hw::kTierDdr, "d2h g" + std::to_string(c),
+                hw::kTierHbm, hw::kTierDdr, {"d2h g", c},
                 builder.d2hTime(grad_bytes), grad_bytes, {grads});
             cast_done[c] = builder.onCpu(
-                "cast g" + std::to_string(c),
-                builder.cpuCastTime(shard), {moved});
+                {"cast g", c}, builder.cpuCastTime(shard), {moved});
             casts.push_back(cast_done[c]);
 
             // Staged NVMe stripe prefetches its optimizer states into
             // DRAM over the drive channel while backward continues.
             if (staged_params > 0.0) {
                 staged_in[c] = builder.onTransfer(
-                    hw::kTierNvme, hw::kTierDdr,
-                    "nvme-r b" + std::to_string(c),
+                    hw::kTierNvme, hw::kTierDdr, {"nvme-r b", c},
                     builder.nvmeTime(opt_staged_bytes), opt_staged_bytes,
                     {});
             }
@@ -231,24 +230,23 @@ MultiPathOffloadSystem::simulate(const TrainSetup &setup,
         // CPU route: DDR-resident states plus the staged NVMe stripe.
         const double cpu_params = ddr_params + staged_params;
         if (cpu_params > 0.0) {
-            std::vector<sim::TaskId> deps{norm, cast_done[c]};
+            deps.assign({norm, cast_done[c]});
             if (staged_in[c] != sim::kInvalidTask)
                 deps.push_back(staged_in[c]);
             const sim::TaskId opt = builder.onCpu(
-                "adam b" + std::to_string(c),
-                builder.cpuAdamTime(cpu_params, impl), std::move(deps));
+                {"adam b", c}, builder.cpuAdamTime(cpu_params, impl), deps);
             if (staged_params > 0.0) {
                 builder.onTransfer(hw::kTierDdr, hw::kTierNvme,
-                                   "nvme-w b" + std::to_string(c),
+                                   {"nvme-w b", c},
                                    builder.nvmeTime(opt_staged_bytes),
                                    opt_staged_bytes, {opt});
             }
             const sim::TaskId cast = builder.onCpu(
-                "cast p" + std::to_string(c),
+                {"cast p", c},
                 builder.cpuCastTime(cpu_params), {opt});
             const double back_bytes = hw::kFp16BytesPerParam * cpu_params;
             builder.onTransfer(hw::kTierDdr, hw::kTierHbm,
-                               "h2d p" + std::to_string(c),
+                               {"h2d p", c},
                                builder.h2dTime(back_bytes), back_bytes,
                                {cast});
         }
@@ -258,13 +256,13 @@ MultiPathOffloadSystem::simulate(const TrainSetup &setup,
         // GPU applies Adam to them beside its gradients.
         if (gds_params > 0.0) {
             const sim::TaskId in = builder.onPath(
-                *gds_read, "gds-r b" + std::to_string(c),
+                *gds_read, {"gds-r b", c},
                 builder.pathTime(*gds_read, opt_gds_bytes), opt_gds_bytes,
                 {});
             const sim::TaskId opt = builder.onGpu(
-                "adam(gpu) b" + std::to_string(c),
+                {"adam(gpu) b", c},
                 builder.gpuAdamTime(gds_params), {in, gpu_grads[c]}, 1);
-            builder.onPath(*gds_write, "gds-w b" + std::to_string(c),
+            builder.onPath(*gds_write, {"gds-w b", c},
                            builder.pathTime(*gds_write, opt_gds_bytes),
                            opt_gds_bytes, {opt});
         }

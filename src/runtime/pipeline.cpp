@@ -91,13 +91,9 @@ PipelineSystem::simulate(const TrainSetup &setup,
     if (fill > 0.0)
         prev = builder.onGpu("pipeline-fill", fill, {});
     for (std::uint32_t i = 0; i < m; ++i) {
-        std::vector<sim::TaskId> deps;
-        if (prev != sim::kInvalidTask)
-            deps.push_back(prev);
-        prev = builder.onGpu("fwd u" + std::to_string(i), stage.fwd,
-                             std::move(deps));
-        prev = builder.onGpu("bwd u" + std::to_string(i), stage.bwd,
-                             {prev});
+        prev = builder.onGpu({"fwd u", i}, stage.fwd,
+                             sim::DepView::optional(prev));
+        prev = builder.onGpu({"bwd u", i}, stage.bwd, {prev});
     }
     const double drain = (p - 1) * (stage.bwd + p2p);
     if (drain > 0.0)

@@ -87,25 +87,24 @@ UlyssesSystem::simulate(const TrainSetup &setup,
     sim::TaskId prev = sim::kInvalidTask;
     std::vector<sim::TaskId> final_syncs;
     final_syncs.reserve(sync_count);
+    std::vector<sim::TaskId> deps; // cleared per task
     for (std::uint32_t step = 0; step < accum_steps; ++step) {
         for (std::uint32_t l = 0; l < cfg.layers; ++l) {
-            std::vector<sim::TaskId> deps;
+            deps.clear();
             if (prev != sim::kInvalidTask)
                 deps.push_back(prev);
             if (gather_time > 0.0)
                 deps.push_back(builder.onNic("ag", gather_time, {}));
-            prev = builder.onGpu("fwd L" + std::to_string(l), layer.fwd,
-                                 std::move(deps));
+            prev = builder.onGpu({"fwd L", l}, layer.fwd, deps);
             if (n > 1)
                 prev = builder.onNic("a2a", 2.0 * a2a, {prev});
         }
         const bool last = step + 1 == accum_steps;
         for (std::uint32_t l = cfg.layers; l-- > 0;) {
-            std::vector<sim::TaskId> deps{prev};
+            deps.assign(1, prev);
             if (gather_time > 0.0)
                 deps.push_back(builder.onNic("ag'", gather_time, {}));
-            prev = builder.onGpu("bwd L" + std::to_string(l), layer.bwd,
-                                 std::move(deps));
+            prev = builder.onGpu({"bwd L", l}, layer.bwd, deps);
             if (n > 1)
                 prev = builder.onNic("a2a'", 2.0 * a2a, {prev});
             if (last && n > 1) {

@@ -53,16 +53,12 @@ Zero2System::simulate(const TrainSetup &setup,
     final_syncs.reserve(sync_count);
     for (std::uint32_t step = 0; step < accum_steps; ++step) {
         for (std::uint32_t l = 0; l < cfg.layers; ++l) {
-            std::vector<sim::TaskId> deps;
-            if (prev != sim::kInvalidTask)
-                deps.push_back(prev);
-            prev = builder.onGpu("fwd L" + std::to_string(l), layer.fwd,
-                                 std::move(deps));
+            prev = builder.onGpu({"fwd L", l}, layer.fwd,
+                                 sim::DepView::optional(prev));
         }
         const bool last = step + 1 == accum_steps;
         for (std::uint32_t l = cfg.layers; l-- > 0;) {
-            prev = builder.onGpu("bwd L" + std::to_string(l), layer.bwd,
-                                 {prev});
+            prev = builder.onGpu({"bwd L", l}, layer.bwd, {prev});
             if (last && n > 1) {
                 // Bucketed reduce-scatter overlapped with backward.
                 const double grad_bytes = 2.0 * params / layers;
@@ -140,36 +136,31 @@ Zero3System::simulate(const TrainSetup &setup,
     sim::TaskId prev = sim::kInvalidTask;
     std::vector<sim::TaskId> final_syncs;
     final_syncs.reserve(sync_count);
+    std::vector<sim::TaskId> deps; // cleared per task
     for (std::uint32_t step = 0; step < accum_steps; ++step) {
         for (std::uint32_t l = 0; l < cfg.layers; ++l) {
             // Parameter all-gather can prefetch ahead of compute (it
             // depends only on earlier NIC traffic, not on this layer's
             // compute), so it overlaps when the NIC keeps up.
             sim::TaskId gathered = sim::kInvalidTask;
-            if (n > 1) {
-                gathered = builder.onNic("ag L" + std::to_string(l),
-                                         gather_time, {});
-            }
-            std::vector<sim::TaskId> deps;
+            if (n > 1)
+                gathered = builder.onNic({"ag L", l}, gather_time, {});
+            deps.clear();
             if (prev != sim::kInvalidTask)
                 deps.push_back(prev);
             if (gathered != sim::kInvalidTask)
                 deps.push_back(gathered);
-            prev = builder.onGpu("fwd L" + std::to_string(l), layer.fwd,
-                                 std::move(deps));
+            prev = builder.onGpu({"fwd L", l}, layer.fwd, deps);
         }
         const bool last = step + 1 == accum_steps;
         for (std::uint32_t l = cfg.layers; l-- > 0;) {
             sim::TaskId gathered = sim::kInvalidTask;
-            if (n > 1) {
-                gathered = builder.onNic("ag' L" + std::to_string(l),
-                                         gather_time, {});
-            }
-            std::vector<sim::TaskId> deps{prev};
+            if (n > 1)
+                gathered = builder.onNic({"ag' L", l}, gather_time, {});
+            deps.assign(1, prev);
             if (gathered != sim::kInvalidTask)
                 deps.push_back(gathered);
-            prev = builder.onGpu("bwd L" + std::to_string(l), layer.bwd,
-                                 std::move(deps));
+            prev = builder.onGpu({"bwd L", l}, layer.bwd, deps);
             if (last && n > 1) {
                 const double grad_bytes = 2.0 * params / layers;
                 final_syncs.push_back(builder.onNic(

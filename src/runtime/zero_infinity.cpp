@@ -83,32 +83,32 @@ ZeroInfinitySystem::simulate(const TrainSetup &setup,
     std::vector<sim::TaskId> grad_casts;
     grad_casts.reserve(layer_count);
     std::vector<sim::TaskId> per_layer_cast(cfg.layers, sim::kInvalidTask);
+    std::vector<sim::TaskId> deps; // cleared per task
 
     for (std::uint32_t step = 0; step < accum_steps; ++step) {
         for (std::uint32_t l = 0; l < cfg.layers; ++l) {
             // Fetch this layer's params from host (prefetch: depends
             // only on link availability), then all-gather, then compute.
             const sim::TaskId fetch = builder.onTransfer(
-                hw::kTierDdr, hw::kTierHbm, "h2d L" + std::to_string(l),
+                hw::kTierDdr, hw::kTierHbm, {"h2d L", l},
                 fetch_time, shard_bytes, {});
             sim::TaskId ready = fetch;
             if (n > 1)
                 ready = builder.onNic("ag", gather_time, {fetch});
-            std::vector<sim::TaskId> deps{ready};
+            deps.assign(1, ready);
             if (prev != sim::kInvalidTask)
                 deps.push_back(prev);
-            prev = builder.onGpu("fwd L" + std::to_string(l), layer.fwd,
-                                 std::move(deps));
+            prev = builder.onGpu({"fwd L", l}, layer.fwd, deps);
         }
         const bool last = step + 1 == accum_steps;
         for (std::uint32_t l = cfg.layers; l-- > 0;) {
             const sim::TaskId fetch = builder.onTransfer(
-                hw::kTierDdr, hw::kTierHbm, "h2d' L" + std::to_string(l),
+                hw::kTierDdr, hw::kTierHbm, {"h2d' L", l},
                 fetch_time, shard_bytes, {});
             sim::TaskId ready = fetch;
             if (n > 1)
                 ready = builder.onNic("ag'", gather_time, {fetch});
-            prev = builder.onGpu("bwd L" + std::to_string(l), layer.bwd,
+            prev = builder.onGpu({"bwd L", l}, layer.bwd,
                                  {prev, ready});
             if (!last)
                 continue;
@@ -121,7 +121,7 @@ ZeroInfinitySystem::simulate(const TrainSetup &setup,
             }
             const sim::TaskId out = builder.onTransfer(
                 hw::kTierHbm, hw::kTierDdr,
-                "d2h g L" + std::to_string(l),
+                {"d2h g L", l},
                 builder.chunkedTransferTime(shard_bytes, kStagingGranule,
                                             /*pinned=*/true,
                                             kPerChunkOverhead),
@@ -142,24 +142,24 @@ ZeroInfinitySystem::simulate(const TrainSetup &setup,
         grad_casts);
     sim::TaskId last_opt = norm;
     for (std::uint32_t l = 0; l < cfg.layers; ++l) {
-        std::vector<sim::TaskId> opt_deps{norm, per_layer_cast[l]};
+        deps.assign({norm, per_layer_cast[l]});
         const double opt_bytes =
             hw::kOptimStateBytesPerParam * layer_params / n;
         if (use_nvme_) {
             // Stream this layer's optimizer states in from NVMe
             // (prefetchable) and write them back after the update.
-            opt_deps.push_back(builder.onTransfer(
+            deps.push_back(builder.onTransfer(
                 hw::kTierNvme, hw::kTierDdr,
-                "nvme-r L" + std::to_string(l),
+                {"nvme-r L", l},
                 builder.nvmeTime(opt_bytes), opt_bytes, {}));
         }
         const sim::TaskId opt = builder.onCpu(
-            "adam L" + std::to_string(l),
+            {"adam L", l},
             builder.cpuAdamTime(layer_params / n, hw::AdamImpl::CpuAdam),
-            std::move(opt_deps));
+            deps);
         if (use_nvme_) {
             builder.onTransfer(hw::kTierDdr, hw::kTierNvme,
-                               "nvme-w L" + std::to_string(l),
+                               {"nvme-w L", l},
                                builder.nvmeTime(opt_bytes), opt_bytes,
                                {opt});
         }

@@ -65,10 +65,8 @@ ZeroOffloadSystem::simulate(const TrainSetup &setup,
 
     for (std::uint32_t step = 0; step < accum_steps; ++step) {
         for (std::uint32_t c = 0; c < buckets; ++c) {
-            std::vector<sim::TaskId> deps;
-            if (prev != sim::kInvalidTask)
-                deps.push_back(prev);
-            prev = builder.onGpu("fwd", chunk.fwd, std::move(deps));
+            prev = builder.onGpu("fwd", chunk.fwd,
+                                 sim::DepView::optional(prev));
         }
         const bool last = step + 1 == accum_steps;
         for (std::uint32_t c = 0; c < buckets; ++c) {
@@ -82,7 +80,7 @@ ZeroOffloadSystem::simulate(const TrainSetup &setup,
             sim::TaskId ready = prev;
             if (n > 1) {
                 ready = builder.onNic(
-                    "rs g" + std::to_string(c),
+                    {"rs g", c},
                     builder.coll().reduceScatter(2.0 * bucket_params),
                     {ready});
             }
@@ -92,11 +90,11 @@ ZeroOffloadSystem::simulate(const TrainSetup &setup,
             const double grad_bytes =
                 hw::kFp16BytesPerParam * shard_params;
             const sim::TaskId moved = builder.onTransfer(
-                hw::kTierHbm, hw::kTierDdr, "d2h g" + std::to_string(c),
+                hw::kTierHbm, hw::kTierDdr, {"d2h g", c},
                 builder.d2hTime(grad_bytes, /*pinned=*/false), grad_bytes,
                 {ready});
             cast_done[c] = builder.onCpu(
-                "cast g" + std::to_string(c),
+                {"cast g", c},
                 builder.cpuCastTime(shard_params) +
                     kBucketFrameworkOverhead,
                 {moved});
@@ -118,16 +116,16 @@ ZeroOffloadSystem::simulate(const TrainSetup &setup,
     returns.reserve(buckets);
     for (std::uint32_t c = 0; c < buckets; ++c) {
         const sim::TaskId opt = builder.onCpu(
-            "adam b" + std::to_string(c),
+            {"adam b", c},
             builder.cpuAdamTime(shard_params, hw::AdamImpl::CpuAdam) +
                 kBucketFrameworkOverhead,
             {norm, cast_done[c]});
         const sim::TaskId cast_back = builder.onCpu(
-            "cast p" + std::to_string(c),
+            {"cast p", c},
             builder.cpuCastTime(shard_params), {opt});
         const double param_bytes = hw::kFp16BytesPerParam * shard_params;
         returns.push_back(builder.onTransfer(
-            hw::kTierDdr, hw::kTierHbm, "h2d p" + std::to_string(c),
+            hw::kTierDdr, hw::kTierHbm, {"h2d p", c},
             builder.h2dTime(param_bytes, /*pinned=*/false), param_bytes,
             {cast_back}));
     }

@@ -1,15 +1,13 @@
 #include "sim/graph.h"
 
 #include <algorithm>
-#include <cstring>
-
-#include "common/logging.h"
+#include <charconv>
 
 namespace so::sim {
 
 namespace {
 
-/** FNV-1a over the label bytes; cheap and stable across platforms. */
+/** FNV-1a over the stem bytes; cheap and stable across platforms. */
 std::uint64_t
 hashBytes(std::string_view text)
 {
@@ -30,47 +28,51 @@ TaskGraph::addResource(std::string name)
     return static_cast<ResourceId>(resources_.size() - 1);
 }
 
-TaskGraph::LabelRef
-TaskGraph::internLabel(std::string_view label)
+std::uint32_t
+TaskGraph::internStem(std::string_view stem)
 {
-    if (label.empty())
-        return LabelRef{0, 0};
-    const std::uint64_t hash = hashBytes(label);
-    const auto hit = label_intern_.find(hash);
-    if (hit != label_intern_.end()) {
-        const LabelRef &ref = hit->second;
-        if (ref.length == label.size() &&
-            std::memcmp(label_arena_.data() + ref.offset, label.data(),
-                        label.size()) == 0)
-            return ref;
-        // Hash collision between distinct labels: fall through and
-        // store the new bytes (the table keeps the first entry).
+    // Fibonacci hashing of the address: the stems of one builder are
+    // literals a few bytes apart, and this spreads such neighbours over
+    // distinct slots.
+    const auto address = reinterpret_cast<std::uintptr_t>(stem.data());
+    StemSlot &slot = stem_cache_[(std::uint64_t{address} *
+                                  0x9E3779B97F4A7C15ull) >>
+                                 (64 - kStemCacheBits)];
+    if (slot.address == address && address != 0 &&
+        stemText(slot.id) == stem)
+        return slot.id;
+
+    const std::uint64_t hash = hashBytes(stem);
+    const auto hit = stem_intern_.find(hash);
+    std::uint32_t id;
+    if (hit != stem_intern_.end() && stemText(hit->second) == stem) {
+        id = hit->second;
+    } else {
+        // A new stem, or a hash collision between distinct stems: store
+        // the bytes (the map keeps the first stem with this hash).
+        SO_ASSERT(label_arena_.size() + stem.size() <=
+                      std::numeric_limits<std::uint32_t>::max(),
+                  "label arena overflow");
+        id = static_cast<std::uint32_t>(stems_.size());
+        stems_.push_back(
+            LabelRef{static_cast<std::uint32_t>(label_arena_.size()),
+                     static_cast<std::uint32_t>(stem.size())});
+        label_arena_.append(stem);
+        if (hit == stem_intern_.end())
+            stem_intern_.emplace(hash, id);
     }
-    SO_ASSERT(label_arena_.size() + label.size() <=
-                  std::numeric_limits<std::uint32_t>::max(),
-              "label arena overflow");
-    const LabelRef ref{static_cast<std::uint32_t>(label_arena_.size()),
-                       static_cast<std::uint32_t>(label.size())};
-    label_arena_.append(label);
-    if (hit == label_intern_.end())
-        label_intern_.emplace(hash, ref);
-    return ref;
+    slot = StemSlot{address, id};
+    return id;
 }
 
 TaskId
-TaskGraph::addTask(ResourceId resource, double duration,
-                   std::string_view label, DepView deps,
-                   std::int32_t priority)
+TaskGraph::addTask(ResourceId resource, double duration, Label label,
+                   DepView deps, std::int32_t priority)
 {
     SO_ASSERT(resource < resources_.size(),
               "task references unknown resource ", resource);
     SO_ASSERT(duration >= 0.0, "negative task duration: ", duration);
     const auto id = static_cast<TaskId>(durations_.size());
-    for (TaskId dep : deps) {
-        SO_ASSERT(dep < id,
-                  "dependency must be an already-added task (got ", dep,
-                  " for task ", id, ")");
-    }
     const std::int32_t lo =
         durations_.empty() ? priority : std::min(min_priority_, priority);
     const std::int32_t hi =
@@ -83,13 +85,18 @@ TaskGraph::addTask(ResourceId resource, double duration,
     durations_.push_back(duration);
     task_resource_.push_back(resource);
     priorities_.push_back(priority);
-    labels_.push_back(internLabel(label));
+    stem_ids_.push_back(internStem(label.stem));
+    label_indices_.push_back(label.index);
     dependents_valid_ = false;
-    DepRef ref;
-    ref.begin = static_cast<std::uint32_t>(edges_.size());
-    ref.count = static_cast<std::uint32_t>(deps.size());
-    edges_.insert(edges_.end(), deps.begin(), deps.end());
-    dep_refs_.push_back(ref);
+    for (TaskId dep : deps) {
+        SO_ASSERT(dep < id,
+                  "dependency must be an already-added task (got ", dep,
+                  " for task ", id, ")");
+        edges_.push_back(dep);
+    }
+    SO_ASSERT(edges_.size() <= std::numeric_limits<std::uint32_t>::max(),
+              "edge pool overflow");
+    dep_offsets_.push_back(static_cast<std::uint32_t>(edges_.size()));
     return id;
 }
 
@@ -119,28 +126,16 @@ TaskGraph::finalizeDependents() const
     dependents_valid_ = true;
 }
 
-std::span<const TaskId>
-TaskGraph::dependents(TaskId id) const
-{
-    SO_ASSERT(id < taskCount(), "unknown task ", id);
-    if (!dependents_valid_)
-        finalizeDependents();
-    return std::span<const TaskId>(
-        dependents_.data() + dependent_offsets_[id],
-        dependent_offsets_[id + 1] - dependent_offsets_[id]);
-}
-
 void
-TaskGraph::reserveTasks(std::size_t count, std::size_t label_bytes)
+TaskGraph::reserveTasks(std::size_t count)
 {
     durations_.reserve(count);
     task_resource_.reserve(count);
     priorities_.reserve(count);
-    labels_.reserve(count);
-    dep_refs_.reserve(count);
+    stem_ids_.reserve(count);
+    label_indices_.reserve(count);
+    dep_offsets_.reserve(count + 1);
     dependent_offsets_.reserve(count + 1);
-    if (label_bytes > 0)
-        label_arena_.reserve(label_bytes);
 }
 
 void
@@ -157,48 +152,18 @@ TaskGraph::resource(ResourceId id) const
     return resources_[id];
 }
 
-std::string_view
+std::string
 TaskGraph::label(TaskId id) const
 {
-    SO_ASSERT(id < taskCount(), "unknown task ", id);
-    const LabelRef &ref = labels_[id];
-    return std::string_view(label_arena_).substr(ref.offset, ref.length);
-}
-
-double
-TaskGraph::duration(TaskId id) const
-{
-    SO_ASSERT(id < taskCount(), "unknown task ", id);
-    return durations_[id];
-}
-
-ResourceId
-TaskGraph::taskResource(TaskId id) const
-{
-    SO_ASSERT(id < taskCount(), "unknown task ", id);
-    return task_resource_[id];
-}
-
-std::int32_t
-TaskGraph::priority(TaskId id) const
-{
-    SO_ASSERT(id < taskCount(), "unknown task ", id);
-    return priorities_[id];
-}
-
-std::span<const TaskId>
-TaskGraph::deps(TaskId id) const
-{
-    SO_ASSERT(id < taskCount(), "unknown task ", id);
-    const DepRef &ref = dep_refs_[id];
-    return std::span<const TaskId>(edges_.data() + ref.begin, ref.count);
-}
-
-std::size_t
-TaskGraph::depCount(TaskId id) const
-{
-    SO_ASSERT(id < taskCount(), "unknown task ", id);
-    return dep_refs_[id].count;
+    std::string text(stem(id));
+    if (const std::uint32_t index = label_indices_[id];
+        index != Label::kNoIndex) {
+        char digits[10];
+        const auto [end, ec] =
+            std::to_chars(digits, digits + sizeof digits, index);
+        text.append(digits, end);
+    }
+    return text;
 }
 
 double

@@ -15,16 +15,20 @@
  * from.
  *
  * Storage layout: tasks are kept structure-of-arrays. Durations,
- * resource bindings, and priorities live in parallel vectors; labels are
- * interned into one shared character arena (duplicate labels may share
- * storage); dependency lists live in one shared edge pool, contiguous
- * per task. Building a graph therefore costs O(log n) vector growths in
- * total instead of two heap allocations per task, which is what makes
- * sweeping thousands of simulated iterations cheap (see docs/PERF.md).
+ * resource bindings, and priorities live in parallel vectors. A label
+ * is a stem interned once into one shared character arena plus an
+ * integer index column ("h2d w" and 5), rendered as text ("h2d w5")
+ * only when read; dependency lists live in one shared edge pool,
+ * contiguous per task. Building a graph therefore costs O(log n)
+ * vector growths in total, with no per-task formatting, hashing or
+ * heap allocation, which is what makes sweeping thousands of simulated
+ * iterations cheap (see docs/PERF.md).
  */
 #ifndef SO_SIM_GRAPH_H
 #define SO_SIM_GRAPH_H
 
+#include <array>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -33,7 +37,10 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
+
+#include "common/logging.h"
 
 namespace so::sim {
 
@@ -92,6 +99,12 @@ class DepView
     {
     }
 
+    /** A dependency on @p id, or none when it is kInvalidTask. */
+    static DepView optional(const TaskId &id)
+    {
+        return std::span<const TaskId>(&id, id == kInvalidTask ? 0 : 1);
+    }
+
     const TaskId *begin() const { return data_; }
     const TaskId *end() const { return data_ + size_; }
     std::size_t size() const { return size_; }
@@ -101,6 +114,37 @@ class DepView
   private:
     const TaskId *data_ = nullptr;
     std::size_t size_ = 0;
+};
+
+/**
+ * A task label as builders pass it to TaskGraph::addTask: a stem and an
+ * optional index, read back as the stem followed by the index's decimal
+ * digits (`Label{"h2d w", 5}` reads "h2d w5"). Converts implicitly from
+ * text, which is a stem without an index. The stem is a borrowed view:
+ * addTask copies it during the call.
+ */
+struct Label
+{
+    /** The index column's value for a label without an index. */
+    static constexpr std::uint32_t kNoIndex =
+        std::numeric_limits<std::uint32_t>::max();
+
+    Label(const char *text) : stem(text) {}
+    Label(std::string_view text) : stem(text) {}
+    Label(const std::string &text) : stem(text) {}
+
+    /** @p n must fit the index column: 0 .. kNoIndex - 1. */
+    template <std::integral Index>
+    Label(std::string_view text, Index n)
+        : stem(text), index(static_cast<std::uint32_t>(n))
+    {
+        SO_ASSERT(std::in_range<std::uint32_t>(n) && index != kNoIndex,
+                  "label index ", n, " of '", text,
+                  "' does not fit 32 bits");
+    }
+
+    std::string_view stem;
+    std::uint32_t index = kNoIndex;
 };
 
 /** Builder/owner of resources and tasks forming one simulated iteration. */
@@ -114,16 +158,14 @@ class TaskGraph
      * Add a task; @p deps must reference previously added tasks, and
      * the graph's priorities must stay within kMaxPrioritySpan.
      */
-    TaskId addTask(ResourceId resource, double duration,
-                   std::string_view label, DepView deps = {},
-                   std::int32_t priority = 0);
+    TaskId addTask(ResourceId resource, double duration, Label label,
+                   DepView deps = {}, std::int32_t priority = 0);
 
     /**
      * Pre-size the task arrays for @p count tasks (builders know the
      * schedule shape, so they can reserve the exact count up front).
-     * @p label_bytes additionally pre-sizes the label arena.
      */
-    void reserveTasks(std::size_t count, std::size_t label_bytes = 0);
+    void reserveTasks(std::size_t count);
 
     /** Pre-size the shared dependency pool for @p count edges. */
     void reserveEdges(std::size_t count);
@@ -135,32 +177,64 @@ class TaskGraph
     /// @name Per-task accessors
     /// @{
     /**
-     * The task's label. The view aliases the shared arena: it is
-     * invalidated by the next addTask() call, so copy it when keeping
-     * it across graph mutations.
+     * The task's label, rendered from its stem and index ("h2d w5").
+     * Each call formats a new string; the graph stores no label text.
      */
-    std::string_view label(TaskId id) const;
+    std::string label(TaskId id) const;
+
+    /**
+     * The task's label stem. The view aliases the shared arena, where
+     * every task added with the same stem shares one copy; it is
+     * invalidated by the next addTask() call.
+     */
+    std::string_view stem(TaskId id) const
+    {
+        SO_ASSERT(id < taskCount(), "unknown task ", id);
+        return stemText(stem_ids_[id]);
+    }
 
     /** Execution time in seconds; may be zero (pure ordering point). */
-    double duration(TaskId id) const;
+    double duration(TaskId id) const
+    {
+        SO_ASSERT(id < taskCount(), "unknown task ", id);
+        return durations_[id];
+    }
 
     /** The resource the task occupies. */
-    ResourceId taskResource(TaskId id) const;
+    ResourceId taskResource(TaskId id) const
+    {
+        SO_ASSERT(id < taskCount(), "unknown task ", id);
+        return task_resource_[id];
+    }
 
     /**
      * Tie-break rank when several tasks are ready on the same resource;
      * lower runs first, equal ranks fall back to insertion order.
      */
-    std::int32_t priority(TaskId id) const;
+    std::int32_t priority(TaskId id) const
+    {
+        SO_ASSERT(id < taskCount(), "unknown task ", id);
+        return priorities_[id];
+    }
 
     /**
      * IDs of tasks that must finish before this one may start, in the
      * order they were added. The span aliases the shared edge pool: it
      * is invalidated by the next addTask() call.
      */
-    std::span<const TaskId> deps(TaskId id) const;
+    std::span<const TaskId> deps(TaskId id) const
+    {
+        SO_ASSERT(id < taskCount(), "unknown task ", id);
+        return std::span<const TaskId>(edges_.data() + dep_offsets_[id],
+                                       dep_offsets_[id + 1] -
+                                           dep_offsets_[id]);
+    }
 
-    std::size_t depCount(TaskId id) const;
+    std::size_t depCount(TaskId id) const
+    {
+        SO_ASSERT(id < taskCount(), "unknown task ", id);
+        return dep_offsets_[id + 1] - dep_offsets_[id];
+    }
 
     /**
      * IDs of tasks that depend on this one (the reverse edges), in
@@ -170,7 +244,15 @@ class TaskGraph
      * rebuild per run (docs/PERF.md). The span aliases the cache: it is
      * invalidated by the next addTask() call.
      */
-    std::span<const TaskId> dependents(TaskId id) const;
+    std::span<const TaskId> dependents(TaskId id) const
+    {
+        SO_ASSERT(id < taskCount(), "unknown task ", id);
+        if (!dependents_valid_)
+            finalizeDependents();
+        return std::span<const TaskId>(
+            dependents_.data() + dependent_offsets_[id],
+            dependent_offsets_[id + 1] - dependent_offsets_[id]);
+    }
 
     /**
      * Build the dependents CSR now if the graph changed since the last
@@ -201,7 +283,7 @@ class TaskGraph
         return durations_.empty() ? 0 : max_priority_;
     }
 
-    /** Bytes currently held by the label arena (diagnostics). */
+    /** Bytes of stem text held by the label arena (diagnostics). */
     std::size_t labelArenaBytes() const { return label_arena_.size(); }
 
     /**
@@ -215,22 +297,36 @@ class TaskGraph
     double totalWork(ResourceId resource) const;
 
   private:
-    /** Offset/length of an interned label inside label_arena_. */
+    /** Offset/length of an interned stem inside label_arena_. */
     struct LabelRef
     {
         std::uint32_t offset = 0;
         std::uint32_t length = 0;
     };
 
-    /** Begin/count of a task's dependency run inside edges_. */
-    struct DepRef
+    /**
+     * One slot of the stem cache: the address of the caller's stem that
+     * last resolved to stem `id` (0 in a slot never written). Builders
+     * pass literals, so a repeated stem arrives at the same address. An
+     * integer, not a pointer: the caller's text may be gone by the next
+     * call, and only the bytes in the arena are ever read.
+     */
+    struct StemSlot
     {
-        std::uint32_t begin = 0;
-        std::uint32_t count = 0;
+        std::uintptr_t address = 0;
+        std::uint32_t id = 0;
     };
 
-    /** Copy @p label into the arena (or reuse an identical entry). */
-    LabelRef internLabel(std::string_view label);
+    /** The id of @p stem in stems_, copying it into the arena if new. */
+    std::uint32_t internStem(std::string_view stem);
+
+    /** The arena text of stem @p stem_id. */
+    std::string_view stemText(std::uint32_t stem_id) const
+    {
+        const LabelRef &ref = stems_[stem_id];
+        return std::string_view(label_arena_.data() + ref.offset,
+                                ref.length);
+    }
 
     std::vector<Resource> resources_;
 
@@ -238,18 +334,26 @@ class TaskGraph
     std::vector<double> durations_;
     std::vector<ResourceId> task_resource_;
     std::vector<std::int32_t> priorities_;
-    std::vector<LabelRef> labels_;
-    std::vector<DepRef> dep_refs_;
+    std::vector<std::uint32_t> stem_ids_;
+    std::vector<std::uint32_t> label_indices_;
 
-    // Shared label arena + hash -> offset intern table. The table maps a
-    // label's byte hash to the arena entry that first carried it; a hash
-    // collision merely stores the colliding label a second time.
+    // Interned stems: each distinct stem's bytes once in the arena. The
+    // cache answers a repeated stem by its address, confirmed by
+    // comparing length and bytes, so a buffer reused for other text
+    // misses. A miss probes the map from a stem's byte hash to the stem
+    // that first carried it; a hash collision merely stores the
+    // colliding stem a second time.
     std::string label_arena_;
-    std::unordered_map<std::uint64_t, LabelRef> label_intern_;
+    std::vector<LabelRef> stems_;
+    static constexpr int kStemCacheBits = 6;
+    std::array<StemSlot, std::size_t{1} << kStemCacheBits> stem_cache_{};
+    std::unordered_map<std::uint64_t, std::uint32_t> stem_intern_;
 
     // Shared dependency pool: each task's deps occupy one contiguous
-    // run, appended when the task is added.
+    // run, appended when the task is added; task t's run is
+    // edges_[dep_offsets_[t], dep_offsets_[t + 1]).
     std::vector<TaskId> edges_;
+    std::vector<std::uint32_t> dep_offsets_{0};
 
     // Reverse-edge CSR cache: offsets (n+1) into one dependents array,
     // built on first use after a mutation and reused across scheduler

@@ -93,10 +93,11 @@ writeBundleDoc(JsonWriter &json, const TaskGraph &graph,
                 power_w =
                     energy->resources[graph.taskResource(id)].busy_w;
         }
+        const std::string text = graph.label(id);
         json.beginObject();
         json.field("id", id);
-        json.field("label", graph.label(id));
-        json.field("phase", phaseKey(graph.label(id)));
+        json.field("label", text);
+        json.field("phase", phaseKey(text));
         json.field("resource", graph.taskResource(id));
         json.field("slot", kSlot);
         json.field("start_s", start);
@@ -229,10 +230,11 @@ writeBundleShards(const std::string &path, const TaskGraph &graph,
             const double start = schedule.start[id];
             const double end = schedule.finish[id];
             const double dur = end - start;
+            const std::string text = graph.label(id);
             line->beginObject();
             line->field("id", id);
-            line->field("label", graph.label(id));
-            line->field("phase", phaseKey(graph.label(id)));
+            line->field("label", text);
+            line->field("phase", phaseKey(text));
             line->field("resource", r);
             line->field("slot", kSlot);
             line->field("start_s", start);

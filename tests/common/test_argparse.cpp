@@ -202,6 +202,40 @@ TEST(ArgParser, NegativeNumbers)
     EXPECT_EQ(parse({"--ratio=-5"}).number("ratio", 0.0), -5.0);
 }
 
+TEST(ArgParser, NumberRangesNameTheRangeANumberBreaks)
+{
+    using enum NumberRange;
+    const struct
+    {
+        NumberRange range;
+        const char *value;
+        const char *error; // "" when admitted
+    } kCases[] = {
+        {Any, "-inf", ""},
+        {Finite, "-1e300", ""},
+        {Finite, "-inf", "--w must be a finite number (got '-inf')"},
+        {NonNegative, "0", ""},
+        {NonNegative, "-0.5",
+         "--w must be a finite number >= 0 (got '-0.5')"},
+        {NonNegative, "inf", "--w must be a finite number >= 0 (got 'inf')"},
+        {NonNegative, "1e-9", ""},
+        {Positive, "1e-9", ""},
+        {Positive, "0", "--w must be a finite number > 0 (got '0')"},
+        {Positive, "-5", "--w must be a finite number > 0 (got '-5')"},
+        {Positive, "1e999", "--w must be a finite number > 0 (got '1e999')"},
+        // What is not a number at all is named as before, in any range.
+        {Positive, "abc", "--w must be a number (got 'abc')"},
+        {NonNegative, "nan", "--w must be a number (got 'nan')"},
+    };
+    for (const auto &c : kCases) {
+        const char *argv[] = {"prog", "--w", c.value};
+        const ArgParser args(
+            3, argv, {{.name = "w", .kind = ArgKind::Number,
+                       .range = c.range}});
+        EXPECT_EQ(args.error(), c.error) << c.value;
+    }
+}
+
 TEST(ArgParser, ConfigKeysGoThroughTheSameKinds)
 {
     const std::vector<Flag> flags = {

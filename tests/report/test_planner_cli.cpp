@@ -136,6 +136,15 @@ TEST(PlannerCli, MalformedArgvExitsWithUsageStatusNamingTheToken)
         {"stv = flase", "config key stv must be true/yes/on/1 or "
                         "false/no/off/0 (got 'flase')"},
         {"nvme_gb = abc", "config key nvme_gb must be a number"},
+        // Numbers outside their key's range: a zero-bandwidth drive used
+        // to abort in BandwidthCurve::flat, negative GPU watts planned
+        // 174.39 J for 5B and infinite ones wrote "iter_j":null.
+        {"nvme_gb = 100\nnvme_bw_gbs = 0",
+         "config key nvme_bw_gbs must be a finite number > 0 (got '0')"},
+        {"gpu_busy_w = -100",
+         "config key gpu_busy_w must be a finite number >= 0 (got '-100')"},
+        {"gpu_busy_w = inf",
+         "config key gpu_busy_w must be a finite number >= 0 (got 'inf')"},
         {"binding remote", "malformed config line 'binding remote'"},
     };
     const std::string config = testing::TempDir() + "planner_counts.conf";

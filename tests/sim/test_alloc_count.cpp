@@ -8,7 +8,9 @@
  * pre-SoA representation: array-of-structs tasks each owning a
  * heap-allocated label string and dependency vector, plus per-run
  * scheduler scratch. The SoA graph + reusable workspace must come in at
- * least 3x under that baseline.
+ * least 3x under that baseline. A real builder, SuperOffload's, must
+ * build its graph with a heap allocation count that does not grow with
+ * the number of tasks.
  */
 #include <gtest/gtest.h>
 
@@ -21,6 +23,10 @@
 #include <string>
 #include <vector>
 
+#include "core/superoffload.h"
+#include "hw/presets.h"
+#include "model/config.h"
+#include "runtime/builder.h"
 #include "sim/graph.h"
 #include "sim/scheduler.h"
 
@@ -132,8 +138,7 @@ buildAndScheduleCell(Scheduler::Workspace &ws)
     const ResourceId d2h = g.addResource("D2H");
     const ResourceId cpu = g.addResource("CPU");
     g.reserveTasks(static_cast<std::size_t>(kAccumSteps) * 2 * kLayers +
-                       2 * kLayers + 1,
-                   16 * kLayers);
+                   2 * kLayers + 1);
     g.reserveEdges(static_cast<std::size_t>(kAccumSteps) * 2 * kLayers +
                    3 * kLayers + 1);
 
@@ -142,18 +147,15 @@ buildAndScheduleCell(Scheduler::Workspace &ws)
     casts.reserve(kLayers);
     for (std::uint32_t step = 0; step < kAccumSteps; ++step) {
         for (std::uint32_t l = 0; l < kLayers; ++l) {
-            if (prev == kInvalidTask)
-                prev = g.addTask(gpu, 1e-3, layerLabel("fwd", l));
-            else
-                prev = g.addTask(gpu, 1e-3, layerLabel("fwd", l), {prev});
+            prev = g.addTask(gpu, 1e-3, {"fwd L", l},
+                             DepView::optional(prev));
         }
         const bool last = step + 1 == kAccumSteps;
         for (std::uint32_t l = kLayers; l-- > 0;) {
-            prev = g.addTask(gpu, 2e-3, layerLabel("bwd", l), {prev});
+            prev = g.addTask(gpu, 2e-3, {"bwd L", l}, {prev});
             if (!last)
                 continue;
-            const TaskId moved =
-                g.addTask(d2h, 5e-4, layerLabel("d2h g", l), {prev});
+            const TaskId moved = g.addTask(d2h, 5e-4, {"d2h g L", l}, {prev});
             casts.push_back(g.addTask(
                 cpu, 8e-4, "adam (fused, per-bucket dispatch)", {moved}));
         }
@@ -288,6 +290,46 @@ TEST(AllocCount, RepeatCellsDoNotGrowAllocationCount)
     const std::size_t third =
         allocsDuring([&ws] { buildAndScheduleCell(ws); });
     EXPECT_LE(third, second);
+}
+
+TEST(AllocCount, SuperOffloadBuildDoesNotGrowWithBuckets)
+{
+    // The same candidate shape (weight-flow, SAC, STV, no retained
+    // bucket, one accumulation step) at 1B and 20B on one Superchip:
+    // the larger model has about four times the buckets and tasks, and
+    // a per-task label, intern-map node or dependency vector would show
+    // as more allocations.
+    const core::SuperOffloadSystem sys{core::SuperOffloadOptions{}};
+    runtime::SearchCandidate cand;
+    cand.micro_batch = 8;
+    cand.variant =
+        static_cast<std::uint32_t>(core::WeightPlacement::Flow);
+    struct Build
+    {
+        std::size_t allocs = 0;
+        std::size_t tasks = 0;
+    };
+    const auto build = [&](const char *model) {
+        runtime::TrainSetup setup;
+        setup.cluster = hw::gh200Single();
+        setup.model = model::modelPreset(model);
+        setup.global_batch = 8;
+        setup.seq = 1024;
+        runtime::IterBuilder builder(setup);
+        Build out;
+        out.allocs = allocsDuring(
+            [&] { (void)sys.buildGraph(builder, setup, cand); });
+        out.tasks = builder.graph().taskCount();
+        return out;
+    };
+    const Build small = build("1B");
+    const Build large = build("20B");
+    RecordProperty("allocs_1b", static_cast<int>(small.allocs));
+    RecordProperty("allocs_20b", static_cast<int>(large.allocs));
+    ASSERT_GT(large.tasks, 3 * small.tasks);
+    EXPECT_LE(large.allocs, small.allocs)
+        << small.tasks << " tasks take " << small.allocs
+        << " allocations, " << large.tasks << " take " << large.allocs;
 }
 
 } // namespace

@@ -73,7 +73,7 @@ TEST(TaskGraph, ReserveDoesNotChangeContents)
 {
     TaskGraph g;
     const ResourceId r = g.addResource("GPU");
-    g.reserveTasks(100, 1024);
+    g.reserveTasks(100);
     g.reserveEdges(200);
     const TaskId a = g.addTask(r, 1.0, "alpha");
     const TaskId b = g.addTask(r, 2.0, "beta", {a});
@@ -106,7 +106,64 @@ TEST(TaskGraphIntern, DuplicateLabelsShareArenaStorage)
     EXPECT_NE(a, b);
     EXPECT_EQ(g.label(a), g.label(b));
     EXPECT_EQ(g.labelArenaBytes(), after_first);
-    EXPECT_EQ(g.label(a).data(), g.label(b).data());
+    EXPECT_EQ(g.stem(a).data(), g.stem(b).data());
+}
+
+TEST(TaskGraphIntern, StemAndIndexReadAsTheFormattedLabel)
+{
+    TaskGraph g;
+    const ResourceId r = g.addResource("GPU");
+    const TaskId a = g.addTask(r, 1.0, {"h2d w", 5});
+    const TaskId b = g.addTask(r, 1.0, {"h2d w", 0u});
+    const TaskId c = g.addTask(r, 1.0, {"", std::size_t{12}});
+    const TaskId d = g.addTask(r, 1.0, {"adam b", Label::kNoIndex - 1});
+    const TaskId e = g.addTask(r, 1.0, "h2d w");
+    EXPECT_EQ(g.label(a), "h2d w" + std::to_string(5));
+    EXPECT_EQ(g.label(b), "h2d w0");
+    EXPECT_EQ(g.label(c), "12");
+    EXPECT_EQ(g.label(d), "adam b4294967294");
+    // Without an index the stem alone is the label, and it is the same
+    // stem as the indexed tasks'.
+    EXPECT_EQ(g.label(e), "h2d w");
+    EXPECT_EQ(g.stem(a).data(), g.stem(e).data());
+}
+
+TEST(TaskGraphIntern, RepeatedStemsKeepTheArenaAtTheirText)
+{
+    // The arena holds each stem once however many indices use it.
+    TaskGraph g;
+    const ResourceId r = g.addResource("GPU");
+    for (std::uint32_t i = 0; i < 1000; ++i) {
+        g.addTask(r, 1.0, {"adam b", i});
+        g.addTask(r, 1.0, {"h2d p", i});
+    }
+    EXPECT_EQ(g.labelArenaBytes(), std::string("adam bh2d p").size());
+    EXPECT_EQ(g.label(1999), "h2d p999");
+}
+
+TEST(TaskGraphIntern, ReusedBufferWithOtherTextIsAnotherStem)
+{
+    // One buffer, rewritten between tasks, arrives at the same address
+    // each time: the stem cache must compare the text, not the address.
+    TaskGraph g;
+    const ResourceId r = g.addResource("GPU");
+    char buffer[] = "fwd";
+    const TaskId a = g.addTask(r, 1.0, {buffer, 1});
+    buffer[0] = 'b';
+    const TaskId b = g.addTask(r, 1.0, {buffer, 1});
+    const TaskId c = g.addTask(r, 1.0, {std::string_view(buffer, 2), 1});
+    EXPECT_EQ(g.label(a), "fwd1");
+    EXPECT_EQ(g.label(b), "bwd1");
+    EXPECT_EQ(g.label(c), "bw1");
+}
+
+TEST(TaskGraphInternDeath, IndexThatDoesNotFitIsRejected)
+{
+    // The index column holds 0 .. 2^32 - 2; a wider or negative index
+    // is refused rather than truncated to another task's number.
+    EXPECT_DEATH(Label("h2d w", std::uint64_t{1} << 32), "does not fit");
+    EXPECT_DEATH(Label("h2d w", -1), "does not fit");
+    EXPECT_DEATH(Label("h2d w", Label::kNoIndex), "does not fit");
 }
 
 TEST(TaskGraphIntern, DistinctLabelsKeepDistinctText)
